@@ -6,7 +6,6 @@ from .data import (
     NoiseKind,
     NoiseSpec,
     NoisyCluster,
-    Sample,
     SyntheticSpec,
     generate_synthetic,
     inject_noise,
@@ -27,16 +26,14 @@ from .division import (
     write_partition_file,
 )
 from .errors import DegenerateFit, MetaStarved, NoCenter, NumericalError, ParseError
-from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posterior, posteriors
+from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .metanet import (
     MetaDataset,
     MetaNet,
     MetaTrainConfig,
-    bce_loss,
     build_meta_dataset,
     fuse_scores,
     load_meta_checkpoint,
-    meta_forward,
     meta_loss_and_grads,
     purify,
     save_meta_checkpoint,
@@ -45,27 +42,14 @@ from .metanet import (
 )
 from .metrics import SelectionReport, accuracy, selection_metrics
 from .pipeline import DistillParams, DistillResult, run_distillation
-from .scores import (
-    ClassCenter,
-    ScoreTable,
-    class_center,
-    cosine_similarity_score,
-    cross_entropy_score,
-    score_dataset,
-)
+from .scores import ScoreTable, class_center, score_dataset
 from .seeding import derive_seed, rng_from
 from .semisup import (
     RoundResult,
     TrainConfig,
-    co_guess,
     distill_round,
     ensemble_outputs,
-    labeled_loss,
     make_ensemble,
-    refine_label,
-    reg_loss,
-    total_loss,
-    unlabeled_loss,
     warmup,
 )
 

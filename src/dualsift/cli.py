@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,24 +47,46 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 # configuration plumbing: defaults, flat key=value config files, flag override
 
+# config key -> field of the config class it sets; each such key takes its
+# default from that field
+_SPEC_KEYS = {"cluster_spread": "cluster_spread", "logit_sharpness": "logit_sharpness"}
+_GMM_KEYS = {"gmm_max_iter": "max_iter", "gmm_tol": "tol",
+             "variance_floor": "variance_floor", "min_fit_size": "min_fit_size"}
+_META_KEYS = {"meta_lr": "lr", "meta_epochs": "epochs", "meta_batch": "batch_size",
+              "meta_patience": "patience"}
+_TRAIN_KEYS = {"warmup_epochs": "warmup_epochs", "rounds": "rounds", "lr": "lr",
+               "lambda_u": "lambda_u", "lambda_r": "lambda_r", "ensemble": "ensemble_size",
+               "hidden": "hidden", "batch_size": "batch_size"}
+_STRATEGY_KEYS = ("loss_strategy", "sim_strategy", "fuse_strategy")
+
+
+def _field_defaults(cls, keys: dict[str, str]) -> dict:
+    default = {f.name: f.default for f in fields(cls)}
+    return {key: default[name] for key, name in keys.items()}
+
+
+def _kwargs(cfg: dict, keys: dict[str, str]) -> dict:
+    return {name: cfg[key] for key, name in keys.items()}
+
+
+_PARAMS = DistillParams()
+
 GENERATE_DEFAULTS = {
     "k": 10, "d": 16, "n": 5000,
-    "cluster_spread": 0.32, "logit_sharpness": 3.0,
+    **_field_defaults(SyntheticSpec, _SPEC_KEYS),
     "noise": "sym:0.4", "seed": 0,
 }
 
 DISTILL_DEFAULTS = {
-    "loss_strategy": "fixed:0.5", "sim_strategy": "fixed:0.5", "fuse_strategy": "fixed:0.5",
-    "gmm_max_iter": 100, "gmm_tol": 1e-6, "variance_floor": 1e-6, "min_fit_size": 8,
-    "meta_lr": 0.2, "meta_epochs": 30, "meta_batch": 64, "meta_patience": 5,
-    "meta_hidden": 10, "seed": 0,
+    **{key: str(getattr(_PARAMS, key)) for key in _STRATEGY_KEYS},
+    **_field_defaults(GmmConfig, _GMM_KEYS),
+    **_field_defaults(MetaTrainConfig, _META_KEYS),
+    "meta_hidden": _PARAMS.meta_hidden, "seed": 0,
 }
 
 TRAIN_DEFAULTS = {
     **DISTILL_DEFAULTS,
-    "warmup_epochs": 10, "rounds": 5, "lr": 0.04,
-    "lambda_u": 3.0, "lambda_r": 1.0,
-    "ensemble": 2, "hidden": 64, "batch_size": 8,
+    **_field_defaults(TrainConfig, _TRAIN_KEYS),
     "test_fraction": 0.2,
 }
 
@@ -120,19 +142,12 @@ def _parse_noise(text: str) -> NoiseSpec | None:
 
 
 def _distill_params(cfg: dict) -> DistillParams:
-    gmm_kwargs = dict(
-        max_iter=cfg["gmm_max_iter"], tol=cfg["gmm_tol"],
-        variance_floor=cfg["variance_floor"], min_fit_size=cfg["min_fit_size"],
-    )
+    gmm_kwargs = _kwargs(cfg, _GMM_KEYS)
     return DistillParams(
         loss_gmm=GmmConfig(Orientation.SMALLER_MEAN_CLEAN, **gmm_kwargs),
         feat_gmm=GmmConfig(Orientation.LARGER_MEAN_CLEAN, **gmm_kwargs),
-        loss_strategy=ThresholdStrategy.parse(cfg["loss_strategy"]),
-        sim_strategy=ThresholdStrategy.parse(cfg["sim_strategy"]),
-        fuse_strategy=ThresholdStrategy.parse(cfg["fuse_strategy"]),
-        meta=MetaTrainConfig(
-            lr=cfg["meta_lr"], epochs=cfg["meta_epochs"], batch_size=cfg["meta_batch"],
-            patience=cfg["meta_patience"], seed=derive_seed(cfg["seed"], "meta")),
+        **{key: ThresholdStrategy.parse(cfg[key]) for key in _STRATEGY_KEYS},
+        meta=MetaTrainConfig(**_kwargs(cfg, _META_KEYS), seed=derive_seed(cfg["seed"], "meta")),
         meta_hidden=cfg["meta_hidden"],
     )
 
@@ -180,11 +195,8 @@ def _selection_or_none(partition, dataset: Dataset):
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _effective_config(GENERATE_DEFAULTS, args)
     noise = _parse_noise(cfg["noise"])
-    spec = SyntheticSpec(
-        k=cfg["k"], d=cfg["d"], n=cfg["n"],
-        cluster_spread=cfg["cluster_spread"], logit_sharpness=cfg["logit_sharpness"],
-        seed=derive_seed(cfg["seed"], "synthetic"),
-    )
+    spec = SyntheticSpec(k=cfg["k"], d=cfg["d"], n=cfg["n"], **_kwargs(cfg, _SPEC_KEYS),
+                         seed=derive_seed(cfg["seed"], "synthetic"))
     dataset = generate_synthetic(spec)
     if noise is not None:
         noise = replace(noise, seed=derive_seed(cfg["seed"], "noise"))
@@ -226,12 +238,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _effective_config(TRAIN_DEFAULTS, args)
     params = _distill_params(cfg)
-    train_cfg = TrainConfig(
-        warmup_epochs=cfg["warmup_epochs"], rounds=cfg["rounds"], lr=cfg["lr"],
-        lambda_u=cfg["lambda_u"], lambda_r=cfg["lambda_r"],
-        ensemble_size=cfg["ensemble"], hidden=cfg["hidden"],
-        batch_size=cfg["batch_size"], seed=cfg["seed"],
-    )
+    train_cfg = TrainConfig(**_kwargs(cfg, _TRAIN_KEYS), seed=cfg["seed"])
     dataset = load_sample_table(args.input)
     train_set, test_set, _, _ = split_dataset(dataset, cfg["test_fraction"], cfg["seed"])
     can_score = test_set.n > 0 and test_set.has_true_labels

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -30,22 +29,10 @@ class NoiseKind(Enum):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One row of a dataset. ``true_label`` is None when unknown."""
-
-    id: int
-    features: np.ndarray
-    logits: np.ndarray
-    noisy_label: int
-    true_label: int | None
-
-
-@dataclass(frozen=True)
 class Dataset:
     """Columnar, immutable collection of samples.
 
-    ``true_labels`` stores -1 for absent ground truth; the per-sample view
-    exposes it as an explicit optional.
+    ``true_labels`` stores -1 for absent ground truth.
     """
 
     features: np.ndarray      # (N, D) float64
@@ -70,6 +57,9 @@ class Dataset:
             raise ValueError("noisy label out of range")
         if n and (true.min() < -1 or true.max() >= k):
             raise ValueError("true label out of range")
+        for name, arr in (("features", features), ("logits", logits)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
         for name, arr in (("features", features), ("logits", logits),
                           ("noisy_labels", noisy), ("true_labels", true)):
             arr.setflags(write=False)
@@ -98,22 +88,6 @@ class Dataset:
         if not self.has_true_labels:
             raise ValueError("dataset has no complete ground truth")
         return self.noisy_labels == self.true_labels
-
-    def sample(self, i: int) -> Sample:
-        true = int(self.true_labels[i])
-        return Sample(
-            id=i,
-            features=self.features[i],
-            logits=self.logits[i],
-            noisy_label=int(self.noisy_labels[i]),
-            true_label=None if true < 0 else true,
-        )
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[Sample]:
-        return (self.sample(i) for i in range(self.n))
 
     def with_representation(self, features: np.ndarray, logits: np.ndarray) -> "Dataset":
         """Same samples, different embedding and score columns."""

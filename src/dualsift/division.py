@@ -7,7 +7,7 @@ form the uncertain set that purification later re-judges.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -23,7 +23,6 @@ PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
 
 class StrategyKind(Enum):
     FIXED = "fixed"
-    NOISE_RATE = "noise"
     PERCENTILE = "percentile"
 
 
@@ -41,19 +40,20 @@ class ThresholdStrategy:
         return cls(StrategyKind.FIXED, t)
 
     @classmethod
-    def noise_rate(cls, p: float) -> "ThresholdStrategy":
-        return cls(StrategyKind.NOISE_RATE, p)
-
-    @classmethod
     def percentile(cls, p: float) -> "ThresholdStrategy":
         return cls(StrategyKind.PERCENTILE, p)
 
     @classmethod
     def parse(cls, text: str) -> "ThresholdStrategy":
-        """Parse 'fixed:0.5', 'noise:0.4', or 'percentile:0.36'."""
+        """Parse 'fixed:0.5', 'noise:0.4', or 'percentile:0.36'.
+
+        An estimated noise rate P is used as the cutoff itself, so 'noise:P'
+        parses to the same strategy as 'fixed:P'.
+        """
         try:
             name, raw = text.split(":", 1)
-            return cls(StrategyKind(name.strip()), float(raw))
+            name = name.strip()
+            return cls(StrategyKind("fixed" if name == "noise" else name), float(raw))
         except ValueError as exc:
             raise ValueError(f"bad threshold strategy {text!r}: {exc}") from exc
 
@@ -67,7 +67,7 @@ def resolve_threshold(strategy: ThresholdStrategy, posteriors_list: np.ndarray) 
     PERCENTILE uses the nearest-rank quantile sorted[ceil(p*n) - 1] with the
     1-based rank clamped to the valid range.
     """
-    if strategy.kind is StrategyKind.FIXED or strategy.kind is StrategyKind.NOISE_RATE:
+    if strategy.kind is StrategyKind.FIXED:
         return strategy.value
     vals = np.sort(np.asarray(posteriors_list, dtype=np.float64).ravel())
     if vals.size == 0:
@@ -150,19 +150,14 @@ class Partition:
 
     def tags(self) -> list[str]:
         """Per-id assignment tag: P/N/U before purification, P/N/C/UN/DROPPED after."""
-        tags = ["U"] * self.n_total
+        tags = np.full(self.n_total, "U", dtype=object)
         if self.purified:
-            for i in self.clean_ids:
-                tags[i] = "C"
-            for i in self.noisy_ids:
-                tags[i] = "UN"
-            for i in self.dropped_ids:
-                tags[i] = "DROPPED"
-        for i in self.positive_ids:
-            tags[i] = "P"
-        for i in self.negative_ids:
-            tags[i] = "N"
-        return tags
+            tags[self.clean_ids] = "C"
+            tags[self.noisy_ids] = "UN"
+            tags[self.dropped_ids] = "DROPPED"
+        tags[self.positive_ids] = "P"
+        tags[self.negative_ids] = "N"
+        return tags.tolist()
 
 
 def compute_posteriors(
@@ -179,7 +174,8 @@ def compute_posteriors(
     """
     loss_config = loss_config or GmmConfig(Orientation.SMALLER_MEAN_CLEAN)
     feat_config = feat_config or GmmConfig(Orientation.LARGER_MEAN_CLEAN)
-    out = table.copy()
+    out = replace(table, posterior_loss=table.posterior_loss.copy(),
+                  posterior_sim=table.posterior_sim.copy())
     notes: list[str] = []
     for cluster in clusters:
         ids = cluster.member_ids

@@ -28,7 +28,6 @@ class GmmConfig:
     tol: float = 1e-6
     variance_floor: float = 1e-6
     min_fit_size: int = 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -118,7 +117,3 @@ def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
     log_joint = np.log(gmm.weights)[None, :] + _log_pdf(x, gmm.means, gmm.variances)
     log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
     return np.exp(log_joint[:, gmm.clean_component] - log_norm)
-
-
-def posterior(gmm: Gmm1d, value: float) -> float:
-    return float(posteriors(gmm, np.array([value]))[0])

@@ -69,11 +69,6 @@ class MetaNet:
         return [self.w1, self.b1, self.w2, self.b2]
 
 
-def meta_forward(net: MetaNet, pair: np.ndarray) -> float:
-    """Fused score for a single [posterior_loss, posterior_sim] pair."""
-    return float(net.forward(np.asarray(pair, dtype=np.float64).reshape(1, 2))[0])
-
-
 @dataclass(frozen=True)
 class MetaDataset:
     """Posterior pairs with binary cleanliness labels from the certain set."""
@@ -120,13 +115,6 @@ def build_meta_dataset(partition: Partition, table: ScoreTable) -> MetaDataset:
         np.zeros(partition.negative_ids.size),
     ])
     return MetaDataset(inputs=inputs, labels=labels)
-
-
-def bce_loss(pred: float, label: int) -> float:
-    """Binary cross-entropy with the prediction clamped away from 0 and 1."""
-    p = min(max(float(pred), _PRED_CLAMP), 1.0 - _PRED_CLAMP)
-    b = float(label)
-    return float(-(b * np.log(p) + (1.0 - b) * np.log(1.0 - p)))
 
 
 def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -208,7 +196,7 @@ def fuse_scores(net: MetaNet, table: ScoreTable) -> ScoreTable:
     later routed to the noisy side by :func:`purify`.
     """
     pairs = np.column_stack([table.posterior_loss, table.posterior_sim])
-    return table.with_fused(net.forward(pairs))
+    return replace(table, fused=net.forward(pairs))
 
 
 def purify(table: ScoreTable, partition: Partition,

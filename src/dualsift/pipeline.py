@@ -3,7 +3,7 @@ purified clean/noisy sets, with total fallback behavior on degeneracies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -74,7 +74,7 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
         table = fuse_scores(meta_net, table)
     except MetaStarved as exc:
         fallbacks.append(f"meta_starved:weighted_average:lambda={FALLBACK_LAMBDA}:{exc}")
-        table = table.with_fused(weighted_average_baseline(
+        table = replace(table, fused=weighted_average_baseline(
             table.posterior_loss, table.posterior_sim, FALLBACK_LAMBDA))
 
     su = partition.uncertain_ids

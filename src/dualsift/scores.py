@@ -23,7 +23,9 @@ class ScoreTable:
 
     NaN marks an unset posterior or an unscored sample. ``unscored_sim``
     flags samples whose similarity could not be computed; downstream they
-    are routed to the uncertain set.
+    are routed to the uncertain set. Each stage derives its output with
+    ``dataclasses.replace``, so tables share the columns a stage does not
+    set; no stage writes into a table it was given.
     """
 
     loss_score: np.ndarray
@@ -42,34 +44,6 @@ class ScoreTable:
     def n(self) -> int:
         return self.loss_score.shape[0]
 
-    def copy(self) -> "ScoreTable":
-        return ScoreTable(*(a.copy() for a in (
-            self.loss_score, self.sim_score, self.unscored_sim,
-            self.posterior_loss, self.posterior_sim, self.fused)))
-
-    def with_fused(self, fused: np.ndarray) -> "ScoreTable":
-        out = self.copy()
-        out.fused = np.asarray(fused, dtype=np.float64)
-        return out
-
-
-@dataclass(frozen=True)
-class ClassCenter:
-    class_id: int
-    center: np.ndarray
-
-
-def cross_entropy_score(logits: np.ndarray, label: int) -> float:
-    """Negative log softmax probability of ``label``, stabilized by max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
-    if not 0 <= label < logits.shape[0]:
-        raise ValueError(f"label {label} outside [0, {logits.shape[0]})")
-    m = logits.max()
-    lse = m + np.log(np.exp(logits - m).sum())
-    return max(float(lse - logits[label]), 0.0)
-
 
 def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
@@ -77,23 +51,12 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.maximum(lse - logits[np.arange(logits.shape[0]), labels], 0.0)
 
 
-def class_center(features: np.ndarray, class_id: int) -> ClassCenter:
+def class_center(features: np.ndarray, class_id: int) -> np.ndarray:
     """Arithmetic mean of the member embeddings of one noisy cluster."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] == 0:
         raise NoCenter(f"class {class_id} has no members")
-    return ClassCenter(class_id=class_id, center=features.mean(axis=0))
-
-
-def cosine_similarity_score(feature: np.ndarray, center: np.ndarray) -> float:
-    feature = np.asarray(feature, dtype=np.float64)
-    center = np.asarray(center, dtype=np.float64)
-    if feature.shape != center.shape:
-        raise ValueError("vector lengths differ")
-    na, nb = np.linalg.norm(feature), np.linalg.norm(center)
-    if na < _NORM_EPS or nb < _NORM_EPS:
-        return 0.0
-    return float(feature @ center / (na * nb))
+    return features.mean(axis=0)
 
 
 def _cosine_rows(features: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -121,6 +84,6 @@ def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
         center = class_center(dataset.features[ids], cluster.class_id)
         table.loss_score[ids] = _cross_entropy_rows(
             dataset.logits[ids], dataset.noisy_labels[ids])
-        table.sim_score[ids] = _cosine_rows(dataset.features[ids], center.center)
+        table.sim_score[ids] = _cosine_rows(dataset.features[ids], center)
         table.unscored_sim[ids] = False
     return table

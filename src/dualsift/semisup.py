@@ -8,7 +8,6 @@ combined loss.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,6 @@ from .errors import NumericalError
 from .pipeline import DistillParams, DistillResult, run_distillation
 from .scores import ScoreTable
 from .seeding import derive_seed, rng_from
-
-_PROB_CLAMP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -48,57 +45,6 @@ class TrainConfig:
             raise ValueError("need at least one ensemble member")
         if self.hidden < 1 or self.batch_size < 1:
             raise ValueError("hidden and batch_size must be >= 1")
-
-
-def refine_label(y_noisy: np.ndarray, fused: float, p_ens: np.ndarray) -> np.ndarray:
-    """Convex combination of the given one-hot label and the ensemble prediction."""
-    if not 0.0 <= fused <= 1.0:
-        raise ValueError(f"fused weight must lie in [0, 1], got {fused}")
-    return fused * np.asarray(y_noisy, dtype=np.float64) \
-        + (1.0 - fused) * np.asarray(p_ens, dtype=np.float64)
-
-
-def co_guess(preds: list[np.ndarray]) -> np.ndarray:
-    """Elementwise mean of the member predictions, renormalized to sum 1."""
-    if not preds:
-        raise ValueError("need at least one prediction")
-    mean = np.mean([np.asarray(p, dtype=np.float64) for p in preds], axis=0)
-    return mean / mean.sum()
-
-
-def labeled_loss(preds: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross-entropy against (possibly soft) target distributions."""
-    preds = np.atleast_2d(np.asarray(preds, dtype=np.float64))
-    targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    if preds.shape[0] == 0:
-        warnings.warn("labeled loss over an empty set", stacklevel=2)
-        return 0.0
-    clipped = np.clip(preds, _PROB_CLAMP, None)
-    return float(-(targets * np.log(clipped)).sum() / preds.shape[0])
-
-
-def unlabeled_loss(preds: np.ndarray, guesses: np.ndarray) -> float:
-    """Mean squared error between predictions and guessed distributions."""
-    preds = np.atleast_2d(np.asarray(preds, dtype=np.float64))
-    guesses = np.atleast_2d(np.asarray(guesses, dtype=np.float64))
-    if preds.shape[0] == 0:
-        return 0.0
-    diff = guesses - preds
-    return float((diff * diff).sum() / preds.shape[0])
-
-
-def reg_loss(mean_pred: np.ndarray) -> float:
-    """KL divergence from the uniform distribution to the mean prediction."""
-    mean_pred = np.asarray(mean_pred, dtype=np.float64)
-    k = mean_pred.shape[0]
-    uniform = 1.0 / k
-    clipped = np.clip(mean_pred, _PROB_CLAMP, None)
-    return float((uniform * (np.log(uniform) - np.log(clipped))).sum())
-
-
-def total_loss(l_labeled: float, l_unlabeled: float, l_reg: float,
-               lambda_u: float, lambda_r: float) -> float:
-    return l_labeled + lambda_u * l_unlabeled + lambda_r * l_reg
 
 
 def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> list[ToyClassifier]:

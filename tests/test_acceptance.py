@@ -20,14 +20,12 @@ from dualsift import (
     TrainConfig,
     accuracy,
     build_meta_dataset,
-    co_guess,
     derive_seed,
     divide_cluster,
     fit_gmm1d,
     make_ensemble,
     partition_by_label,
     purify,
-    refine_label,
     score_dataset,
     selection_metrics,
     split_dataset,
@@ -38,11 +36,12 @@ from dualsift import (
 from dualsift.classifier import ToyClassifier, mixed_loss_and_grads, softmax_rows
 from dualsift.cli import main as cli_main
 from dualsift.metanet import _mean_bce, meta_loss_and_grads
-from dualsift.scores import ScoreTable, cosine_similarity_score, cross_entropy_score
+from dualsift.scores import ScoreTable
 from dualsift.semisup import ensemble_representation
 from dualsift.seeding import rng_from
 
 from conftest import BENCH_SEED
+from reference import co_guess, cosine_similarity_score, cross_entropy_score, refine_label
 
 
 def check(name, condition, detail=""):

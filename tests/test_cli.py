@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualsift import Dataset, load_sample_table, write_sample_table
-from dualsift.cli import main
+from dualsift.cli import DISTILL_DEFAULTS, GENERATE_DEFAULTS, TRAIN_DEFAULTS, main
 
 REPORT_KEYS = {"config", "sizes", "selection", "per_round", "accuracy", "fallbacks"}
 
@@ -21,6 +21,27 @@ def small_benchmark(tmp_path, n=800, noise="sym:0.4", seed=3, spread=None):
         args += ["--cluster-spread", spread]
     assert run(args) == 0
     return path
+
+
+# ------------------------------------------------------------------ defaults
+
+def test_defaults_pinned():
+    # derived from the config classes; a changed class default must fail here
+    generate = {"k": 10, "d": 16, "n": 5000, "cluster_spread": 0.32,
+                "logit_sharpness": 3.0, "noise": "sym:0.4", "seed": 0}
+    distill = {
+        "loss_strategy": "fixed:0.5", "sim_strategy": "fixed:0.5",
+        "fuse_strategy": "fixed:0.5", "gmm_max_iter": 100, "gmm_tol": 1e-06,
+        "variance_floor": 1e-06, "min_fit_size": 8, "meta_lr": 0.2, "meta_epochs": 30,
+        "meta_batch": 64, "meta_patience": 5, "meta_hidden": 10, "seed": 0,
+    }
+    train = {**distill, "warmup_epochs": 10, "rounds": 5, "lr": 0.04, "lambda_u": 3.0,
+             "lambda_r": 1.0, "ensemble": 2, "hidden": 64, "batch_size": 8,
+             "test_fraction": 0.2}
+    for got, want in ((GENERATE_DEFAULTS, generate), (DISTILL_DEFAULTS, distill),
+                      (TRAIN_DEFAULTS, train)):
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
 
 
 # ------------------------------------------------------------------- generate

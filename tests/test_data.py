@@ -52,7 +52,7 @@ def test_load_simple_table(tmp_path):
     ds = load_sample_table(path)
     assert ds.n == 3 and ds.num_classes == 2 and ds.feature_dim == 2
     assert not ds.has_true_labels
-    assert ds.sample(0).true_label is None
+    assert ds.true_labels[0] == -1
 
 
 def test_load_header_only(tmp_path):
@@ -105,6 +105,16 @@ def test_load_duplicate_ids(tmp_path):
         "0,1,-1,0.5,1.0,0.0\n")
     with pytest.raises(ParseError, match="0..N-1"):
         load_sample_table(path)
+
+
+@pytest.mark.parametrize("column", ["features", "logits"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite(column, bad):
+    columns = dict(features=np.zeros((3, 2)), logits=np.zeros((3, 2)),
+                   noisy_labels=np.zeros(3, dtype=int), true_labels=np.full(3, -1))
+    columns[column][1, 0] = bad
+    with pytest.raises(ValueError, match=f"{column} must be finite"):
+        Dataset(**columns)
 
 
 # ------------------------------------------------------------------ synthetic

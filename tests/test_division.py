@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from dualsift import (
     Dataset,
+    MetaNet,
     Partition,
     ParseError,
     StrategyKind,
@@ -11,6 +12,7 @@ from dualsift import (
     compute_posteriors,
     divide_cluster,
     divide_dataset,
+    fuse_scores,
     partition_by_label,
     read_partition_file,
     resolve_threshold,
@@ -26,7 +28,7 @@ def test_resolve_fixed_passthrough():
 
 
 def test_resolve_noise_rate():
-    assert resolve_threshold(ThresholdStrategy.noise_rate(0.4), np.array([])) == 0.4
+    assert resolve_threshold(ThresholdStrategy.parse("noise:0.4"), np.array([])) == 0.4
 
 
 def test_resolve_percentile_nearest_rank():
@@ -49,7 +51,7 @@ def test_strategy_parse():
     s = ThresholdStrategy.parse("percentile:0.36")
     assert s.kind is StrategyKind.PERCENTILE and s.value == 0.36
     assert ThresholdStrategy.parse("fixed:0.5").kind is StrategyKind.FIXED
-    assert ThresholdStrategy.parse("noise:0.4").kind is StrategyKind.NOISE_RATE
+    assert ThresholdStrategy.parse("noise:0.4") == ThresholdStrategy.fixed(0.4)
     with pytest.raises(ValueError):
         ThresholdStrategy.parse("quantile:0.4")
     with pytest.raises(ValueError):
@@ -195,6 +197,22 @@ def test_compute_posteriors_degenerate_class():
     part = divide_dataset(filled, partition_by_label(ds),
                           ThresholdStrategy.fixed(0.5), ThresholdStrategy.fixed(0.5))
     assert set(range(10, 20)) <= set(part.uncertain_ids)
+
+
+def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
+    # the output tables share the columns they do not write with their input
+    def bits(table):
+        return {name: column.tobytes() for name, column in vars(table).items()}
+
+    clusters = partition_by_label(benchmark40)
+    scored = score_dataset(benchmark40, clusters)
+    scored_bits = bits(scored)
+    filled, _ = compute_posteriors(scored, clusters)
+    filled_bits = bits(filled)
+    fused = fuse_scores(MetaNet.initialize(seed=0), filled)
+    assert bits(scored) == scored_bits
+    assert bits(filled) == filled_bits
+    assert np.isfinite(fused.fused).all() and np.isnan(filled.fused).all()
 
 
 # ------------------------------------------------------------ partition object

