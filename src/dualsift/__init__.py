@@ -1,6 +1,11 @@
 """Dual-space sample distillation for learning with noisy labels."""
 
-from .classifier import ToyClassifier, load_classifier_checkpoint, save_classifier_checkpoint
+from .classifier import (
+    ToyClassifier,
+    ensemble_outputs,
+    load_classifier_checkpoint,
+    save_classifier_checkpoint,
+)
 from .data import (
     Dataset,
     NoiseKind,
@@ -29,14 +34,12 @@ from .errors import DegenerateFit, MetaStarved, NoCenter, NumericalError, ParseE
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .metanet import (
     MetaDataset,
-    MetaNet,
     MetaTrainConfig,
     build_meta_dataset,
     fuse_scores,
-    load_meta_checkpoint,
     meta_loss_and_grads,
+    meta_scores,
     purify,
-    save_meta_checkpoint,
     train_meta,
     weighted_average_baseline,
 )
@@ -48,7 +51,6 @@ from .semisup import (
     RoundResult,
     TrainConfig,
     distill_round,
-    ensemble_outputs,
     make_ensemble,
     warmup,
 )

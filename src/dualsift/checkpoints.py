@@ -1,4 +1,4 @@
-"""Flat-text parameter checkpoints shared by the meta net and classifiers.
+"""Flat-text parameter checkpoints of the two-layer networks.
 
 Layout: one header line with a model tag and its dimensions, then every
 parameter in row-major order, one full-precision float per line.
@@ -34,6 +34,8 @@ def load_flat_params(path: str | Path, expected_tag: str,
         dims = tuple(int(v) for v in header[1:])
     except ValueError as exc:
         raise ParseError(str(exc), line=1) from exc
+    if any(d < 1 for d in dims):
+        raise ParseError(f"checkpoint dimensions must be >= 1, got {dims}", line=1)
     shapes = shapes_of(dims)
     expected = sum(int(np.prod(s)) for s in shapes)
     values = []

@@ -244,8 +244,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     can_score = test_set.n > 0 and test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)
-    ensemble = warmup(ensemble, train_set, train_cfg.warmup_epochs, train_cfg.lr,
-                      derive_seed(train_cfg.seed, "warmup"), train_cfg.batch_size)
+    ensemble = warmup(ensemble, train_set, train_cfg)
     warmup_acc = ensemble_accuracy(ensemble, test_set) if can_score else None
 
     per_round = []
@@ -265,8 +264,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    for m, clf in enumerate(ensemble):
-        save_classifier_checkpoint(clf, outdir / f"member_{m}.txt")
+    for m in range(train_cfg.ensemble_size):
+        save_classifier_checkpoint(ensemble.member(m), outdir / f"member_{m}.txt")
     report = {
         "config": {**cfg, "input": str(args.input)},
         "sizes": _partition_sizes(last_partition) if last_partition is not None else None,

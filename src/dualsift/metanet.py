@@ -1,24 +1,23 @@
 """Meta purification: fuse dual-space posteriors and re-judge uncertain samples.
 
-A two-layer MLP is trained on the certain set (positives labeled 1,
-negatives 0) to map a posterior pair to a single fused score, which then
-splits the uncertain set with an accept and a reject threshold.
+A two-layer MLP (a :class:`ToyClassifier` with two inputs and one logistic
+output) is trained on the certain set (positives labeled 1, negatives 0) to
+map a posterior pair to a single fused score, which then splits the
+uncertain set with an accept and a reject threshold.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoints import load_flat_params, save_flat_params
+from .classifier import ToyClassifier, _backward, apply_sgd_step
 from .division import Partition
 from .errors import MetaStarved, NumericalError
 from .scores import ScoreTable
 from .seeding import rng_from
 
 _PRED_CLAMP = 1e-7
-_CHECKPOINT_TAG = "metanet"
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -30,43 +29,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass
-class MetaNet:
-    """Two-layer MLP: rectifier hidden layer, logistic sigmoid output."""
-
-    w1: np.ndarray  # (2, H)
-    b1: np.ndarray  # (H,)
-    w2: np.ndarray  # (H,)
-    b2: np.ndarray  # (1,)
-
-    @classmethod
-    def initialize(cls, hidden: int = 10, seed: int = 0) -> "MetaNet":
-        """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
-        rng = rng_from(seed)
-        lim1 = 1.0 / np.sqrt(2.0)
-        lim2 = 1.0 / np.sqrt(hidden)
-        return cls(
-            w1=rng.uniform(-lim1, lim1, size=(2, hidden)),
-            b1=rng.uniform(-lim1, lim1, size=hidden),
-            w2=rng.uniform(-lim2, lim2, size=hidden),
-            b2=rng.uniform(-lim2, lim2, size=1),
-        )
-
-    @property
-    def hidden(self) -> int:
-        return self.b1.shape[0]
-
-    def copy(self) -> "MetaNet":
-        return MetaNet(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Fused scores for a (n, 2) batch of posterior pairs."""
-        x = np.asarray(inputs, dtype=np.float64)
-        hidden = np.maximum(x @ self.w1 + self.b1, 0.0)
-        return _sigmoid(hidden @ self.w2 + self.b2[0])
-
-    def params(self) -> list[np.ndarray]:
-        return [self.w1, self.b1, self.w2, self.b2]
+def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
+    """Fused scores for a (n, 2) batch of posterior pairs."""
+    logits, _ = net.forward(pairs)
+    return _sigmoid(logits[:, 0])
 
 
 @dataclass(frozen=True)
@@ -122,27 +88,16 @@ def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
     return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
 
 
-def meta_loss_and_grads(net: MetaNet, inputs: np.ndarray, labels: np.ndarray):
+def meta_loss_and_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarray):
     """Mean BCE over the batch plus analytic parameter gradients."""
     x = np.asarray(inputs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
-    z1 = x @ net.w1 + net.b1
-    h = np.maximum(z1, 0.0)
-    p = _sigmoid(h @ net.w2 + net.b2[0])
-    loss = _mean_bce(p, y)
-    dz2 = (p - y) / x.shape[0]
-    grads = {
-        "w2": h.T @ dz2,
-        "b2": np.array([dz2.sum()]),
-    }
-    dh = np.outer(dz2, net.w2)
-    dz1 = dh * (z1 > 0)
-    grads["w1"] = x.T @ dz1
-    grads["b1"] = dz1.sum(axis=0)
-    return loss, grads
+    logits, h = net.forward(x)
+    p = _sigmoid(logits[:, 0])
+    return _mean_bce(p, y), _backward(net, x, h, ((p - y) / x.shape[0])[:, None])
 
 
-def train_meta(net: MetaNet, data: MetaDataset, config: MetaTrainConfig) -> MetaNet:
+def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -> ToyClassifier:
     """Mini-batch SGD with seeded shuffling; keeps the lowest-BCE state seen.
 
     Early-stops after ``patience`` epochs without an improvement of at
@@ -153,7 +108,7 @@ def train_meta(net: MetaNet, data: MetaDataset, config: MetaTrainConfig) -> Meta
     rng = rng_from(config.seed, "meta-shuffle")
     net = net.copy()
     best = net.copy()
-    best_loss = _mean_bce(net.forward(data.inputs), data.labels)
+    best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
     stale = 0
     for _ in range(config.epochs):
         order = rng.permutation(data.n)
@@ -162,11 +117,8 @@ def train_meta(net: MetaNet, data: MetaDataset, config: MetaTrainConfig) -> Meta
             loss, grads = meta_loss_and_grads(net, data.inputs[batch], data.labels[batch])
             if not np.isfinite(loss):
                 raise NumericalError(f"meta training produced non-finite loss {loss}")
-            net.w1 -= config.lr * grads["w1"]
-            net.b1 -= config.lr * grads["b1"]
-            net.w2 -= config.lr * grads["w2"]
-            net.b2 -= config.lr * grads["b2"]
-        epoch_loss = _mean_bce(net.forward(data.inputs), data.labels)
+            apply_sgd_step(net, grads, config.lr)
+        epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")
         if epoch_loss < best_loss - config.min_delta:
@@ -189,14 +141,14 @@ def weighted_average_baseline(posterior_loss, posterior_sim, lam: float):
         + (1.0 - lam) * np.asarray(posterior_sim, dtype=np.float64)
 
 
-def fuse_scores(net: MetaNet, table: ScoreTable) -> ScoreTable:
+def fuse_scores(net: ToyClassifier, table: ScoreTable) -> ScoreTable:
     """Fused score for every sample, certain-set members included.
 
     Samples with a missing posterior in either space fuse to NaN and are
     later routed to the noisy side by :func:`purify`.
     """
     pairs = np.column_stack([table.posterior_loss, table.posterior_sim])
-    return replace(table, fused=net.forward(pairs))
+    return replace(table, fused=meta_scores(net, pairs))
 
 
 def purify(table: ScoreTable, partition: Partition,
@@ -226,18 +178,3 @@ def purify(table: ScoreTable, partition: Partition,
         noisy_ids=np.union1d(partition.negative_ids, demoted),
         dropped_ids=dropped,
     )
-
-
-def save_meta_checkpoint(net: MetaNet, path: str | Path) -> None:
-    save_flat_params(path, _CHECKPOINT_TAG, (2, net.hidden), net.params())
-
-
-def load_meta_checkpoint(path: str | Path) -> MetaNet:
-    def shapes_of(dims):
-        if len(dims) != 2 or dims[0] != 2:
-            raise ValueError(f"bad meta checkpoint dims {dims}")
-        h = dims[1]
-        return [(2, h), (h,), (h,), (1,)]
-
-    _, arrays = load_flat_params(path, _CHECKPOINT_TAG, shapes_of)
-    return MetaNet(*arrays)

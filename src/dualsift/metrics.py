@@ -5,9 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ToyClassifier
+from .classifier import ToyClassifier, ensemble_outputs
 from .data import Dataset
-from .semisup import ensemble_outputs
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def selection_metrics(selected_ids: np.ndarray, clean_mask: np.ndarray) -> Selec
     )
 
 
-def accuracy(ensemble: list[ToyClassifier], dataset: Dataset) -> float:
+def accuracy(ensemble: ToyClassifier, dataset: Dataset) -> float:
     """Fraction of samples whose ensemble-averaged prediction hits the true label.
 
     Argmax ties break toward the lowest class index.

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .classifier import ToyClassifier
 from .data import Dataset, partition_by_label
 from .division import (
     Partition,
@@ -18,7 +19,6 @@ from .division import (
 from .errors import MetaStarved
 from .gmm import GmmConfig, Orientation
 from .metanet import (
-    MetaNet,
     MetaTrainConfig,
     build_meta_dataset,
     fuse_scores,
@@ -50,7 +50,7 @@ class DistillResult:
     partition: Partition
     table: ScoreTable
     fallbacks: list[str]
-    meta_net: MetaNet | None
+    meta_net: ToyClassifier | None
 
 
 def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
@@ -68,8 +68,8 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
     meta_net = None
     try:
         meta_data = build_meta_dataset(partition, table)
-        net0 = MetaNet.initialize(hidden=params.meta_hidden,
-                                  seed=derive_seed(params.meta.seed, "meta-init"))
+        net0 = ToyClassifier.initialize(2, params.meta_hidden, 1,
+                                        seed=derive_seed(params.meta.seed, "meta-init"))
         meta_net = train_meta(net0, meta_data, params.meta)
         table = fuse_scores(meta_net, table)
     except MetaStarved as exc:

@@ -1,10 +1,10 @@
 """Toy semi-supervised trainer driving multi-round sample distillation.
 
-A small ensemble of MLP classifiers stands in for the co-teaching pair:
-warm up on noisy labels, then per round score the data with the live
-ensemble, divide and purify it, refine labels on the clean set, co-guess
-pseudo-labels on the noisy set, and take one SGD epoch per member on the
-combined loss.
+A small ensemble of MLP classifiers, stacked into one model along a
+leading member axis, stands in for the co-teaching pair: warm up on noisy
+labels, then per round score the data with the live ensemble, divide and
+purify it, refine labels on the clean set, co-guess pseudo-labels on the
+noisy set, and take one SGD epoch per member on the combined loss.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import ToyClassifier, apply_sgd_step, mixed_loss_and_grads, softmax_rows
+from .classifier import ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_loss_and_grads
 from .data import Dataset
 from .division import Partition
 from .errors import NumericalError
@@ -47,32 +47,16 @@ class TrainConfig:
             raise ValueError("hidden and batch_size must be >= 1")
 
 
-def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> list[ToyClassifier]:
-    return [
+def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> ToyClassifier:
+    return ToyClassifier.stack([
         ToyClassifier.initialize(
             input_dim, config.hidden, num_classes,
             seed=derive_seed(config.seed, f"member-{m}"))
         for m in range(config.ensemble_size)
-    ]
+    ])
 
 
-def ensemble_outputs(ensemble: list[ToyClassifier], x: np.ndarray):
-    """Member-averaged (logits, hidden activations, softmax probabilities)."""
-    logits_sum = hidden_sum = probs_sum = None
-    for clf in ensemble:
-        logits, hidden = clf.forward(x)
-        probs = softmax_rows(logits)
-        if logits_sum is None:
-            logits_sum, hidden_sum, probs_sum = logits, hidden, probs
-        else:
-            logits_sum = logits_sum + logits
-            hidden_sum = hidden_sum + hidden
-            probs_sum = probs_sum + probs
-    m = len(ensemble)
-    return logits_sum / m, hidden_sum / m, probs_sum / m
-
-
-def ensemble_representation(ensemble: list[ToyClassifier], x: np.ndarray):
+def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray):
     """Scoring snapshot: averaged logits, centered averaged embedding, averaged probs.
 
     The rectifier keeps raw activations in the positive orthant, which
@@ -90,63 +74,63 @@ def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator, steps: int) -> np.ndarray:
-    """(steps, batch_size) index matrix cycling a fresh permutation."""
-    perm = rng.permutation(n)
-    return np.resize(perm, (steps, min(batch_size, n)))
+def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
+                   steps: int) -> np.ndarray:
+    """(steps, members, batch_size) indices; each member cycles a fresh
+    permutation drawn from its own generator."""
+    return np.stack([np.resize(rng.permutation(n), (steps, min(batch_size, n)))
+                     for rng in rngs], axis=1)
 
 
-def _train_epoch_mixed(clf, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
-                       lr, batch_size, rng) -> None:
+def _train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
+                       lr, batch_size, rngs) -> None:
     # one epoch covers the union; labeled and unlabeled batches are drawn in
     # parallel each step, cycling the smaller group, so the update count
-    # matches a plain epoch over the whole dataset
+    # matches a plain epoch over the whole dataset; each member draws its
+    # batches from its own generator, and one stacked step moves all members
     nc, nu = x_lab.shape[0], x_unl.shape[0]
     steps = -(-(nc + nu) // batch_size) if nc + nu else 0
-    lab_idx = _epoch_batches(nc, batch_size, rng, steps) if nc else None
-    unl_idx = _epoch_batches(nu, batch_size, rng, steps) if nu else None
-    empty_x = np.zeros((0, clf.input_dim))
-    empty_t = np.zeros((0, clf.num_classes))
+    lab_idx = _epoch_batches(nc, batch_size, rngs, steps) if nc else None
+    unl_idx = _epoch_batches(nu, batch_size, rngs, steps) if nu else None
+    empty_x = np.zeros((len(rngs), 0, ensemble.input_dim))
+    empty_t = np.zeros((len(rngs), 0, ensemble.num_classes))
     for s in range(steps):
         xl, tl = (x_lab[lab_idx[s]], targets[lab_idx[s]]) if nc else (empty_x, empty_t)
         xu, qu = (x_unl[unl_idx[s]], guesses[unl_idx[s]]) if nu else (empty_x, empty_t)
-        loss, grads = mixed_loss_and_grads(clf, xl, tl, xu, qu, lambda_u, lambda_r)
-        if not np.isfinite(loss):
+        loss, grads = mixed_loss_and_grads(ensemble, xl, tl, xu, qu, lambda_u, lambda_r)
+        if not np.isfinite(loss).all():
             raise NumericalError(f"training produced non-finite loss {loss}")
-        apply_sgd_step(clf, grads, lr)
+        apply_sgd_step(ensemble, grads, lr)
 
 
-def warmup(ensemble: list[ToyClassifier], dataset: Dataset, epochs: int,
-           lr: float, seed: int, batch_size: int = 8) -> list[ToyClassifier]:
+def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> ToyClassifier:
     """Plain cross-entropy SGD on the noisy labels; returns a new ensemble.
 
-    Each member shuffles with its own derived seed so the members stay
-    decorrelated.
+    Runs ``config.warmup_epochs`` epochs. Each member shuffles with its own
+    derived seed so the members stay decorrelated.
     """
     targets = _one_hot(dataset.noisy_labels, dataset.num_classes)
-    out = []
-    for m, clf in enumerate(ensemble):
-        clf = clf.copy()
-        rng = rng_from(derive_seed(seed, f"warmup-member-{m}"))
-        for _ in range(epochs):
-            _train_epoch_mixed(
-                clf, dataset.features, targets,
-                np.zeros((0, dataset.feature_dim)), np.zeros((0, dataset.num_classes)),
-                0.0, 0.0, lr, batch_size, rng)
-        out.append(clf)
-    return out
+    seed = derive_seed(config.seed, "warmup")
+    rngs = [rng_from(derive_seed(seed, f"warmup-member-{m}")) for m in range(len(ensemble.w1))]
+    ensemble = ensemble.copy()
+    for _ in range(config.warmup_epochs):
+        _train_epoch_mixed(
+            ensemble, dataset.features, targets,
+            np.zeros((0, dataset.feature_dim)), np.zeros((0, dataset.num_classes)),
+            0.0, 0.0, config.lr, config.batch_size, rngs)
+    return ensemble
 
 
 @dataclass
 class RoundResult:
-    ensemble: list[ToyClassifier]
+    ensemble: ToyClassifier
     partition: Partition
     table: ScoreTable
     fallbacks: list[str]
 
 
 def distill_round(
-    ensemble: list[ToyClassifier],
+    ensemble: ToyClassifier,
     dataset: Dataset,
     train_config: TrainConfig,
     params: DistillParams,
@@ -173,14 +157,12 @@ def distill_round(
     guessed = mean_probs[noisy_ids]
     guessed = guessed / guessed.sum(axis=1, keepdims=True)
 
-    new_ensemble = []
-    for m, clf in enumerate(ensemble):
-        clf = clf.copy()
-        rng = rng_from(derive_seed(train_config.seed, f"round-{round_index}-member-{m}"))
-        _train_epoch_mixed(
-            clf, dataset.features[clean_ids], refined,
-            dataset.features[noisy_ids], guessed,
-            train_config.lambda_u, train_config.lambda_r,
-            train_config.lr, train_config.batch_size, rng)
-        new_ensemble.append(clf)
-    return RoundResult(new_ensemble, partition, table, result.fallbacks)
+    rngs = [rng_from(derive_seed(train_config.seed, f"round-{round_index}-member-{m}"))
+            for m in range(len(ensemble.w1))]
+    ensemble = ensemble.copy()
+    _train_epoch_mixed(
+        ensemble, dataset.features[clean_ids], refined,
+        dataset.features[noisy_ids], guessed,
+        train_config.lambda_u, train_config.lambda_r,
+        train_config.lr, train_config.batch_size, rngs)
+    return RoundResult(ensemble, partition, table, result.fallbacks)

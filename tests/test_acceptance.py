@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` for the per-criterion
 report. The canonical benchmark is K=10, D=16, N=5000 with 40% symmetric
 noise (fixtures in conftest.py).
 """
+import dataclasses
 import json
 import time
 
@@ -13,7 +14,6 @@ import pytest
 from dualsift import (
     GmmConfig,
     MetaDataset,
-    MetaNet,
     MetaTrainConfig,
     Orientation,
     Partition,
@@ -35,7 +35,7 @@ from dualsift import (
 )
 from dualsift.classifier import ToyClassifier, mixed_loss_and_grads, softmax_rows
 from dualsift.cli import main as cli_main
-from dualsift.metanet import _mean_bce, meta_loss_and_grads
+from dualsift.metanet import _mean_bce, meta_loss_and_grads, meta_scores
 from dualsift.scores import ScoreTable
 from dualsift.semisup import ensemble_representation
 from dualsift.seeding import rng_from
@@ -56,8 +56,7 @@ def warm_state(benchmark40):
     cfg = TrainConfig(seed=BENCH_SEED)
     train, test, _, _ = split_dataset(benchmark40, 0.2, BENCH_SEED)
     ensemble = make_ensemble(train.feature_dim, train.num_classes, cfg)
-    ensemble = warmup(ensemble, train, cfg.warmup_epochs, cfg.lr,
-                      derive_seed(cfg.seed, "warmup"), cfg.batch_size)
+    ensemble = warmup(ensemble, train, cfg)
     return {"cfg": cfg, "train": train, "test": test, "ensemble": ensemble}
 
 
@@ -130,10 +129,10 @@ def test_criterion_5_msp_vs_weighted_average(benchmark40, benchmark40_result):
     perm = rng.permutation(meta.n)
     hold, fit = perm[: meta.n // 4], perm[meta.n // 4:]
     trained = train_meta(
-        MetaNet.initialize(hidden=10, seed=derive_seed(BENCH_SEED, "meta-init")),
+        ToyClassifier.initialize(2, 10, 1, seed=derive_seed(BENCH_SEED, "meta-init")),
         MetaDataset(meta.inputs[fit], meta.labels[fit]),
         MetaTrainConfig(seed=BENCH_SEED))
-    net_bce = _mean_bce(trained.forward(meta.inputs[hold]), meta.labels[hold])
+    net_bce = _mean_bce(meta_scores(trained, meta.inputs[hold]), meta.labels[hold])
     baseline_bces = [
         _mean_bce(weighted_average_baseline(meta.inputs[hold, 0], meta.inputs[hold, 1], lam),
                   meta.labels[hold])
@@ -159,8 +158,8 @@ def test_criterion_6_end_to_end_benefit(benchmark40, train_run, warm_state):
     budget = cfg.warmup_epochs + cfg.rounds
     baseline_ens = make_ensemble(warm_state["train"].feature_dim,
                                  warm_state["train"].num_classes, cfg)
-    baseline_ens = warmup(baseline_ens, warm_state["train"], budget, cfg.lr,
-                          derive_seed(cfg.seed, "warmup"), cfg.batch_size)
+    baseline_ens = warmup(baseline_ens, warm_state["train"],
+                          dataclasses.replace(cfg, warmup_epochs=budget))
     baseline = accuracy(baseline_ens, warm_state["test"])
     ok = final > baseline and train_run["seconds"] < 120.0
     check("6 end-to-end-benefit", ok,
@@ -178,7 +177,7 @@ def test_criterion_7_certain_set_precision(benchmark40, benchmark40_result):
 def test_criterion_8_numerical_contracts():
     rng = rng_from(77)
     # meta gradient check
-    net = MetaNet.initialize(hidden=4, seed=5)
+    net = ToyClassifier.initialize(2, 4, 1, seed=5)
     mx = rng.random((12, 2))
     my = (rng.random(12) > 0.5).astype(float)
     _, mg = meta_loss_and_grads(net, mx, my)

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from dualsift import (
     Dataset,
-    MetaNet,
     Partition,
     ParseError,
     StrategyKind,
     ThresholdStrategy,
+    ToyClassifier,
     compute_posteriors,
     divide_cluster,
     divide_dataset,
@@ -209,7 +209,7 @@ def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
     scored_bits = bits(scored)
     filled, _ = compute_posteriors(scored, clusters)
     filled_bits = bits(filled)
-    fused = fuse_scores(MetaNet.initialize(seed=0), filled)
+    fused = fuse_scores(ToyClassifier.initialize(2, 10, 1, seed=0), filled)
     assert bits(scored) == scored_bits
     assert bits(filled) == filled_bits
     assert np.isfinite(fused.fused).all() and np.isnan(filled.fused).all()

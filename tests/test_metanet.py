@@ -5,16 +5,18 @@ import pytest
 
 from dualsift import (
     MetaDataset,
-    MetaNet,
     MetaStarved,
     MetaTrainConfig,
+    ParseError,
     Partition,
+    ToyClassifier,
     build_meta_dataset,
     fuse_scores,
-    load_meta_checkpoint,
+    load_classifier_checkpoint,
     meta_loss_and_grads,
+    meta_scores,
     purify,
-    save_meta_checkpoint,
+    save_classifier_checkpoint,
     train_meta,
     weighted_average_baseline,
 )
@@ -64,27 +66,29 @@ def test_build_meta_dataset_starved():
 # ------------------------------------------------------------------- forward
 
 def test_meta_forward_zero_params():
-    net = MetaNet(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4), b2=np.zeros(1))
-    assert net.forward(np.array([[0.3, 0.8]]))[0] == pytest.approx(0.5, abs=1e-15)
+    net = ToyClassifier(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
+                        b2=np.zeros(1))
+    assert meta_scores(net, np.array([[0.3, 0.8]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_meta_forward_saturation():
-    net = MetaNet(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4), b2=np.array([30.0]))
-    assert net.forward(np.array([[0.5, 0.5]]))[0] >= 1.0 - 1e-9
+    net = ToyClassifier(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
+                        b2=np.array([30.0]))
+    assert meta_scores(net, np.array([[0.5, 0.5]]))[0] >= 1.0 - 1e-9
 
 
 def test_meta_forward_hand_network():
-    net = MetaNet(w1=np.array([[1.0], [0.0]]), b1=np.zeros(1),
-                  w2=np.array([1.0]), b2=np.zeros(1))
+    net = ToyClassifier(w1=np.array([[1.0], [0.0]]), b1=np.zeros(1),
+                        w2=np.array([1.0])[:, None], b2=np.zeros(1))
     expected = 1.0 / (1.0 + math.exp(-1.0))
     assert expected == pytest.approx(0.73106, abs=1e-5)
-    assert net.forward(np.array([[1.0, 0.0]]))[0] == pytest.approx(expected, abs=1e-12)
+    assert meta_scores(net, np.array([[1.0, 0.0]]))[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_meta_forward_output_in_unit_interval():
-    net = MetaNet.initialize(hidden=10, seed=3)
+    net = ToyClassifier.initialize(2, 10, 1, seed=3)
     rng = rng_from(0)
-    out = net.forward(rng.random((100, 2)))
+    out = meta_scores(net, rng.random((100, 2)))
     assert ((out > 0) & (out < 1)).all()
 
 
@@ -127,9 +131,9 @@ def test_train_meta_separable_low_bce():
     # batch 16 on 200 records gives the step count the defaults produce on
     # pipeline-sized meta data
     data = separable_meta()
-    net = train_meta(MetaNet.initialize(hidden=10, seed=1), data,
+    net = train_meta(ToyClassifier.initialize(2, 10, 1, seed=1), data,
                      MetaTrainConfig(seed=2, batch_size=16))
-    final = _mean_bce(net.forward(data.inputs), data.labels)
+    final = _mean_bce(meta_scores(net, data.inputs), data.labels)
     assert final < 0.1
 
 
@@ -137,11 +141,11 @@ def test_train_meta_epoch_bce_non_increasing_early():
     data = separable_meta(seed=5)
     cfg = MetaTrainConfig(seed=2)
     losses = []
-    net = MetaNet.initialize(hidden=10, seed=1)
+    net = ToyClassifier.initialize(2, 10, 1, seed=1)
     for epochs in (1, 2, 3):
         trained = train_meta(net, data, MetaTrainConfig(lr=cfg.lr, epochs=epochs,
                                                         batch_size=cfg.batch_size, seed=cfg.seed))
-        losses.append(_mean_bce(trained.forward(data.inputs), data.labels))
+        losses.append(_mean_bce(meta_scores(trained, data.inputs), data.labels))
     assert losses[1] <= losses[0] + 1e-12
     assert losses[2] <= losses[1] + 1e-12
 
@@ -149,9 +153,9 @@ def test_train_meta_epoch_bce_non_increasing_early():
 def test_train_meta_deterministic():
     data = separable_meta(seed=9)
     cfg = MetaTrainConfig(seed=4)
-    a = train_meta(MetaNet.initialize(hidden=10, seed=1), data, cfg)
-    b = train_meta(MetaNet.initialize(hidden=10, seed=1), data, cfg)
-    for pa, pb in zip(a.params(), b.params()):
+    a = train_meta(ToyClassifier.initialize(2, 10, 1, seed=1), data, cfg)
+    b = train_meta(ToyClassifier.initialize(2, 10, 1, seed=1), data, cfg)
+    for pa, pb in zip(a.params, b.params):
         np.testing.assert_array_equal(pa, pb)
 
 
@@ -164,7 +168,7 @@ def test_train_config_validation():
 
 def test_meta_gradient_matches_finite_differences():
     rng = rng_from(12)
-    net = MetaNet.initialize(hidden=4, seed=8)
+    net = ToyClassifier.initialize(2, 4, 1, seed=8)
     x = rng.random((16, 2))
     y = (rng.random(16) > 0.5).astype(float)
     _, grads = meta_loss_and_grads(net, x, y)
@@ -187,12 +191,12 @@ def test_meta_gradient_matches_finite_differences():
 # -------------------------------------------------------------- fuse / purify
 
 def test_fuse_scores_matches_forward():
-    net = MetaNet.initialize(hidden=6, seed=3)
+    net = ToyClassifier.initialize(2, 6, 1, seed=3)
     pp = np.array([0.1, 0.9, np.nan])
     ps = np.array([0.2, 0.8, 0.5])
     fused = fuse_scores(net, table_with(pp, ps)).fused
-    assert fused[0] == pytest.approx(net.forward(np.array([[0.1, 0.2]]))[0], abs=1e-12)
-    assert fused[1] == pytest.approx(net.forward(np.array([[0.9, 0.8]]))[0], abs=1e-12)
+    assert fused[0] == pytest.approx(meta_scores(net, np.array([[0.1, 0.2]]))[0], abs=1e-12)
+    assert fused[1] == pytest.approx(meta_scores(net, np.array([[0.9, 0.8]]))[0], abs=1e-12)
     assert np.isnan(fused[2])
 
 
@@ -260,10 +264,14 @@ def test_weighted_average_invalid_lambda():
 # ---------------------------------------------------------------- checkpoint
 
 def test_meta_checkpoint_roundtrip_exact(tmp_path):
-    net = train_meta(MetaNet.initialize(hidden=7, seed=2), separable_meta(seed=3),
+    net = train_meta(ToyClassifier.initialize(2, 7, 1, seed=2), separable_meta(seed=3),
                      MetaTrainConfig(seed=5, epochs=3))
     path = tmp_path / "meta.txt"
-    save_meta_checkpoint(net, path)
-    back = load_meta_checkpoint(path)
-    for pa, pb in zip(net.params(), back.params()):
+    save_classifier_checkpoint(net, path)
+    assert path.read_text().splitlines()[0] == "toyclassifier 2 7 1"
+    back = load_classifier_checkpoint(path)
+    for pa, pb in zip(net.params, back.params):
         np.testing.assert_array_equal(pa, pb)
+    path.write_text("toyclassifier 2 0 1\n0.0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        load_classifier_checkpoint(path)

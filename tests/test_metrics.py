@@ -63,7 +63,7 @@ def oracle_ensemble(ds):
     clf = ToyClassifier(w1=np.eye(d, d), b1=np.zeros(d),
                         w2=np.vstack([np.eye(k), np.zeros((d - k, k))]) * 50.0,
                         b2=np.zeros(k))
-    return [clf]
+    return ToyClassifier.stack([clf])
 
 
 def test_accuracy_oracle():
@@ -78,7 +78,7 @@ def test_accuracy_constant_predictor_balanced():
     ds = Dataset(features, logits, true, true)
     clf = ToyClassifier(w1=np.zeros((2, 2)), b1=np.zeros(2),
                         w2=np.zeros((2, 2)), b2=np.array([5.0, 0.0]))
-    assert accuracy([clf], ds) == pytest.approx(0.5)
+    assert accuracy(ToyClassifier.stack([clf]), ds) == pytest.approx(0.5)
 
 
 def test_accuracy_two_of_three():
@@ -86,7 +86,7 @@ def test_accuracy_two_of_three():
     true = np.array([0, 1, 1])
     ds = Dataset(features, np.zeros((3, 2)), true, true)
     clf = ToyClassifier(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2) * 10, b2=np.zeros(2))
-    assert accuracy([clf], ds) == pytest.approx(2 / 3)
+    assert accuracy(ToyClassifier.stack([clf]), ds) == pytest.approx(2 / 3)
 
 
 def test_accuracy_requires_truth_and_samples():

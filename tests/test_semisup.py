@@ -7,10 +7,10 @@ from hypothesis import given, strategies as st
 from dualsift import (
     NoiseKind,
     NoiseSpec,
+    ParseError,
     SyntheticSpec,
     ThresholdStrategy,
     TrainConfig,
-    derive_seed,
     distill_round,
     generate_synthetic,
     inject_noise,
@@ -21,13 +21,13 @@ from dualsift import (
 )
 from dualsift.classifier import (
     ToyClassifier,
+    ensemble_outputs,
     load_classifier_checkpoint,
     mixed_loss_and_grads,
     save_classifier_checkpoint,
     softmax_rows,
 )
 from dualsift.pipeline import DistillParams
-from dualsift.semisup import ensemble_outputs
 from dualsift.seeding import rng_from
 from reference import co_guess, labeled_loss, refine_label, reg_loss, total_loss, unlabeled_loss
 
@@ -167,6 +167,51 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
     back = load_classifier_checkpoint(path)
     for name in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(clf, name), getattr(back, name))
+    with pytest.raises(ValueError):
+        save_classifier_checkpoint(ToyClassifier.stack([clf, clf]), path)
+    # headers with a dimension below 1, or not three of them, are rejected
+    # at the header line
+    for header in ("toyclassifier 0 0 0", "toyclassifier -1 -1 1", "toyclassifier 4 0 3",
+                   "toyclassifier 4 6"):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header + "\n0.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_classifier_checkpoint(bad)
+
+
+def test_stacked_members_match_unstacked():
+    # a stack runs each member's arithmetic unchanged, bit for bit
+    rng = rng_from(8)
+    members = [ToyClassifier.initialize(16, 12, 10, seed=s) for s in (1, 2, 3)]
+    stack = ToyClassifier.stack(members)
+    xc = rng.normal(size=(3, 8, 16))
+    tc = rng.random((3, 8, 10))
+    tc /= tc.sum(axis=-1, keepdims=True)
+    xu = rng.normal(size=(3, 8, 16))
+    qu = rng.random((3, 8, 10))
+    qu /= qu.sum(axis=-1, keepdims=True)
+    empty_x, empty_t = np.zeros((3, 0, 16)), np.zeros((3, 0, 10))
+    logits, hidden = stack.forward(xc)
+    mixed = mixed_loss_and_grads(stack, xc, tc, xu, qu, 3.0, 1.0)
+    plain = mixed_loss_and_grads(stack, xc, tc, empty_x, empty_t, 0.0, 0.0)
+    for m, clf in enumerate(members):
+        logits_m, hidden_m = clf.forward(xc[m])
+        np.testing.assert_array_equal(logits[m], logits_m)
+        np.testing.assert_array_equal(hidden[m], hidden_m)
+        for (loss, grads), (loss_m, grads_m) in (
+                (mixed, mixed_loss_and_grads(clf, xc[m], tc[m], xu[m], qu[m], 3.0, 1.0)),
+                (plain, mixed_loss_and_grads(clf, xc[m], tc[m], empty_x[m], empty_t[m],
+                                             0.0, 0.0))):
+            assert loss[m] == loss_m
+            for name, grad in grads_m.items():
+                np.testing.assert_array_equal(grads[name][m], grad)
+
+    x = rng.normal(size=(20, 16))
+    mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
+    outputs = [clf.forward(x) for clf in members]
+    np.testing.assert_array_equal(mean_logits, sum(lg for lg, _ in outputs) / 3)
+    np.testing.assert_array_equal(mean_hidden, sum(h for _, h in outputs) / 3)
+    np.testing.assert_array_equal(mean_probs, sum(softmax_rows(lg) for lg, _ in outputs) / 3)
 
 
 # --------------------------------------------------------------------- warmup
@@ -177,19 +222,19 @@ def noiseless_data(n=1000, spread=0.05, seed=6):
 
 def test_warmup_zero_epochs_identity():
     ds = noiseless_data(n=100)
-    cfg = TrainConfig(seed=0)
+    cfg = TrainConfig(seed=0, warmup_epochs=0)
     ens = make_ensemble(ds.feature_dim, ds.num_classes, cfg)
-    out = warmup(ens, ds, 0, cfg.lr, seed=1)
-    for a, b in zip(ens, out):
-        np.testing.assert_array_equal(a.w1, b.w1)
-        np.testing.assert_array_equal(a.b2, b.b2)
+    out = warmup(ens, ds, cfg)
+    for m in range(cfg.ensemble_size):
+        np.testing.assert_array_equal(ens.w1[m], out.w1[m])
+        np.testing.assert_array_equal(ens.b2[m], out.b2[m])
 
 
 def test_warmup_learns_separable_data():
     ds = noiseless_data()
     cfg = TrainConfig(seed=3)
     ens = make_ensemble(ds.feature_dim, ds.num_classes, cfg)
-    ens = warmup(ens, ds, 10, cfg.lr, seed=derive_seed(cfg.seed, "warmup"), batch_size=cfg.batch_size)
+    ens = warmup(ens, ds, cfg)
     _, _, probs = ensemble_outputs(ens, ds.features)
     train_acc = (probs.argmax(axis=1) == ds.true_labels).mean()
     assert train_acc > 0.9
@@ -197,19 +242,19 @@ def test_warmup_learns_separable_data():
 
 def test_warmup_deterministic():
     ds = noiseless_data(n=200)
-    cfg = TrainConfig(seed=3)
-    a = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, 2, cfg.lr, seed=9)
-    b = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, 2, cfg.lr, seed=9)
-    for ca, cb in zip(a, b):
-        np.testing.assert_array_equal(ca.w1, cb.w1)
-        np.testing.assert_array_equal(ca.w2, cb.w2)
+    cfg = TrainConfig(seed=3, warmup_epochs=2)
+    a = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+    b = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+    for m in range(cfg.ensemble_size):
+        np.testing.assert_array_equal(a.w1[m], b.w1[m])
+        np.testing.assert_array_equal(a.w2[m], b.w2[m])
 
 
 def test_warmup_members_distinct():
     ds = noiseless_data(n=200)
-    cfg = TrainConfig(seed=3)
-    ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, 1, cfg.lr, seed=9)
-    assert not np.array_equal(ens[0].w1, ens[1].w1)
+    cfg = TrainConfig(seed=3, warmup_epochs=1)
+    ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+    assert not np.array_equal(ens.w1[0], ens.w1[1])
 
 
 # -------------------------------------------------------------- distill rounds
@@ -224,9 +269,7 @@ def rate_matched_params(rate):
 def test_distill_round_zero_noise_keeps_almost_everything():
     ds = generate_synthetic(SyntheticSpec(k=10, d=16, n=2000, seed=3))
     cfg = TrainConfig(seed=5)
-    ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds,
-                 cfg.warmup_epochs, cfg.lr, seed=derive_seed(cfg.seed, "warmup"),
-                 batch_size=cfg.batch_size)
+    ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
     result = distill_round(ens, ds, cfg, rate_matched_params(0.0), round_index=0)
     assert result.partition.clean_ids.size >= 0.95 * ds.n
 
@@ -235,9 +278,7 @@ def test_distill_round_f1_does_not_degrade(benchmark40):
     train, _, _, _ = split_dataset(benchmark40, 0.2, 1)
     rate = float((train.noisy_labels != train.true_labels).mean())
     cfg = TrainConfig(seed=1)
-    ens = warmup(make_ensemble(train.feature_dim, train.num_classes, cfg), train,
-                 cfg.warmup_epochs, cfg.lr, seed=derive_seed(cfg.seed, "warmup"),
-                 batch_size=cfg.batch_size)
+    ens = warmup(make_ensemble(train.feature_dim, train.num_classes, cfg), train, cfg)
     f1s = []
     for r in range(3):
         result = distill_round(ens, train, cfg, rate_matched_params(rate), round_index=r)
@@ -252,15 +293,13 @@ def test_distill_round_deterministic():
     cfg = TrainConfig(seed=5, warmup_epochs=3)
     runs = []
     for _ in range(2):
-        ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds,
-                     cfg.warmup_epochs, cfg.lr, seed=derive_seed(cfg.seed, "warmup"),
-                     batch_size=cfg.batch_size)
+        ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
         result = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
         runs.append(result)
     np.testing.assert_array_equal(runs[0].partition.clean_ids, runs[1].partition.clean_ids)
     np.testing.assert_array_equal(runs[0].partition.positive_ids, runs[1].partition.positive_ids)
-    for ca, cb in zip(runs[0].ensemble, runs[1].ensemble):
-        np.testing.assert_array_equal(ca.w1, cb.w1)
+    for m in range(cfg.ensemble_size):
+        np.testing.assert_array_equal(runs[0].ensemble.w1[m], runs[1].ensemble.w1[m])
 
 
 def test_train_config_validation():
