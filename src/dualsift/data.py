@@ -8,6 +8,7 @@ Floats are serialized with full round-trip precision and a true label of
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -236,7 +237,55 @@ def _parse_header(line: str) -> tuple[int, int]:
 
 
 def load_sample_table(path: str | Path) -> Dataset:
-    """Parse a sample-table CSV. Raises ParseError naming the bad line."""
+    """Parse a sample-table CSV. Raises ParseError naming the bad line.
+
+    One ``np.loadtxt`` pass reads every table the line parser would accept
+    with identical values; anything else goes to the line parser, which
+    owns every error message.
+    """
+    dataset = _load_sample_table_numpy(path)
+    return _load_sample_table_lines(path) if dataset is None else dataset
+
+
+# str.splitlines breaks lines at \x0b \x0c \x1c \x1d \x1e, loadtxt does not;
+# loadtxt's number parsers skip \x1c-\x1f as whitespace, int() and float()
+# do not. A table holding any of them takes the line parser.
+_LOADTXT_UNSAFE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+_SCAN_CHUNK = 1 << 20
+
+
+def _load_sample_table_numpy(path: str | Path) -> Dataset | None:
+    """The fast path of :func:`load_sample_table`; None where it cannot vouch
+    for giving the line parser's result."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            d, k = _parse_header(fh.readline())
+            for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
+                if any(c in chunk for c in _LOADTXT_UNSAFE):
+                    return None
+    except (OSError, UnicodeDecodeError, ParseError):
+        return None
+    dtype = np.dtype([("id", "i8"), ("noisy", "i8"), ("true", "i8"), ("x", "f8", (d + k,))])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
+                               comments=None, ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    n = table.size
+    ids, noisy, true, x = table["id"], table["noisy"], table["true"], table["x"]
+    if (n == 0 or not np.isfinite(x).all() or noisy.min() < 0 or noisy.max() >= k
+            or true.min() < -1 or true.max() >= k):
+        return None
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(n)):
+        return None
+    return Dataset(x[order, :d], x[order, d:], noisy[order], true[order])
+
+
+def _load_sample_table_lines(path: str | Path) -> Dataset:
+    """Line-by-line reference parser; the error path of :func:`load_sample_table`."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -277,13 +326,24 @@ def load_sample_table(path: str | Path) -> Dataset:
     return Dataset(features[order], logits[order], noisy[order], true[order])
 
 
+# Rows formatted per write; larger blocks raise peak memory.
+_WRITE_BLOCK = 256
+
+
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a dataset in the sample-table CSV format."""
+    """Serialize a dataset in the sample-table CSV format.
+
+    Floats are written as their Python ``repr`` (shortest round-trip form);
+    rows go out in blocks of ``_WRITE_BLOCK`` to keep memory flat.
+    """
     d, k = dataset.feature_dim, dataset.num_classes
-    out = [",".join(_expected_header(d, k))]
-    for i in range(dataset.n):
-        cells = [str(i), str(int(dataset.noisy_labels[i])), str(int(dataset.true_labels[i]))]
-        cells += [repr(float(v)) for v in dataset.features[i]]
-        cells += [repr(float(v)) for v in dataset.logits[i]]
-        out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    row = "%d,%d,%d," + ",".join(["%r"] * (d + k)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_expected_header(d, k)) + "\n")
+        for start in range(0, dataset.n, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            fh.write("".join(
+                row % (i, y, t, *f, *g) for i, y, t, f, g in zip(
+                    range(start, start + _WRITE_BLOCK),
+                    dataset.noisy_labels[block].tolist(), dataset.true_labels[block].tolist(),
+                    dataset.features[block].tolist(), dataset.logits[block].tolist())))

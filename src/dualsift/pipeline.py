@@ -44,6 +44,10 @@ class DistillParams:
     meta: MetaTrainConfig = field(default_factory=MetaTrainConfig)
     meta_hidden: int = 10
 
+    def __post_init__(self):
+        if self.meta_hidden < 1:
+            raise ValueError("meta_hidden must be >= 1")
+
 
 @dataclass
 class DistillResult:

@@ -1,11 +1,15 @@
 """Scalar reference forms of the package's vectorised formulas.
 
 The package computes scores and losses over whole arrays; these one-sample
-versions are written independently so tests can compare the two.
+versions are written independently so tests can compare the two. The
+per-element sample-table writer is the byte oracle for the block writer.
 """
 import warnings
+from pathlib import Path
 
 import numpy as np
+
+from dualsift.data import Dataset, _expected_header
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-7
@@ -84,3 +88,15 @@ def reg_loss(mean_pred: np.ndarray) -> float:
 def total_loss(l_labeled: float, l_unlabeled: float, l_reg: float,
                lambda_u: float, lambda_r: float) -> float:
     return l_labeled + lambda_u * l_unlabeled + lambda_r * l_reg
+
+
+def write_sample_table(dataset: Dataset, path: str | Path) -> None:
+    """Serialize a dataset in the sample-table CSV format."""
+    d, k = dataset.feature_dim, dataset.num_classes
+    out = [",".join(_expected_header(d, k))]
+    for i in range(dataset.n):
+        cells = [str(i), str(int(dataset.noisy_labels[i])), str(int(dataset.true_labels[i]))]
+        cells += [repr(float(v)) for v in dataset.features[i]]
+        cells += [repr(float(v)) for v in dataset.logits[i]]
+        out.append(",".join(cells))
+    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")

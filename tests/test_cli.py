@@ -155,6 +155,15 @@ def test_distill_missing_input_is_data_error(tmp_path):
     assert run(["distill", tmp_path / "absent.csv", "-o", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_distill_bad_meta_hidden_usage_error(tmp_path, capsys, hidden):
+    data = small_benchmark(tmp_path, n=600, noise="asym:0.3", seed=9)
+    capsys.readouterr()
+    assert run(["distill", data, "-o", tmp_path / "o", "--meta-hidden", hidden]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_rounds_zero_warmup_only(tmp_path):

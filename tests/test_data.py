@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from dualsift import (
     Dataset,
     NoiseKind,
@@ -14,6 +16,7 @@ from dualsift import (
     split_dataset,
     write_sample_table,
 )
+from dualsift.data import _load_sample_table_lines, _load_sample_table_numpy
 
 
 def tiny_dataset(noisy, true=None, k=2, d=2):
@@ -105,6 +108,142 @@ def test_load_duplicate_ids(tmp_path):
         "0,1,-1,0.5,1.0,0.0\n")
     with pytest.raises(ParseError, match="0..N-1"):
         load_sample_table(path)
+
+
+# ------------------------------------------------- loader against line parser
+
+HEADER = b"id,noisy_label,true_label,feat_0,logit_0,logit_1\n"
+ROW0 = b"0,0,-1,0.5,1.0,0.0"
+ROW1 = b"1,1,0,1.5,-1.0,2.0"
+
+
+def rows(*cells):
+    return HEADER + b"".join(c + b"\n" for c in cells)
+
+
+HOSTILE_TABLES = {
+    "crlf": rows(ROW0, ROW1).replace(b"\n", b"\r\n"),
+    "lone_cr": HEADER + ROW0 + b"\r" + ROW1 + b"\n",
+    "form_feed_in_row": rows(b"0,0,-1,0.5,\x0c1.0,0.0", ROW1),
+    "form_feed_at_row_end": rows(ROW0 + b"\x0c", ROW1),
+    "unit_separator_in_cell": rows(b"0,0,-1,0.5\x1f,1.0,0.0", ROW1),
+    "comment_line": rows(b"# note", ROW0, ROW1),
+    "blank_middle": rows(ROW0, b"", ROW1),
+    "whitespace_middle": rows(ROW0, b" \t ", ROW1),
+    "blank_end": rows(ROW0, ROW1, b"", b""),
+    "whitespace_end": rows(ROW0, ROW1, b"   "),
+    "label_plus": rows(b"0,+1,-1,0.5,1.0,0.0", ROW1),
+    "label_spaced": rows(b"0, 1 ,-1,0.5,1.0,0.0", ROW1),
+    "id_decimal": rows(ROW0, b"1.0,1,0,1.5,-1.0,2.0"),
+    "id_exponent": rows(ROW0, b"1e0,1,0,1.5,-1.0,2.0"),
+    "id_past_int64": rows(ROW0, b"99999999999999999999,1,0,1.5,-1.0,2.0"),
+    "float_underscore": rows(b"0,0,-1,1_0,1.0,0.0", ROW1),
+    "float_arabic_digit": rows("0,0,-1,\u0661,1.0,0.0".encode(), ROW1),
+    "float_nan": rows(b"0,0,-1,nan,1.0,0.0", ROW1),
+    "float_inf": rows(b"0,0,-1,0.5,inf,0.0", ROW1),
+    "float_minus_inf": rows(ROW0, b"1,1,0,1.5,-1.0,-inf"),
+    "float_bare_dots": rows(b"0,0,-1,1.,.5,0.0", ROW1),
+    "ragged": rows(ROW0, b"1,1,0,1.5,-1.0"),
+    "unsorted_ids": rows(ROW1, ROW0),
+    "duplicate_ids": rows(ROW0, ROW0),
+    "header_only": HEADER,
+    "empty": b"",
+    "not_utf8": rows(ROW0, b"1,1,0,1.5,-1.0,\xff2.0"),
+}
+
+
+def outcome(loader, path):
+    try:
+        return loader(path)
+    except Exception as exc:  # the comparison covers the exception too
+        return exc
+
+
+def assert_same_outcome(path):
+    """load_sample_table gives the line parser's arrays bit for bit, or its
+    exception; the numpy path yields only where the line parser succeeds."""
+    want = outcome(_load_sample_table_lines, path)
+    got = outcome(load_sample_table, path)
+    fast = _load_sample_table_numpy(path)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        assert fast is None
+        return
+    for ds in [got] if fast is None else [got, fast]:
+        assert isinstance(ds, Dataset)
+        for name in ("features", "logits", "noisy_labels", "true_labels"):
+            a, b = getattr(ds, name), getattr(want, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_TABLES))
+def test_loader_matches_line_parser(tmp_path, name):
+    path = tmp_path / "t.csv"
+    path.write_bytes(HOSTILE_TABLES[name])
+    assert_same_outcome(path)
+
+
+CELL_ALPHABET = "0123456789+-.eE_ \t\x1f\x0bnaifx"
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.text(CELL_ALPHABET, max_size=4), value=st.text(CELL_ALPHABET, max_size=6))
+def test_loader_matches_line_parser_on_random_cells(tmp_path_factory, label, value):
+    path = tmp_path_factory.mktemp("cells") / "t.csv"
+    path.write_bytes(rows(f"0,{label},-1,{value},1.0,0.0".encode(), ROW1))
+    assert_same_outcome(path)
+
+
+def test_loader_takes_numpy_path_for_written_tables(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(k=3, d=4, n=50, seed=2))
+    path = tmp_path / "t.csv"
+    write_sample_table(ds, path)
+    assert _load_sample_table_numpy(path) is not None
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(FINITE, min_size=3, max_size=30))
+@example(values=[5e-324, -5e-324, 0.0, -0.0, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 2.2250738585072014e-308])
+def test_write_load_roundtrip_bit_exact(tmp_path_factory, values):
+    n = len(values) // 3
+    x = np.array(values[:3 * n]).reshape(n, 3)
+    ds = Dataset(x[:, :1], x[:, 1:], np.zeros(n, dtype=int), np.full(n, -1))
+    path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
+    write_sample_table(ds, path)
+    back = load_sample_table(path)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.logits.tobytes() == ds.logits.tobytes()
+
+
+# ------------------------------------------------------------- writer oracle
+
+EXTREMES = [5e-324, -0.0, 1e-5, 1e16, 1.7976931348623157e308]
+
+
+def assert_writer_matches_oracle(ds, tmp_path):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_sample_table(ds, ours)
+    reference.write_sample_table(ds, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 1000])
+def test_writer_matches_oracle_across_blocks(tmp_path, n):
+    ds = inject_noise(generate_synthetic(SyntheticSpec(k=1 if n == 1 else 3, d=4, n=n, seed=n)),
+                      NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=1))
+    assert_writer_matches_oracle(ds, tmp_path)
+
+
+def test_writer_matches_oracle_on_extremes_single_columns(tmp_path):
+    # D = K = 1, over more rows than one block
+    values = np.tile(EXTREMES + [-v for v in EXTREMES], 30)
+    ds = Dataset(values[:, None], values[::-1, None], np.zeros(values.size, dtype=int),
+                 np.arange(values.size) % 2 - 1)
+    assert_writer_matches_oracle(ds, tmp_path)
 
 
 @pytest.mark.parametrize("column", ["features", "logits"])

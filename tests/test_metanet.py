@@ -21,6 +21,7 @@ from dualsift import (
     weighted_average_baseline,
 )
 from dualsift.metanet import _mean_bce
+from dualsift.pipeline import DistillParams
 from dualsift.scores import ScoreTable
 from dualsift.seeding import rng_from
 
@@ -164,6 +165,12 @@ def test_train_config_validation():
         MetaTrainConfig(epochs=0)
     with pytest.raises(ValueError):
         MetaTrainConfig(lr=0.0)
+
+
+@pytest.mark.parametrize("hidden", [0, -1])
+def test_distill_params_rejects_bad_meta_hidden(hidden):
+    with pytest.raises(ValueError, match="meta_hidden"):
+        DistillParams(meta_hidden=hidden)
 
 
 def test_meta_gradient_matches_finite_differences():
