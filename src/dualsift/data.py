@@ -236,6 +236,19 @@ def _parse_header(line: str) -> tuple[int, int]:
     return d, k
 
 
+def read_text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, split by ``str.splitlines``.
+
+    A byte that is not UTF-8 raises ParseError naming its line.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bytes before the first bad one decode; count their lines
+        head = exc.object[:exc.start].decode("utf-8")
+        raise ParseError(str(exc), line=len((head + ".").splitlines())) from exc
+
+
 def load_sample_table(path: str | Path) -> Dataset:
     """Parse a sample-table CSV. Raises ParseError naming the bad line.
 
@@ -286,8 +299,7 @@ def _load_sample_table_numpy(path: str | Path) -> Dataset | None:
 
 def _load_sample_table_lines(path: str | Path) -> Dataset:
     """Line-by-line reference parser; the error path of :func:`load_sample_table`."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text_lines(path)
     if not lines:
         raise ParseError("empty file")
     d, k = _parse_header(lines[0])
@@ -310,7 +322,7 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
             noisy[row_idx] = int(parts[1])
             true[row_idx] = int(parts[2])
             floats = [float(p) for p in parts[3:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(str(exc), line=lineno) from exc
         if not all(math.isfinite(v) for v in floats):
             raise ParseError("non-finite float value", line=lineno)

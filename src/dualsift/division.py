@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyCluster
+from .data import NoisyCluster, read_text_lines
 from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import ScoreTable
@@ -248,7 +248,7 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
 def read_partition_file(path: str | Path) -> dict[int, str]:
     """Parse an ``id,tag`` partition file into an id -> tag mapping."""
     mapping: dict[int, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text_lines(path), start=1):
         if not line.strip():
             continue
         parts = line.split(",")

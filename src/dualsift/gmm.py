@@ -49,10 +49,28 @@ class Gmm1d:
     log_likelihoods: np.ndarray  # one entry per EM iteration
 
 
-def _log_pdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    # (n, 2) log density of each point under each component
-    diff = x[:, None] - means[None, :]
-    return -0.5 * (diff * diff / variances[None, :] + np.log(variances)[None, :] + _LOG_2PI)
+def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
+               variances: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Log weight plus log density of each point under each component.
+
+    Component-major: ``out`` has shape (2, n) and is written in place. The
+    per-element order is ``log w + -0.5 * ((d*d/var + log var) + log 2pi)``.
+    """
+    np.subtract(x, means[:, None], out=out)
+    np.multiply(out, out, out=out)
+    np.divide(out, variances[:, None], out=out)
+    np.add(out, np.log(variances)[:, None], out=out)
+    np.add(out, _LOG_2PI, out=out)
+    np.multiply(out, -0.5, out=out)
+    return np.add(out, np.log(weights)[:, None], out=out)
+
+
+def _row_sums(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    # Sequential left-to-right sums of each row; the fits, and with them
+    # partition files and checkpoints, are pinned to this order, which
+    # pairwise ``sum(axis=1)`` would round differently. Returns a view
+    # into ``scratch``.
+    return np.add.accumulate(a, axis=1, out=scratch)[:, -1]
 
 
 def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
@@ -79,25 +97,33 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
     variances = np.full(2, max(float(np.var(x)), config.variance_floor))
     weights = np.full(2, 0.5)
 
+    # (2, n) work buffers reused by every iteration
+    log_joint = np.empty((2, x.size))
+    resp = np.empty_like(log_joint)
+    scratch = np.empty_like(log_joint)
+    log_norm = np.empty(x.size)
     lls: list[float] = []
     converged = False
     for _ in range(config.max_iter):
         # E step, in the log domain for stability
-        log_joint = np.log(weights)[None, :] + _log_pdf(x, means, variances)
-        log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        _log_joint(x, weights, means, variances, out=log_joint)
+        np.logaddexp(log_joint[0], log_joint[1], out=log_norm)
         ll = float(log_norm.sum())
         lls.append(ll)
         if len(lls) > 1 and abs(ll - lls[-2]) <= config.tol * max(1.0, abs(lls[-2])):
             converged = True
             break
-        resp = np.exp(log_joint - log_norm[:, None])
+        np.exp(np.subtract(log_joint, log_norm, out=resp), out=resp)
         # M step; tiny responsibility mass is floored so a dying component
-        # cannot divide by zero
-        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        # cannot divide by zero. log_joint, and resp once read, serve as
+        # scratch until the next E step rewrites them.
+        nk = np.maximum(_row_sums(resp, scratch), 1e-12)
         weights = nk / nk.sum()
-        means = (resp * x[:, None]).sum(axis=0) / nk
-        diff = x[:, None] - means[None, :]
-        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, config.variance_floor)
+        means = _row_sums(np.multiply(resp, x, out=log_joint), scratch) / nk
+        diff = np.subtract(x, means[:, None], out=log_joint)
+        np.multiply(resp, diff, out=scratch)
+        np.multiply(scratch, diff, out=scratch)
+        variances = np.maximum(_row_sums(scratch, resp) / nk, config.variance_floor)
 
     clean = int(np.argmin(means)
                 if config.orientation is Orientation.SMALLER_MEAN_CLEAN
@@ -114,6 +140,6 @@ def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
-    log_joint = np.log(gmm.weights)[None, :] + _log_pdf(x, gmm.means, gmm.variances)
-    log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
-    return np.exp(log_joint[:, gmm.clean_component] - log_norm)
+    log_joint = _log_joint(x, gmm.weights, gmm.means, gmm.variances, out=np.empty((2, x.size)))
+    log_norm = np.logaddexp(log_joint[0], log_joint[1])
+    return np.exp(np.subtract(log_joint[gmm.clean_component], log_norm, out=log_norm), out=log_norm)

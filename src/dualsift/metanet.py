@@ -21,12 +21,10 @@ _PRED_CLAMP = 1e-7
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows: exp(-z) for z >= 0, exp(z) below. The
+    # minimum form of -|z| also keeps the sign bit of a NaN input.
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
@@ -110,11 +108,15 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     best = net.copy()
     best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
     stale = 0
+    inputs = np.empty_like(data.inputs, order="C")
+    labels = np.empty_like(data.labels)
     for _ in range(config.epochs):
         order = rng.permutation(data.n)
+        np.take(data.inputs, order, axis=0, out=inputs)
+        np.take(data.labels, order, out=labels)
         for start in range(0, data.n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            loss, grads = meta_loss_and_grads(net, data.inputs[batch], data.labels[batch])
+            stop = start + config.batch_size
+            loss, grads = meta_loss_and_grads(net, inputs[start:stop], labels[start:stop])
             if not np.isfinite(loss):
                 raise NumericalError(f"meta training produced non-finite loss {loss}")
             apply_sgd_step(net, grads, config.lr)

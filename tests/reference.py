@@ -3,13 +3,20 @@
 The package computes scores and losses over whole arrays; these one-sample
 versions are written independently so tests can compare the two. The
 per-element sample-table writer is the byte oracle for the block writer.
+The (n, 2) EM, the masked sigmoid and the per-batch-gather meta training
+loop are the bit oracles for the package's buffered forms.
 """
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from dualsift.classifier import ToyClassifier, apply_sgd_step
 from dualsift.data import Dataset, _expected_header
+from dualsift.errors import DegenerateFit, NumericalError
+from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
+from dualsift.metanet import MetaDataset, MetaTrainConfig, _mean_bce, meta_loss_and_grads, meta_scores
+from dualsift.seeding import rng_from
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-7
@@ -100,3 +107,118 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
         cells += [repr(float(v)) for v in dataset.logits[i]]
         out.append(",".join(cells))
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+
+
+def _log_pdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    # (n, 2) log density of each point under each component
+    diff = x[:, None] - means[None, :]
+    return -0.5 * (diff * diff / variances[None, :] + np.log(variances)[None, :] + _LOG_2PI)
+
+
+def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
+    """EM fit with deterministic percentile initialization.
+
+    Component means start at the 10th and 90th percentiles, weights equal,
+    both variances at the sample variance. Iterates until the relative
+    log-likelihood change drops below ``tol`` or ``max_iter`` is reached.
+
+    Raises DegenerateFit when fewer than ``min_fit_size`` values or all
+    values identical; callers route the whole cluster to the uncertain set.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("values must be finite")
+    if x.size < config.min_fit_size:
+        raise DegenerateFit(f"{x.size} values < min_fit_size {config.min_fit_size}")
+    if np.ptp(x) == 0.0:
+        raise DegenerateFit("all values identical")
+
+    means = np.quantile(x, [0.1, 0.9])
+    if means[0] == means[1]:
+        means = np.array([x.min(), x.max()])
+    variances = np.full(2, max(float(np.var(x)), config.variance_floor))
+    weights = np.full(2, 0.5)
+
+    lls: list[float] = []
+    converged = False
+    for _ in range(config.max_iter):
+        # E step, in the log domain for stability
+        log_joint = np.log(weights)[None, :] + _log_pdf(x, means, variances)
+        log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        ll = float(log_norm.sum())
+        lls.append(ll)
+        if len(lls) > 1 and abs(ll - lls[-2]) <= config.tol * max(1.0, abs(lls[-2])):
+            converged = True
+            break
+        resp = np.exp(log_joint - log_norm[:, None])
+        # M step; tiny responsibility mass is floored so a dying component
+        # cannot divide by zero
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / nk.sum()
+        means = (resp * x[:, None]).sum(axis=0) / nk
+        diff = x[:, None] - means[None, :]
+        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, config.variance_floor)
+
+    clean = int(np.argmin(means)
+                if config.orientation is Orientation.SMALLER_MEAN_CLEAN
+                else np.argmax(means))
+    return Gmm1d(
+        weights=weights, means=means, variances=variances,
+        clean_component=clean, converged=converged, iterations=len(lls),
+        log_likelihoods=np.asarray(lls),
+    )
+
+
+def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
+    """Posterior probability of the clean component at each value."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("values must be finite")
+    log_joint = np.log(gmm.weights)[None, :] + _log_pdf(x, gmm.means, gmm.variances)
+    log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+    return np.exp(log_joint[:, gmm.clean_component] - log_norm)
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -> ToyClassifier:
+    """Meta training that gathers every minibatch from the shuffled order.
+
+    Early-stops after ``patience`` epochs without an improvement of at
+    least ``min_delta`` in the full-data training BCE.
+    """
+    if data.n == 0:
+        raise ValueError("meta dataset is empty")
+    rng = rng_from(config.seed, "meta-shuffle")
+    net = net.copy()
+    best = net.copy()
+    best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+    stale = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(data.n)
+        for start in range(0, data.n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, grads = meta_loss_and_grads(net, data.inputs[batch], data.labels[batch])
+            if not np.isfinite(loss):
+                raise NumericalError(f"meta training produced non-finite loss {loss}")
+            apply_sgd_step(net, grads, config.lr)
+        epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+        if not np.isfinite(epoch_loss):
+            raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")
+        if epoch_loss < best_loss - config.min_delta:
+            stale = 0
+        else:
+            stale += 1
+        if epoch_loss < best_loss:
+            best_loss = epoch_loss
+            best = net.copy()
+        if stale >= config.patience:
+            break
+    return best

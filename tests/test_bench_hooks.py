@@ -6,7 +6,13 @@ leave a layer untraced.
 import ast
 import importlib
 import importlib.util
+import math
 from pathlib import Path
+
+from dualsift import (NoiseKind, NoiseSpec, SyntheticSpec, division, generate_synthetic,
+                      inject_noise, metanet, partition_by_label)
+from dualsift.metanet import MetaTrainConfig
+from dualsift.pipeline import DistillParams, run_distillation
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -43,3 +49,29 @@ def test_every_name_the_workloads_import_resolves():
     assert ("dualsift.classifier", "load_classifier_checkpoint") in imported
     missing = [f"{module}.{name}" for module, name in imported if not _resolves(module, name)]
     assert missing == []
+
+
+def test_traced_call_counts_follow_the_work(monkeypatch):
+    # the tracer's gmm.fit_calls and metanet.steps count calls at these
+    # attributes; a change that moves the work elsewhere must fail here
+    calls = {"fit": 0, "step": 0}
+
+    def counting(module, attr, key):
+        inner = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(division, "fit_gmm1d", "fit")
+    counting(metanet, "meta_loss_and_grads", "step")
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=600, seed=2)),
+                           NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=5))
+    meta = MetaTrainConfig(epochs=3, patience=4, batch_size=7)
+    result = run_distillation(dataset, DistillParams(meta=meta))
+    assert result.fallbacks == []
+    clusters = [c for c in partition_by_label(dataset) if c.member_ids.size]
+    assert calls["fit"] == 2 * len(clusters)
+    pairs = result.partition.certain_ids.size
+    assert calls["step"] == meta.epochs * math.ceil(pairs / meta.batch_size)

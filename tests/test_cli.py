@@ -155,6 +155,27 @@ def test_distill_missing_input_is_data_error(tmp_path):
     assert run(["distill", tmp_path / "absent.csv", "-o", tmp_path / "o"]) == 3
 
 
+TABLE_HEADER = b"id,noisy_label,true_label,feat_0,logit_0,logit_1\n"
+
+
+def test_distill_id_past_int64_is_data_error(tmp_path, capsys):
+    data = tmp_path / "big.csv"
+    data.write_bytes(TABLE_HEADER + b"0,0,0,0.5,1.0,0.0\n99999999999999999999,1,1,1.5,-1.0,2.0\n")
+    assert run(["distill", data, "-o", tmp_path / "o"]) == 3
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+NOT_UTF8_TABLE = TABLE_HEADER + b"0,0,0,0.5,1.0,0.0\r1,1,1,1.5,-1.0,\xff2.0\n"
+
+
+def test_distill_not_utf8_is_data_error(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(NOT_UTF8_TABLE)
+    assert run(["distill", data, "-o", tmp_path / "o"]) == 3
+    # the lone carriage return ends line 2, as in every other parse error
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
 @pytest.mark.parametrize("hidden", [0, -1])
 def test_distill_bad_meta_hidden_usage_error(tmp_path, capsys, hidden):
     data = small_benchmark(tmp_path, n=600, noise="asym:0.3", seed=9)
@@ -265,6 +286,23 @@ def test_evaluate_id_mismatch(tmp_path):
     part = tmp_path / "part.csv"
     part.write_text("0,P\n2,N\n")
     assert run(["evaluate", part, truth]) == 3
+
+
+def test_evaluate_not_utf8_truth_is_data_error(tmp_path, capsys):
+    truth = tmp_path / "truth.csv"
+    truth.write_bytes(NOT_UTF8_TABLE)
+    part = tmp_path / "part.csv"
+    part.write_text("0,P\n1,N\n")
+    assert run(["evaluate", part, truth]) == 3
+    assert capsys.readouterr().err.startswith("error: line 3: ")
+
+
+def test_evaluate_not_utf8_partition_is_data_error(tmp_path, capsys):
+    truth = write_truth(tmp_path, [True, False])
+    part = tmp_path / "part.csv"
+    part.write_bytes(b"0,P\n1,\xffN\n")
+    assert run(["evaluate", part, truth]) == 3
+    assert capsys.readouterr().err.startswith("error: line 2: ")
 
 
 def test_usage_error_exit_code():

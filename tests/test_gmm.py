@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import reference
 from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 
 
@@ -104,3 +106,33 @@ def test_config_validation():
         GmmConfig(Orientation.SMALLER_MEAN_CLEAN, max_iter=0)
     with pytest.raises(ValueError):
         GmmConfig(Orientation.SMALLER_MEAN_CLEAN, tol=0.0)
+
+
+# ------------------------------------------------- buffered EM against the oracle
+
+MIN_FIT_SIZE = GmmConfig(Orientation.SMALLER_MEAN_CLEAN).min_fit_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(MIN_FIT_SIZE, 20_000), seed=st.integers(0, 2**32 - 1),
+       outlier=st.booleans(), max_iter=st.sampled_from([1, 3, 100]),
+       orientation=st.sampled_from(list(Orientation)))
+@example(n=MIN_FIT_SIZE, seed=0, outlier=False, max_iter=100,
+         orientation=Orientation.SMALLER_MEAN_CLEAN)
+@example(n=20_000, seed=1, outlier=True, max_iter=100, orientation=Orientation.LARGER_MEAN_CLEAN)
+@example(n=500, seed=2, outlier=True, max_iter=1, orientation=Orientation.SMALLER_MEAN_CLEAN)
+@example(n=500, seed=3, outlier=False, max_iter=3, orientation=Orientation.LARGER_MEAN_CLEAN)
+def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
+    rng = np.random.default_rng(seed)
+    first = rng.random(n) < rng.uniform(0.05, 0.95)
+    values = np.where(first, rng.normal(0.0, rng.uniform(0.01, 1.0), n),
+                      rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.01, 1.0), n))
+    if outlier:
+        values[rng.integers(n)] = 1e6
+    cfg = GmmConfig(orientation, max_iter=max_iter)
+    got, want = fit_gmm1d(values, cfg), reference.fit_gmm1d(values, cfg)
+    for name in ("weights", "means", "variances", "log_likelihoods"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.iterations, got.converged, got.clean_component) == \
+        (want.iterations, want.converged, want.clean_component)
+    assert np.array_equal(posteriors(got, values), reference.posteriors(want, values))

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import reference
 from dualsift import (
     MetaDataset,
     MetaStarved,
@@ -20,7 +22,7 @@ from dualsift import (
     train_meta,
     weighted_average_baseline,
 )
-from dualsift.metanet import _mean_bce
+from dualsift.metanet import _mean_bce, _sigmoid
 from dualsift.pipeline import DistillParams
 from dualsift.scores import ScoreTable
 from dualsift.seeding import rng_from
@@ -91,6 +93,16 @@ def test_meta_forward_output_in_unit_interval():
     rng = rng_from(0)
     out = meta_scores(net, rng.random((100, 2)))
     assert ((out > 0) & (out < 1)).all()
+
+
+def test_sigmoid_matches_masked_form_bit_for_bit():
+    z = np.array([0.0, -0.0, 1e-300, -1e-300, 36.0, -36.0, 745.0, -745.0,
+                  800.0, -800.0, 1e308, -1e308, np.nan, -np.nan])
+    z = np.concatenate([z, rng_from(0).normal(0.0, 40.0, 1000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(z)
+    assert got.view(np.uint64).tolist() == reference.sigmoid(z).view(np.uint64).tolist()
 
 
 # ----------------------------------------------------------------------- bce
@@ -253,6 +265,17 @@ def test_purify_invalid_thresholds():
     part = simple_partition(2, pos=[0], neg=[1])
     with pytest.raises(ValueError):
         purify(table_with(np.zeros(2), np.zeros(2), fused=[0, 0]), part, 0.2, 0.8)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+def test_train_meta_matches_per_batch_gather(batch_size):
+    # 203 records leave a short last batch for sizes 7 and 64
+    data = separable_meta(n=203, seed=6)
+    cfg = MetaTrainConfig(seed=3, epochs=4, batch_size=batch_size)
+    net = ToyClassifier.initialize(2, 10, 1, seed=1)
+    got, want = train_meta(net, data, cfg), reference.train_meta(net, data, cfg)
+    for pa, pb in zip(got.params, want.params):
+        assert np.array_equal(pa, pb)
 
 
 # ------------------------------------------------------------------ baseline
