@@ -177,9 +177,9 @@ def _partition_sizes(partition) -> dict:
         "s_p": int(partition.positive_ids.size),
         "s_n": int(partition.negative_ids.size),
         "s_u": int(partition.uncertain_ids.size),
-        "c": int(partition.clean_ids.size) if partition.purified else None,
-        "u": int(partition.noisy_ids.size) if partition.purified else None,
-        "dropped": int(partition.dropped_ids.size) if partition.purified else None,
+        "c": int(partition.clean_ids.size),
+        "u": int(partition.noisy_ids.size),
+        "dropped": int(partition.dropped_ids.size),
     }
 
 
@@ -282,15 +282,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    tags = read_partition_file(args.partition)
+    partition = read_partition_file(args.partition)
     truth = load_sample_table(args.truth)
     if not truth.has_true_labels:
         raise ParseError("truth file lacks true labels")
-    if set(tags) != set(range(truth.n)):
+    if partition.n_total != truth.n:
         raise ParseError("partition ids do not match the truth file ids")
-    selected = np.array(sorted(i for i, tag in tags.items() if tag in ("P", "C")),
-                        dtype=np.int64)
-    report = selection_metrics(selected, truth.clean_mask)
+    report = selection_metrics(partition.clean_ids, truth.clean_mask)
     print(json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True))
     return 0
 

@@ -8,7 +8,7 @@ form the uncertain set that purification later re-judges.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,8 @@ from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import ScoreTable
 
 PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
+# A sample's tag; its value is the sample's code in a Partition.
+Tag = IntEnum("Tag", PARTITION_TAGS, start=0)
 
 
 class StrategyKind(Enum):
@@ -99,65 +101,73 @@ def divide_cluster(
 
 @dataclass(frozen=True)
 class Partition:
-    """Id sets produced by division and, later, purification.
+    """One read-only :class:`Tag` code per sample id 0..N-1.
 
-    ``clean_ids``/``noisy_ids``/``dropped_ids`` are None until purification
-    fills them. Positives are always a subset of the final clean set and
-    negatives of the final noisy set.
+    P/N are division's certain positives and negatives, U its unjudged
+    uncertain ids, and C/UN/DROPPED the uncertain ids purification judged
+    clean, noisy or mid-band. The id sets are views of the codes, so they
+    cover 0..N-1, and positives stay clean and negatives noisy, by construction.
     """
 
-    n_total: int
-    positive_ids: np.ndarray
-    negative_ids: np.ndarray
-    uncertain_ids: np.ndarray
-    clean_ids: np.ndarray | None = None
-    noisy_ids: np.ndarray | None = None
-    dropped_ids: np.ndarray | None = None
+    codes: np.ndarray
 
     def __post_init__(self):
-        for name in ("positive_ids", "negative_ids", "uncertain_ids",
-                     "clean_ids", "noisy_ids", "dropped_ids"):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.unique(np.asarray(arr, dtype=np.int64))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        combined = np.concatenate([self.positive_ids, self.negative_ids, self.uncertain_ids])
-        if combined.size != self.n_total or not np.array_equal(np.sort(combined), np.arange(self.n_total)):
-            raise ValueError("positive/negative/uncertain must partition 0..N-1")
-        purified_fields = (self.clean_ids, self.noisy_ids, self.dropped_ids)
-        if any(a is not None for a in purified_fields) and any(a is None for a in purified_fields):
+        codes = np.array(self.codes, dtype=np.int8)
+        if codes.ndim != 1 or ((codes < 0) | (codes >= len(Tag))).any():
+            raise ValueError("partition codes must be a 1-D array of Tag values")
+        codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def from_ids(cls, n_total: int, positive_ids, negative_ids, uncertain_ids,
+                 clean_ids=None, noisy_ids=None, dropped_ids=None) -> "Partition":
+        """Build from division's id sets and, if given, purification's.
+
+        Each group of sets must cover 0..N-1 exactly once, and positives
+        must lie in the clean set and negatives in the noisy set.
+        """
+        codes = _cover(n_total, (positive_ids, negative_ids, uncertain_ids), (Tag.P, Tag.N, Tag.U))
+        judged = (clean_ids, noisy_ids, dropped_ids)
+        if all(ids is None for ids in judged):
+            return cls(codes)
+        if any(ids is None for ids in judged):
             raise ValueError("clean/noisy/dropped must be set together")
-        if self.purified:
-            if np.intersect1d(self.clean_ids, self.noisy_ids).size:
-                raise ValueError("clean and noisy sets overlap")
-            if not np.isin(self.positive_ids, self.clean_ids).all():
-                raise ValueError("positives must stay in the clean set")
-            if not np.isin(self.negative_ids, self.noisy_ids).all():
-                raise ValueError("negatives must stay in the noisy set")
-            judged = np.concatenate([self.clean_ids, self.noisy_ids, self.dropped_ids])
-            if not np.array_equal(np.sort(judged), np.arange(self.n_total)):
-                raise ValueError("clean/noisy/dropped must cover all ids")
+        final = _cover(n_total, judged, (Tag.C, Tag.UN, Tag.DROPPED))
+        if (final[codes == Tag.P] != Tag.C).any() or (final[codes == Tag.N] != Tag.UN).any():
+            raise ValueError("positives must stay clean and negatives noisy")
+        return cls(np.where(codes == Tag.U, final, codes))
 
-    @property
-    def purified(self) -> bool:
-        return self.clean_ids is not None
+    def _having(self, *tags: Tag) -> np.ndarray:
+        """Ascending ids whose tag is one of ``tags``."""
+        wanted = np.zeros(len(Tag), dtype=bool)
+        wanted[list(tags)] = True
+        return np.flatnonzero(wanted[self.codes])
 
-    @property
-    def certain_ids(self) -> np.ndarray:
-        return np.union1d(self.positive_ids, self.negative_ids)
+    n_total = property(lambda self: self.codes.size)
+    positive_ids = property(lambda self: self._having(Tag.P))
+    negative_ids = property(lambda self: self._having(Tag.N))
+    certain_ids = property(lambda self: self._having(Tag.P, Tag.N))
+    uncertain_ids = property(lambda self: self._having(Tag.U, Tag.C, Tag.UN, Tag.DROPPED))
+    clean_ids = property(lambda self: self._having(Tag.P, Tag.C))
+    noisy_ids = property(lambda self: self._having(Tag.N, Tag.UN))
+    dropped_ids = property(lambda self: self._having(Tag.DROPPED))
 
     def tags(self) -> list[str]:
         """Per-id assignment tag: P/N/U before purification, P/N/C/UN/DROPPED after."""
-        tags = np.full(self.n_total, "U", dtype=object)
-        if self.purified:
-            tags[self.clean_ids] = "C"
-            tags[self.noisy_ids] = "UN"
-            tags[self.dropped_ids] = "DROPPED"
-        tags[self.positive_ids] = "P"
-        tags[self.negative_ids] = "N"
-        return tags.tolist()
+        return np.array(PARTITION_TAGS, dtype=object)[self.codes].tolist()
+
+
+def _cover(n_total: int, id_sets, tags) -> np.ndarray:
+    """Codes for id sets that must cover 0..n_total-1 exactly once."""
+    id_sets = [np.asarray(ids, dtype=np.int64).ravel() for ids in id_sets]
+    flat = np.concatenate(id_sets)
+    if flat.size != n_total or (flat.size and (flat.min() < 0 or flat.max() >= n_total)) \
+            or not np.bincount(flat, minlength=n_total).all():
+        raise ValueError("/".join(tag.name for tag in tags) + " must partition 0..N-1")
+    codes = np.empty(n_total, dtype=np.int8)
+    for tag, ids in zip(tags, id_sets):
+        codes[ids] = tag
+    return codes
 
 
 def compute_posteriors(
@@ -209,7 +219,7 @@ def divide_dataset(
     finite posteriors. Clusters without usable posteriors in a space send
     all members to the uncertain set.
     """
-    pos_parts, neg_parts, unc_parts = [], [], []
+    pos_parts, neg_parts, unc_parts = ([np.empty(0, dtype=np.int64)] for _ in range(3))
     for cluster in clusters:
         ids = cluster.member_ids
         if ids.size == 0:
@@ -227,16 +237,8 @@ def divide_dataset(
         pos_parts.append(ids[pos])
         neg_parts.append(ids[neg])
         unc_parts.append(ids[unc])
-
-    def _cat(parts):
-        return np.sort(np.concatenate(parts)) if parts else np.empty(0, dtype=np.int64)
-
-    return Partition(
-        n_total=table.n,
-        positive_ids=_cat(pos_parts),
-        negative_ids=_cat(neg_parts),
-        uncertain_ids=_cat(unc_parts),
-    )
+    return Partition.from_ids(table.n, np.concatenate(pos_parts), np.concatenate(neg_parts),
+                              np.concatenate(unc_parts))
 
 
 def write_partition_file(partition: Partition, path: str | Path) -> None:
@@ -245,9 +247,9 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_partition_file(path: str | Path) -> dict[int, str]:
-    """Parse an ``id,tag`` partition file into an id -> tag mapping."""
-    mapping: dict[int, str] = {}
+def read_partition_file(path: str | Path) -> Partition:
+    """Parse an ``id,tag`` partition file whose ids are exactly 0..N-1, in any order."""
+    mapping: dict[int, Tag] = {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
         if not line.strip():
             continue
@@ -263,7 +265,10 @@ def read_partition_file(path: str | Path) -> dict[int, str]:
             raise ParseError(f"unknown tag {tag!r}", line=lineno)
         if sample_id in mapping:
             raise ParseError(f"duplicate id {sample_id}", line=lineno)
-        mapping[sample_id] = tag
+        mapping[sample_id] = Tag[tag]
     if not mapping:
         raise ParseError("no assignments")
-    return mapping
+    # the ids are distinct, so they are exactly 0..N-1 when both ends are
+    if min(mapping) != 0 or max(mapping) != len(mapping) - 1:
+        raise ParseError(f"ids run {min(mapping)}..{max(mapping)}, not 0..{len(mapping) - 1}")
+    return Partition([mapping[i] for i in range(len(mapping))])

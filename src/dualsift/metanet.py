@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import ToyClassifier, _backward, apply_sgd_step
-from .division import Partition
+from .division import Partition, Tag
 from .errors import MetaStarved, NumericalError
 from .scores import ScoreTable
 from .seeding import rng_from
@@ -169,14 +169,9 @@ def purify(table: ScoreTable, partition: Partition,
     fused = table.fused[su]
     finite = np.isfinite(fused)
     with np.errstate(invalid="ignore"):
-        promoted = su[finite & (fused >= accept_threshold)]
-        demoted = su[~finite | (fused <= reject_threshold)]
-    dropped = np.setdiff1d(su, np.union1d(promoted, demoted))
-    # accept == reject can put a fused value in both sets; accept wins
-    demoted = np.setdiff1d(demoted, promoted)
-    return replace(
-        partition,
-        clean_ids=np.union1d(partition.positive_ids, promoted),
-        noisy_ids=np.union1d(partition.negative_ids, demoted),
-        dropped_ids=dropped,
-    )
+        accept = finite & (fused >= accept_threshold)
+        reject = ~finite | (fused <= reject_threshold)
+    codes = partition.codes.copy()
+    # accept == reject can put a fused value on both sides; accept wins
+    codes[su] = np.where(accept, Tag.C, np.where(reject, Tag.UN, Tag.DROPPED))
+    return Partition(codes)

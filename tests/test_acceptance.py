@@ -292,7 +292,8 @@ def test_criterion_10_partition_algebra():
         combined = np.sort(np.concatenate([pos, neg, unc]))
         ok &= bool(np.array_equal(combined, np.arange(n)))
 
-        part = Partition(n_total=n, positive_ids=pos, negative_ids=neg, uncertain_ids=unc)
+        part = Partition.from_ids(n_total=n, positive_ids=pos, negative_ids=neg,
+                                  uncertain_ids=unc)
         table = ScoreTable.empty(n)
         table.posterior_loss[:] = pp
         table.posterior_sim[:] = ps

@@ -4,9 +4,11 @@ refactor that renames or drops one of them must fail here, not silently
 leave a layer untraced.
 """
 import ast
+import hashlib
 import importlib
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 from dualsift import (NoiseKind, NoiseSpec, SyntheticSpec, division, generate_synthetic,
@@ -20,6 +22,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _load_by_path(name):
     spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
@@ -75,3 +78,18 @@ def test_traced_call_counts_follow_the_work(monkeypatch):
     assert calls["fit"] == 2 * len(clusters)
     pairs = result.partition.certain_ids.size
     assert calls["step"] == meta.epochs * math.ceil(pairs / meta.batch_size)
+
+
+def test_partition_surface_the_workloads_read(tmp_path):
+    # distill_k100 fingerprints a Partition through these attributes and
+    # hashes its tags() as the partition.csv bytes write_partition_file writes
+    workloads = _load_by_path("workloads")
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=200, seed=4)),
+                           NoiseSpec(NoiseKind.ASYMMETRIC, 0.3, seed=6))
+    partition = run_distillation(dataset, DistillParams()).partition
+    for attr in ("positive_ids", "negative_ids", "uncertain_ids", "clean_ids", "tags"):
+        assert hasattr(partition, attr), attr
+    path = tmp_path / "partition.csv"
+    division.write_partition_file(partition, path)
+    written = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert workloads._partition_text_sha256(partition) == written

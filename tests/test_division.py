@@ -1,24 +1,32 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dualsift import (
     Dataset,
+    NoiseKind,
+    NoiseSpec,
     Partition,
     ParseError,
     StrategyKind,
+    SyntheticSpec,
     ThresholdStrategy,
     ToyClassifier,
     compute_posteriors,
     divide_cluster,
     divide_dataset,
     fuse_scores,
+    generate_synthetic,
+    inject_noise,
     partition_by_label,
+    purify,
     read_partition_file,
     resolve_threshold,
     score_dataset,
     write_partition_file,
 )
+from dualsift.division import PARTITION_TAGS
+from dualsift.pipeline import DistillParams, run_distillation
 
 
 # ----------------------------------------------------------------- strategies
@@ -219,19 +227,19 @@ def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
 
 def test_partition_validates_cover():
     with pytest.raises(ValueError):
-        Partition(n_total=3, positive_ids=np.array([0]), negative_ids=np.array([1]),
-                  uncertain_ids=np.array([]))
+        Partition.from_ids(n_total=3, positive_ids=np.array([0]), negative_ids=np.array([1]),
+                           uncertain_ids=np.array([]))
 
 
 def test_partition_validates_purified_consistency():
     with pytest.raises(ValueError):
-        Partition(n_total=2, positive_ids=np.array([0]), negative_ids=np.array([1]),
-                  uncertain_ids=np.array([]), clean_ids=np.array([1]),
-                  noisy_ids=np.array([0]), dropped_ids=np.array([]))
+        Partition.from_ids(n_total=2, positive_ids=np.array([0]), negative_ids=np.array([1]),
+                           uncertain_ids=np.array([]), clean_ids=np.array([1]),
+                           noisy_ids=np.array([0]), dropped_ids=np.array([]))
 
 
 def test_partition_file_roundtrip(tmp_path):
-    part = Partition(
+    part = Partition.from_ids(
         n_total=5,
         positive_ids=np.array([0]), negative_ids=np.array([1]),
         uncertain_ids=np.array([2, 3, 4]),
@@ -241,12 +249,51 @@ def test_partition_file_roundtrip(tmp_path):
     write_partition_file(part, path)
     text = path.read_text()
     assert text == "0,P\n1,N\n2,C\n3,UN\n4,DROPPED\n"
-    tags = read_partition_file(path)
-    assert tags == {0: "P", 1: "N", 2: "C", 3: "UN", 4: "DROPPED"}
+    assert read_partition_file(path).tags() == ["P", "N", "C", "UN", "DROPPED"]
 
 
-def test_partition_file_bad_tag(tmp_path):
+@pytest.mark.parametrize("text, match", [
+    pytest.param("0,P\n1,X\n", "line 2", id="bad_tag"),
+    pytest.param("0,P\n0,N\n", "line 2", id="duplicate_id"),
+    pytest.param("0,P\n2,N\n", "0..1", id="gap"),
+    pytest.param("-1,P\n0,N\n", "0..1", id="negative_id"),
+])
+def test_partition_file_rejects(tmp_path, text, match):
     path = tmp_path / "part.csv"
-    path.write_text("0,P\n1,X\n")
-    with pytest.raises(ParseError, match="line 2"):
+    path.write_text(text)
+    with pytest.raises(ParseError, match=match):
         read_partition_file(path)
+
+
+@given(st.lists(st.integers(0, len(PARTITION_TAGS) - 1), min_size=1, max_size=50))
+def test_partition_file_roundtrip_codes(tmp_path_factory, codes):
+    part = Partition(np.array(codes))
+    path = tmp_path_factory.mktemp("part") / "part.csv"
+    write_partition_file(part, path)
+    np.testing.assert_array_equal(read_partition_file(path).codes, part.codes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(2, 5), n=st.integers(10, 300), kind=st.sampled_from(NoiseKind),
+       rate=st.floats(0.0, 0.6), seed=st.integers(0, 2**16),
+       fuse=st.sampled_from(["fixed:0.5", "percentile:0.3", "percentile:0.8"]),
+       band=st.tuples(st.floats(0, 1), st.floats(0, 1)).map(sorted))
+def test_distillation_partition_invariants(k, n, kind, rate, seed, fuse, band):
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=k, d=8, n=n, seed=seed)),
+                           NoiseSpec(kind, rate, seed=seed + 1))
+    result = run_distillation(dataset, DistillParams(fuse_strategy=ThresholdStrategy.parse(fuse)))
+    # the run purifies at one cut; a reject < accept band also exercises DROPPED
+    banded = purify(result.table, result.partition, band[1], band[0])
+    for part in (result.partition, banded):
+        assert part.n_total == dataset.n
+        clean, noisy, dropped = set(part.clean_ids), set(part.noisy_ids), set(part.dropped_ids)
+        assert set(part.positive_ids) <= clean and set(part.negative_ids) <= noisy
+        assert not clean & noisy and not clean & dropped and not noisy & dropped
+        assert clean | noisy | dropped == set(range(dataset.n))
+        tags = np.array(part.tags())
+        for ids, members in [(part.positive_ids, ["P"]), (part.negative_ids, ["N"]),
+                             (part.certain_ids, ["P", "N"]),
+                             (part.uncertain_ids, ["U", "C", "UN", "DROPPED"]),
+                             (part.clean_ids, ["P", "C"]), (part.noisy_ids, ["N", "UN"]),
+                             (part.dropped_ids, ["DROPPED"])]:
+            np.testing.assert_array_equal(ids, np.flatnonzero(np.isin(tags, members)))

@@ -44,7 +44,7 @@ def table_with(pp, ps, fused=None):
 def simple_partition(n, pos, neg):
     pos, neg = np.array(pos), np.array(neg)
     unc = np.setdiff1d(np.arange(n), np.union1d(pos, neg))
-    return Partition(n_total=n, positive_ids=pos, negative_ids=neg, uncertain_ids=unc)
+    return Partition.from_ids(n_total=n, positive_ids=pos, negative_ids=neg, uncertain_ids=unc)
 
 
 # -------------------------------------------------------------- meta dataset
