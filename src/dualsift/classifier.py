@@ -78,9 +78,12 @@ class ToyClassifier:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (logits, hidden activations) for a ([M,] n, D) batch."""
-        z1 = np.asarray(x, dtype=np.float64) @ self.w1 + self.b1[..., None, :]
-        h = np.maximum(z1, 0.0)
-        return h @ self.w2 + self.b2[..., None, :], h
+        h = np.asarray(x, dtype=np.float64) @ self.w1
+        h += self.b1[..., None, :]
+        np.maximum(h, 0.0, out=h)
+        logits = h @ self.w2
+        logits += self.b2[..., None, :]
+        return logits, h
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         logits, _ = self.forward(x)
@@ -115,14 +118,16 @@ def mixed_loss_and_grads(
     Loss = cross-entropy on the labeled group + lambda_u * mean squared
     error on the unlabeled group + lambda_r * KL(uniform || mean batch
     prediction). Either group may be empty. For a stacked model the batches
-    are ``(M, n, ·)`` stacks and the loss is one value per member.
+    are ``(M, n, ·)`` stacks and the loss is one value per member. A plain
+    cross-entropy batch (no unlabeled group, lambda_r = 0) skips the
+    probability-space terms, which are exactly zero there.
     """
     nc, nu = x_labeled.shape[-2], x_unlabeled.shape[-2]
     n_all = nc + nu
     if n_all == 0:
         raise ValueError("both batch groups are empty")
     if nc and nu:
-        x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64)
+        x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64, copy=False)
     elif nc:
         x = np.asarray(x_labeled, dtype=np.float64)
     else:
@@ -133,21 +138,24 @@ def mixed_loss_and_grads(
     rows = (-2, -1)
 
     loss = 0.0
+    if nc:
+        pc = np.maximum(p[..., :nc, :], _PROB_CLAMP)
+        loss += -(targets * np.log(pc)).sum(axis=rows) / nc
+        if not nu and not lambda_r:
+            return loss, _backward(clf, x, h, (p - targets) / nc)
+
     dlogits = np.zeros_like(p)
     # gradient of terms that act through the probabilities
     gp = np.zeros_like(p)
-
     if nc:
-        pc = np.clip(p[..., :nc, :], _PROB_CLAMP, None)
-        loss += -(targets * np.log(pc)).sum(axis=rows) / nc
         dlogits[..., :nc, :] += (p[..., :nc, :] - targets) / nc
     if nu:
         diff = p[..., nc:, :] - guesses
         loss += lambda_u * ((diff * diff).sum(axis=rows) / nu)
         gp[..., nc:, :] += lambda_u * 2.0 * diff / nu
     if lambda_r:
-        mean_pred = p.mean(axis=-2, keepdims=True)
-        clipped = np.clip(mean_pred, _PROB_CLAMP, None)
+        mean_pred = p.sum(axis=-2, keepdims=True) / n_all
+        clipped = np.maximum(mean_pred, _PROB_CLAMP)
         uniform = 1.0 / k
         loss += lambda_r * (uniform * (np.log(uniform) - np.log(clipped))).sum(axis=rows)
         gp += lambda_r * (-uniform / clipped) / n_all

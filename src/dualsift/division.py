@@ -18,6 +18,10 @@ from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import ScoreTable
 
+# A fitted component lighter than this has collapsed onto a few outliers;
+# its posteriors would split the cluster on them, not on label noise.
+MIN_COMPONENT_WEIGHT = 0.01
+
 PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
 # A sample's tag; its value is the sample's code in a Partition.
 Tag = IntEnum("Tag", PARTITION_TAGS, start=0)
@@ -170,6 +174,15 @@ def _cover(n_total: int, id_sets, tags) -> np.ndarray:
     return codes
 
 
+def _checked_fit(values: np.ndarray, config: GmmConfig):
+    """``fit_gmm1d``, with a collapsed component raised as :class:`DegenerateFit`."""
+    g = fit_gmm1d(values, config)
+    weight = float(g.weights.min())
+    if weight < MIN_COMPONENT_WEIGHT:
+        raise DegenerateFit(f"component weight {weight:.3g} below {MIN_COMPONENT_WEIGHT}")
+    return g
+
+
 def compute_posteriors(
     table: ScoreTable,
     clusters: list[NoisyCluster],
@@ -178,9 +191,10 @@ def compute_posteriors(
 ) -> tuple[ScoreTable, list[str]]:
     """Fit per-cluster mixtures in both spaces and fill the posteriors.
 
-    Degenerate fits leave that cluster's posteriors NaN in the affected
-    space (routing its members to the uncertain set) and are reported in
-    the returned notes.
+    Degenerate fits, and fits with a component lighter than
+    ``MIN_COMPONENT_WEIGHT``, leave that cluster's posteriors NaN in the
+    affected space (routing its members to the uncertain set) and are
+    reported in the returned notes.
     """
     loss_config = loss_config or GmmConfig(Orientation.SMALLER_MEAN_CLEAN)
     feat_config = feat_config or GmmConfig(Orientation.LARGER_MEAN_CLEAN)
@@ -192,7 +206,7 @@ def compute_posteriors(
         if ids.size == 0:
             continue
         try:
-            g = fit_gmm1d(out.loss_score[ids], loss_config)
+            g = _checked_fit(out.loss_score[ids], loss_config)
             out.posterior_loss[ids] = posteriors(g, out.loss_score[ids])
         except DegenerateFit as exc:
             notes.append(f"gmm_degenerate:class={cluster.class_id}:space=loss:{exc}")
@@ -200,7 +214,7 @@ def compute_posteriors(
         try:
             if scored.size == 0:
                 raise DegenerateFit("no scored members")
-            g = fit_gmm1d(out.sim_score[scored], feat_config)
+            g = _checked_fit(out.sim_score[scored], feat_config)
             out.posterior_sim[scored] = posteriors(g, out.sim_score[scored])
         except DegenerateFit as exc:
             notes.append(f"gmm_degenerate:class={cluster.class_id}:space=feature:{exc}")

@@ -7,6 +7,7 @@ uncertain set with an accept and a reject threshold.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,8 +83,9 @@ def build_meta_dataset(partition: Partition, table: ScoreTable) -> MetaDataset:
 
 
 def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
-    p = np.clip(preds, _PRED_CLAMP, 1.0 - _PRED_CLAMP)
-    return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
+    p = np.minimum(np.maximum(preds, _PRED_CLAMP), 1.0 - _PRED_CLAMP)
+    terms = labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
+    return float(-(terms.sum() / terms.size))
 
 
 def meta_loss_and_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarray):
@@ -117,7 +119,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
         for start in range(0, data.n, config.batch_size):
             stop = start + config.batch_size
             loss, grads = meta_loss_and_grads(net, inputs[start:stop], labels[start:stop])
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise NumericalError(f"meta training produced non-finite loss {loss}")
             apply_sgd_step(net, grads, config.lr)
         epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)

@@ -8,6 +8,7 @@ noisy set, and take one SGD epoch per member on the combined loss.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,18 +88,25 @@ def _train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambd
     # one epoch covers the union; labeled and unlabeled batches are drawn in
     # parallel each step, cycling the smaller group, so the update count
     # matches a plain epoch over the whole dataset; each member draws its
-    # batches from its own generator, and one stacked step moves all members
+    # batches from its own generator, and one stacked step moves all members.
+    # The epoch's batches are gathered up front, so each step reads views.
     nc, nu = x_lab.shape[0], x_unl.shape[0]
     steps = -(-(nc + nu) // batch_size) if nc + nu else 0
-    lab_idx = _epoch_batches(nc, batch_size, rngs, steps) if nc else None
-    unl_idx = _epoch_batches(nu, batch_size, rngs, steps) if nu else None
-    empty_x = np.zeros((len(rngs), 0, ensemble.input_dim))
-    empty_t = np.zeros((len(rngs), 0, ensemble.num_classes))
+
+    def gathered(x, y):
+        # (steps, members, batch, ·) stacks of one group's rows
+        if not x.shape[0]:
+            return (np.zeros((steps, len(rngs), 0, x.shape[-1])),
+                    np.zeros((steps, len(rngs), 0, y.shape[-1])))
+        idx = _epoch_batches(x.shape[0], batch_size, rngs, steps)
+        return x[idx], y[idx]
+
+    xl_all, tl_all = gathered(x_lab, targets)
+    xu_all, qu_all = gathered(x_unl, guesses)
     for s in range(steps):
-        xl, tl = (x_lab[lab_idx[s]], targets[lab_idx[s]]) if nc else (empty_x, empty_t)
-        xu, qu = (x_unl[unl_idx[s]], guesses[unl_idx[s]]) if nu else (empty_x, empty_t)
-        loss, grads = mixed_loss_and_grads(ensemble, xl, tl, xu, qu, lambda_u, lambda_r)
-        if not np.isfinite(loss).all():
+        loss, grads = mixed_loss_and_grads(ensemble, xl_all[s], tl_all[s], xu_all[s], qu_all[s],
+                                           lambda_u, lambda_r)
+        if not all(map(math.isfinite, loss.tolist())):
             raise NumericalError(f"training produced non-finite loss {loss}")
         apply_sgd_step(ensemble, grads, lr)
 

@@ -3,8 +3,9 @@
 The package computes scores and losses over whole arrays; these one-sample
 versions are written independently so tests can compare the two. The
 per-element sample-table writer is the byte oracle for the block writer.
-The (n, 2) EM, the masked sigmoid and the per-batch-gather meta training
-loop are the bit oracles for the package's buffered forms.
+The (n, 2) EM, the masked sigmoid, the clip-and-mean BCE, the per-batch-gather
+meta training loop, and the zero-buffer mixed loss with its per-step-gather
+epoch are the bit oracles for the package's buffered forms.
 """
 import warnings
 from pathlib import Path
@@ -15,11 +16,13 @@ from dualsift.classifier import ToyClassifier, apply_sgd_step
 from dualsift.data import Dataset, _expected_header
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
-from dualsift.metanet import MetaDataset, MetaTrainConfig, _mean_bce, meta_loss_and_grads, meta_scores
+from dualsift.metanet import MetaDataset, MetaTrainConfig, _sigmoid
+from dualsift.semisup import _epoch_batches
 from dualsift.seeding import rng_from
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-7
+_PRED_CLAMP = 1e-7
 
 
 def cross_entropy_score(logits: np.ndarray, label: int) -> float:
@@ -188,8 +191,111 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def forward(net: ToyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(logits, hidden activations) of a ([M,] n, D) batch, out of place."""
+    z1 = np.asarray(x, dtype=np.float64) @ net.w1 + net.b1[..., None, :]
+    h = np.maximum(z1, 0.0)
+    return h @ net.w2 + net.b2[..., None, :], h
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> dict:
+    dz1 = (dlogits @ net.w2.swapaxes(-1, -2)) * (h > 0)
+    return {
+        "w2": h.swapaxes(-1, -2) @ dlogits,
+        "b2": dlogits.sum(axis=-2),
+        "w1": x.swapaxes(-1, -2) @ dz1,
+        "b1": dz1.sum(axis=-2),
+    }
+
+
+def mixed_loss_and_grads(clf, x_labeled, targets, x_unlabeled, guesses, lambda_u, lambda_r):
+    """Mixed loss and gradients with every probability-space term built in
+    zero-initialised buffers, whether or not it contributes."""
+    nc, nu = x_labeled.shape[-2], x_unlabeled.shape[-2]
+    n_all = nc + nu
+    if n_all == 0:
+        raise ValueError("both batch groups are empty")
+    if nc and nu:
+        x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64)
+    elif nc:
+        x = np.asarray(x_labeled, dtype=np.float64)
+    else:
+        x = np.asarray(x_unlabeled, dtype=np.float64)
+    logits, h = forward(clf, x)
+    p = softmax_rows(logits)
+    k = clf.num_classes
+    rows = (-2, -1)
+
+    loss = 0.0
+    dlogits = np.zeros_like(p)
+    # gradient of terms that act through the probabilities
+    gp = np.zeros_like(p)
+
+    if nc:
+        pc = np.clip(p[..., :nc, :], _PROB_CLAMP, None)
+        loss += -(targets * np.log(pc)).sum(axis=rows) / nc
+        dlogits[..., :nc, :] += (p[..., :nc, :] - targets) / nc
+    if nu:
+        diff = p[..., nc:, :] - guesses
+        loss += lambda_u * ((diff * diff).sum(axis=rows) / nu)
+        gp[..., nc:, :] += lambda_u * 2.0 * diff / nu
+    if lambda_r:
+        mean_pred = p.mean(axis=-2, keepdims=True)
+        clipped = np.clip(mean_pred, _PROB_CLAMP, None)
+        uniform = 1.0 / k
+        loss += lambda_r * (uniform * (np.log(uniform) - np.log(clipped))).sum(axis=rows)
+        gp += lambda_r * (-uniform / clipped) / n_all
+
+    # softmax Jacobian-vector product, per row
+    dlogits += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+    return loss, _backward(clf, x, h, dlogits)
+
+
+def train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
+                      lr, batch_size, rngs) -> None:
+    """One stacked SGD epoch that gathers every step's batches from the index arrays."""
+    nc, nu = x_lab.shape[0], x_unl.shape[0]
+    steps = -(-(nc + nu) // batch_size) if nc + nu else 0
+    lab_idx = _epoch_batches(nc, batch_size, rngs, steps) if nc else None
+    unl_idx = _epoch_batches(nu, batch_size, rngs, steps) if nu else None
+    empty_x = np.zeros((len(rngs), 0, ensemble.input_dim))
+    empty_t = np.zeros((len(rngs), 0, ensemble.num_classes))
+    for s in range(steps):
+        xl, tl = (x_lab[lab_idx[s]], targets[lab_idx[s]]) if nc else (empty_x, empty_t)
+        xu, qu = (x_unl[unl_idx[s]], guesses[unl_idx[s]]) if nu else (empty_x, empty_t)
+        loss, grads = mixed_loss_and_grads(ensemble, xl, tl, xu, qu, lambda_u, lambda_r)
+        if not np.isfinite(loss).all():
+            raise NumericalError(f"training produced non-finite loss {loss}")
+        apply_sgd_step(ensemble, grads, lr)
+
+
+def mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
+    p = np.clip(preds, _PRED_CLAMP, 1.0 - _PRED_CLAMP)
+    return float(-(labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)).mean())
+
+
+def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
+    logits, _ = forward(net, pairs)
+    return _sigmoid(logits[:, 0])
+
+
+def meta_loss_and_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarray):
+    x = np.asarray(inputs, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    logits, h = forward(net, x)
+    p = _sigmoid(logits[:, 0])
+    return mean_bce(p, y), _backward(net, x, h, ((p - y) / x.shape[0])[:, None])
+
+
 def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -> ToyClassifier:
-    """Meta training that gathers every minibatch from the shuffled order.
+    """Meta training that gathers every minibatch from the shuffled order,
+    with the out-of-place forward and the clip-and-mean BCE.
 
     Early-stops after ``patience`` epochs without an improvement of at
     least ``min_delta`` in the full-data training BCE.
@@ -199,7 +305,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     rng = rng_from(config.seed, "meta-shuffle")
     net = net.copy()
     best = net.copy()
-    best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+    best_loss = mean_bce(meta_scores(net, data.inputs), data.labels)
     stale = 0
     for _ in range(config.epochs):
         order = rng.permutation(data.n)
@@ -209,7 +315,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
             if not np.isfinite(loss):
                 raise NumericalError(f"meta training produced non-finite loss {loss}")
             apply_sgd_step(net, grads, config.lr)
-        epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+        epoch_loss = mean_bce(meta_scores(net, data.inputs), data.labels)
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")
         if epoch_loss < best_loss - config.min_delta:

@@ -7,12 +7,13 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
-from dualsift import (NoiseKind, NoiseSpec, SyntheticSpec, division, generate_synthetic,
-                      inject_noise, metanet, partition_by_label)
+from dualsift import (NoiseKind, NoiseSpec, SyntheticSpec, cli, division, generate_synthetic,
+                      inject_noise, metanet, partition_by_label, semisup, write_sample_table)
 from dualsift.metanet import MetaTrainConfig
 from dualsift.pipeline import DistillParams, run_distillation
 
@@ -78,6 +79,47 @@ def test_traced_call_counts_follow_the_work(monkeypatch):
     assert calls["fit"] == 2 * len(clusters)
     pairs = result.partition.certain_ids.size
     assert calls["step"] == meta.epochs * math.ceil(pairs / meta.batch_size)
+
+
+def test_trainer_step_counts_follow_the_batches(monkeypatch, tmp_path):
+    # the tracer's classifier.sgd_steps counts calls at these attributes:
+    # one per batch of a warm-up epoch over the train split, and one per
+    # batch of the clean plus noisy sets in each round
+    calls = {"grad": 0, "sgd": 0}
+    round_starts = []
+
+    def counting(module, attr, key):
+        inner = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(semisup, "mixed_loss_and_grads", "grad")
+    counting(semisup, "apply_sgd_step", "sgd")
+    distill_round = cli.distill_round
+
+    def marking(*args, **kwargs):
+        round_starts.append(calls["grad"])
+        return distill_round(*args, **kwargs)
+    monkeypatch.setattr(cli, "distill_round", marking)
+
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=6, n=250, seed=3)),
+                           NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=7))
+    table = tmp_path / "table.csv"
+    write_sample_table(dataset, table)
+    warmup_epochs, batch = 3, 7
+    assert cli.main(["train", str(table), "-o", str(tmp_path / "run"), "--rounds", "2",
+                     "--warmup-epochs", str(warmup_epochs), "--batch-size", str(batch),
+                     "--seed", "2"]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    n_train = report["per_round"][0]["sizes"]["n"]
+    assert calls["grad"] == calls["sgd"]
+    assert round_starts[0] == warmup_epochs * math.ceil(n_train / batch)
+    ends = round_starts[1:] + [calls["grad"]]
+    for start, end, entry in zip(round_starts, ends, report["per_round"], strict=True):
+        assert end - start == math.ceil((entry["sizes"]["c"] + entry["sizes"]["u"]) / batch)
 
 
 def test_partition_surface_the_workloads_read(tmp_path):

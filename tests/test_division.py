@@ -25,7 +25,8 @@ from dualsift import (
     score_dataset,
     write_partition_file,
 )
-from dualsift.division import PARTITION_TAGS
+from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS
+from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.pipeline import DistillParams, run_distillation
 
 
@@ -205,6 +206,27 @@ def test_compute_posteriors_degenerate_class():
     part = divide_dataset(filled, partition_by_label(ds),
                           ThresholdStrategy.fixed(0.5), ThresholdStrategy.fixed(0.5))
     assert set(range(10, 20)) <= set(part.uncertain_ids)
+
+
+def test_compute_posteriors_reports_collapsed_component():
+    # 499 N(0,1) loss scores and one at 1e6: EM converges with one component
+    # holding only the outlier; the caller, not the fit, rejects it
+    from dualsift.scores import ScoreTable
+    rng = np.random.default_rng(0)
+    loss = np.append(rng.normal(size=499), 1e6)
+    fit = fit_gmm1d(loss, GmmConfig(Orientation.SMALLER_MEAN_CLEAN))
+    assert fit.converged and fit.weights.min() < MIN_COMPONENT_WEIGHT
+    table = ScoreTable.empty(500)
+    table.loss_score[:] = loss
+    table.sim_score[:] = np.concatenate([rng.normal(0.9, 0.02, 250), rng.normal(0.2, 0.05, 250)])
+    table.unscored_sim[:] = False
+    clusters = partition_by_label(two_class_dataset([0] * 500))
+    filled, notes = compute_posteriors(table, clusters)
+    assert notes == ["gmm_degenerate:class=0:space=loss:component weight 0.002 below 0.01"]
+    assert np.isnan(filled.posterior_loss).all()
+    assert np.isfinite(filled.posterior_sim).all()
+    part = divide_dataset(filled, clusters, ThresholdStrategy.fixed(0.5), ThresholdStrategy.fixed(0.5))
+    assert part.uncertain_ids.size == 500
 
 
 def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):

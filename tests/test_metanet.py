@@ -267,6 +267,29 @@ def test_purify_invalid_thresholds():
         purify(table_with(np.zeros(2), np.zeros(2), fused=[0, 0]), part, 0.2, 0.8)
 
 
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+BCE_PREDS = (0.0, 1e-300, 1e-7, 0.5, 1.0 - 1e-7, 1.0, np.nan)
+
+
+@pytest.mark.parametrize("label", [0.0, 1.0])
+@pytest.mark.parametrize("pred", BCE_PREDS)
+def test_bce_matches_clip_and_mean_bit_for_bit(pred, label):
+    preds, labels = np.array([pred]), np.array([label])
+    assert _bits(_mean_bce(preds, labels)) == _bits(reference.mean_bce(preds, labels))
+
+
+def test_bce_matches_clip_and_mean_on_batches():
+    grid = np.array([(p, y) for p in BCE_PREDS if not np.isnan(p) for y in (0.0, 1.0)])
+    rng = rng_from(17)
+    pairs = np.column_stack([rng.random(1000), (rng.random(1000) < 0.5).astype(float)])
+    for batch in (grid, pairs, *pairs[:, None, :]):
+        got = _mean_bce(batch[:, 0], batch[:, 1])
+        assert _bits(got) == _bits(reference.mean_bce(batch[:, 0], batch[:, 1]))
+
+
 @pytest.mark.parametrize("batch_size", [1, 7, 64])
 def test_train_meta_matches_per_batch_gather(batch_size):
     # 203 records leave a short last batch for sizes 7 and 64

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualsift import (
     NoiseKind,
@@ -27,8 +27,10 @@ from dualsift.classifier import (
     save_classifier_checkpoint,
     softmax_rows,
 )
+from dualsift import semisup
 from dualsift.pipeline import DistillParams
 from dualsift.seeding import rng_from
+import reference
 from reference import co_guess, labeled_loss, refine_label, reg_loss, total_loss, unlabeled_loss
 
 
@@ -212,6 +214,96 @@ def test_stacked_members_match_unstacked():
     np.testing.assert_array_equal(mean_logits, sum(lg for lg, _ in outputs) / 3)
     np.testing.assert_array_equal(mean_hidden, sum(h for _, h in outputs) / 3)
     np.testing.assert_array_equal(mean_probs, sum(softmax_rows(lg) for lg, _ in outputs) / 3)
+
+
+# ---------------------------------------------- lean steps against the oracle
+
+def same_bits(a, b) -> bool:
+    """``array_equal`` with ``equal_nan``, and the sign of every zero too."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return np.array_equal(np.where(np.isnan(a), 0.0, a).view(np.uint64),
+                          np.where(np.isnan(b), 0.0, b).view(np.uint64))
+
+
+MIXED_CASES = ("warmup", "round", "no_labeled", "p_equals_targets", "nan")
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(MIXED_CASES), plain=st.booleans(), stacked=st.booleans(),
+       nc=st.integers(1, 9), nu=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@example(case="warmup", plain=True, stacked=True, nc=8, nu=1, seed=0)
+@example(case="round", plain=False, stacked=True, nc=8, nu=8, seed=1)
+@example(case="no_labeled", plain=False, stacked=False, nc=1, nu=5, seed=2)
+@example(case="p_equals_targets", plain=True, stacked=True, nc=6, nu=1, seed=3)
+@example(case="p_equals_targets", plain=False, stacked=False, nc=6, nu=4, seed=4)
+@example(case="nan", plain=True, stacked=True, nc=5, nu=1, seed=5)
+@example(case="nan", plain=False, stacked=True, nc=5, nu=3, seed=6)
+def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, seed):
+    # "plain" asks for the warm-up shape (no unlabeled group, lambda_r = 0)
+    # where the case allows it; the loss and all four gradients must carry
+    # the oracle's bits, NaN positions included
+    rng = np.random.default_rng(seed)
+    d, hidden, k = 5, 7, 4
+    if stacked:
+        clf = ToyClassifier.stack([ToyClassifier.initialize(d, hidden, k, seed=seed % 97 + m)
+                                   for m in range(3)])
+    else:
+        clf = ToyClassifier.initialize(d, hidden, k, seed=seed % 97)
+    lead = (3,) if stacked else ()
+    lambda_u, lambda_r = 3.0, 1.0
+    if case == "no_labeled":
+        nc, lambda_r = 0, float(not plain)
+    elif case == "warmup" or (plain and case != "round"):
+        nu, lambda_u, lambda_r = 0, 0.0, 0.0
+    xl = rng.normal(scale=3.0, size=lead + (nc, d))
+    xu = rng.normal(scale=3.0, size=lead + (nu, d))
+    if case == "warmup":
+        targets = np.eye(k)[rng.integers(0, k, lead + (nc,))]
+    else:
+        targets = rng.dirichlet(np.ones(k), lead + (nc,))
+    guesses = rng.dirichlet(np.ones(k), lead + (nu,))
+    if case == "p_equals_targets":
+        logits, _ = reference.forward(clf, np.concatenate([xl, xu], axis=-2))
+        rows = rng.random(nc) < 0.5
+        targets[..., rows, :] = reference.softmax_rows(logits)[..., :nc, :][..., rows, :]
+    if case == "nan":
+        for arr in (xl, targets, xu):
+            if arr.size:
+                arr.reshape(-1)[rng.integers(arr.size)] = np.nan
+    with np.errstate(all="ignore"):
+        loss, grads = mixed_loss_and_grads(clf, xl, targets, xu, guesses, lambda_u, lambda_r)
+        want_loss, want_grads = reference.mixed_loss_and_grads(
+            clf, xl, targets, xu, guesses, lambda_u, lambda_r)
+    assert same_bits(loss, want_loss)
+    for name in ("w1", "b1", "w2", "b2"):
+        assert same_bits(grads[name], want_grads[name]), name
+
+
+def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
+    # warm-up steps take the plain cross-entropy branch, round steps the
+    # general one, with and without the lambda_r term; every checkpoint and
+    # partition must equal the oracle loop's
+    ds = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=6, n=300, seed=2)),
+                      NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=4))
+    cfg = TrainConfig(seed=5, warmup_epochs=2, batch_size=7)
+    no_reg = TrainConfig(seed=5, warmup_epochs=2, batch_size=7, lambda_r=0.0)
+
+    def run():
+        ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+        first = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
+        second = distill_round(first.ensemble, ds, no_reg, DistillParams(), round_index=1)
+        return [ens, first.ensemble, second.ensemble], [first.partition, second.partition]
+
+    got_nets, got_parts = run()
+    monkeypatch.setattr(semisup, "_train_epoch_mixed", reference.train_epoch_mixed)
+    want_nets, want_parts = run()
+    for got, want in zip(got_nets, want_nets):
+        for pa, pb in zip(got.params, want.params):
+            assert same_bits(pa, pb)
+    for got, want in zip(got_parts, want_parts):
+        assert np.array_equal(got.codes, want.codes)
 
 
 # --------------------------------------------------------------------- warmup
