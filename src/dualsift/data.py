@@ -8,6 +8,11 @@ Floats are serialized with full round-trip precision and a true label of
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -340,6 +345,13 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
 
 # Rows formatted per write; larger blocks raise peak memory.
 _WRITE_BLOCK = 256
+# Fewest rows worth a helper process: several times what its ~0.3 s
+# start-up could have formatted in-process.
+_MIN_SHARE_ROWS = 20_000
+# Puts the parent's dualsift first on the helper's path, then formats a share.
+_SHARE_HELPER = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                 "from dualsift.data import _write_share; _write_share(*sys.argv[2:])")
+_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
@@ -347,15 +359,85 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
 
     Floats are written as their Python ``repr`` (shortest round-trip form);
     rows go out in blocks of ``_WRITE_BLOCK`` to keep memory flat.
+
+    A table of at least ``2 * _MIN_SHARE_ROWS`` rows is split into
+    contiguous shares, one per usable CPU and at least ``_MIN_SHARE_ROWS``
+    rows each. This process formats the first share into the output file
+    while one helper process per other share formats it into a part file
+    in a temporary directory beside the output; the parts are then
+    appended in order. A share whose helper cannot start or exits nonzero
+    is formatted here instead. Every share goes through one row formatter,
+    so the bytes do not depend on the share count.
     """
     d, k = dataset.feature_dim, dataset.num_classes
-    row = "%d,%d,%d," + ",".join(["%r"] * (d + k)) + "\n"
+    columns = (dataset.noisy_labels, dataset.true_labels, dataset.features, dataset.logits)
+    shares = max(1, min(_usable_cpus(), dataset.n // _MIN_SHARE_ROWS))
+    bounds = [dataset.n * s // shares for s in range(shares + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_expected_header(d, k)) + "\n")
-        for start in range(0, dataset.n, _WRITE_BLOCK):
-            block = slice(start, start + _WRITE_BLOCK)
-            fh.write("".join(
-                row % (i, y, t, *f, *g) for i, y, t, f, g in zip(
-                    range(start, start + _WRITE_BLOCK),
-                    dataset.noisy_labels[block].tolist(), dataset.true_labels[block].tolist(),
-                    dataset.features[block].tolist(), dataset.logits[block].tolist())))
+        if shares == 1:
+            _write_rows(fh, 0, *columns)
+            return
+        with tempfile.TemporaryDirectory(prefix=".shares-", dir=Path(path).parent) as tmp:
+            helpers = []
+            try:
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    helpers.append(_start_share(tmp, lo, [c[lo:hi] for c in columns]))
+                _write_rows(fh, 0, *(c[:bounds[1]] for c in columns))
+                for lo, hi, helper in zip(bounds[1:-1], bounds[2:], helpers):
+                    if helper is not None and helper.wait() == 0:
+                        fh.flush()
+                        with open(os.path.join(tmp, f"{lo}.csv"), "rb") as part:
+                            shutil.copyfileobj(part, fh.buffer)
+                    else:
+                        _write_rows(fh, lo, *(c[lo:hi] for c in columns))
+            finally:
+                for helper in helpers:
+                    if helper is not None and helper.poll() is None:
+                        helper.kill()
+                        helper.wait()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _start_share(tmp: str, first_id: int, columns: list[np.ndarray]) -> subprocess.Popen | None:
+    """A helper formatting ``columns`` from row id ``first_id`` into
+    ``tmp/{first_id}.csv``; None where it cannot start."""
+    rows = os.path.join(tmp, f"{first_id}.npy")
+    try:
+        with open(rows, "wb") as fh:
+            for column in columns:
+                np.save(fh, column)
+        return subprocess.Popen(
+            [sys.executable, "-c", _SHARE_HELPER, _PACKAGE_PARENT,
+             rows, str(first_id), os.path.join(tmp, f"{first_id}.csv")],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    except OSError:
+        return None
+
+
+def _write_share(rows: str, first_id: str, part: str) -> None:
+    """Helper entry: format the share saved in ``rows`` into ``part``."""
+    with open(rows, "rb") as fh:
+        columns = [np.load(fh) for _ in range(4)]
+    with open(part, "w", encoding="utf-8", newline="\n") as fh:
+        _write_rows(fh, int(first_id), *columns)
+
+
+def _write_rows(fh, first_id: int, noisy: np.ndarray, true: np.ndarray,
+                features: np.ndarray, logits: np.ndarray) -> None:
+    """The one row formatter: ``%d`` ids and labels, ``%r`` floats, with
+    ids counting up from ``first_id``."""
+    row = "%d,%d,%d," + ",".join(["%r"] * (features.shape[1] + logits.shape[1])) + "\n"
+    for start in range(0, noisy.shape[0], _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        fh.write("".join(
+            row % (i, y, t, *f, *g) for i, y, t, f, g in zip(
+                range(first_id + start, first_id + start + _WRITE_BLOCK),
+                noisy[block].tolist(), true[block].tolist(),
+                features[block].tolist(), logits[block].tolist())))

@@ -25,4 +25,4 @@ class MetaStarved(Exception):
 
 
 class NumericalError(Exception):
-    """A training loop produced a non-finite loss."""
+    """A training loop produced a non-finite loss or diverged activations."""

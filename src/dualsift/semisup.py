@@ -21,6 +21,13 @@ from .pipeline import DistillParams, DistillResult, run_distillation
 from .scores import ScoreTable
 from .seeding import derive_seed, rng_from
 
+# Largest |hidden activation| or |logit| a member may show on the train split
+# after warm-up or a round. Healthy members stay near 10 (the 5k benchmark
+# peaks at |h| 3.1 and |logit| 9.7); diverged ones pass 1e6 and keep going.
+MAX_ACTIVATION = 1e4
+# Rows per forward pass of that check, so it adds no memory peak.
+_CHECK_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,6 +90,22 @@ def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
                      for rng in rngs], axis=1)
 
 
+def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
+    """Raise NumericalError when a member's activations on ``x`` left the
+    safe range (or stopped being finite)."""
+    peaks = np.zeros(len(ensemble.w1))
+    for start in range(0, x.shape[0], _CHECK_BLOCK):
+        logits, hidden = ensemble.forward(x[start:start + _CHECK_BLOCK])
+        # np.maximum keeps a NaN, which then fails the bound below
+        peaks = np.maximum(peaks, np.maximum(np.abs(hidden).max(axis=(1, 2)),
+                                             np.abs(logits).max(axis=(1, 2))))
+    for m, peak in enumerate(peaks):
+        if not peak <= MAX_ACTIVATION:
+            raise NumericalError(
+                f"member {m} diverged after {stage}: |activation| {peak:.3g} "
+                f"exceeds {MAX_ACTIVATION:g}")
+
+
 def _train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
                        lr, batch_size, rngs) -> None:
     # one epoch covers the union; labeled and unlabeled batches are drawn in
@@ -115,7 +138,8 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     """Plain cross-entropy SGD on the noisy labels; returns a new ensemble.
 
     Runs ``config.warmup_epochs`` epochs. Each member shuffles with its own
-    derived seed so the members stay decorrelated.
+    derived seed so the members stay decorrelated. Raises NumericalError
+    when a member ends past ``MAX_ACTIVATION`` on the training set.
     """
     targets = _one_hot(dataset.noisy_labels, dataset.num_classes)
     seed = derive_seed(config.seed, "warmup")
@@ -126,6 +150,7 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
             ensemble, dataset.features, targets,
             np.zeros((0, dataset.feature_dim)), np.zeros((0, dataset.num_classes)),
             0.0, 0.0, config.lr, config.batch_size, rngs)
+    _check_alive(ensemble, dataset.features, "warm-up")
     return ensemble
 
 
@@ -150,7 +175,8 @@ def distill_round(
     activations, runs division and purification on those scores, refines
     labels on the clean set with the fused score, co-guesses targets for
     the noisy set, and finally takes one SGD epoch per member on the
-    combined loss against the frozen targets.
+    combined loss against the frozen targets. Raises NumericalError when a
+    member ends past ``MAX_ACTIVATION`` on ``dataset``.
     """
     mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
     derived = dataset.with_representation(embedding, mean_logits)
@@ -173,4 +199,5 @@ def distill_round(
         dataset.features[noisy_ids], guessed,
         train_config.lambda_u, train_config.lambda_r,
         train_config.lr, train_config.batch_size, rngs)
+    _check_alive(ensemble, dataset.features, f"round {round_index}")
     return RoundResult(ensemble, partition, table, result.fallbacks)

@@ -249,6 +249,18 @@ def test_train_unknown_config_key(tmp_path):
     assert run(["train", data, "-o", tmp_path / "out", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--rounds", 2, "--warmup-epochs", 2]])
+def test_train_diverged_ensemble_is_numerical_error(tmp_path, capsys, extra):
+    # lr 1000 blows the members up during warm-up; the run used to exit 0
+    # near chance accuracy with logits up to 1.9e70
+    data = tmp_path / "g.csv"
+    assert run(["generate", "--k", 4, "--d", 8, "--n", 300, "--noise", "asym:0.3",
+                "--seed", 9, "-o", data]) == 0
+    assert run(["train", data, "-o", tmp_path / "out", "--lr", 1000, "--seed", 9, *extra]) == 4
+    assert "diverged after warm-up" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- evaluate
 
 def write_truth(tmp_path, clean_flags):

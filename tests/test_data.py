@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +22,7 @@ from dualsift import (
     split_dataset,
     write_sample_table,
 )
+from dualsift import data
 from dualsift.data import _load_sample_table_lines, _load_sample_table_numpy
 
 
@@ -244,6 +251,124 @@ def test_writer_matches_oracle_on_extremes_single_columns(tmp_path):
     ds = Dataset(values[:, None], values[::-1, None], np.zeros(values.size, dtype=int),
                  np.arange(values.size) % 2 - 1)
     assert_writer_matches_oracle(ds, tmp_path)
+
+
+# -------------------------------------------------------------- share writer
+
+def share_dataset():
+    # 50 rows over 3 shares: rows 0-15 here, 16-32 and 33-49 in helpers
+    return inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=50, seed=4)),
+                        NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=2))
+
+
+@pytest.fixture
+def one_share_bytes(tmp_path):
+    path = tmp_path / "one.csv"
+    write_sample_table(share_dataset(), path)  # 50 rows: below the share threshold
+    return path.read_bytes()
+
+
+class Helpers(list):
+    """The helper processes a write started; set ``command`` to rewrite
+    each helper's argv before it starts."""
+
+    def command(self, args):
+        return args
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """Splits the 50-row table into three shares and records its helpers."""
+    monkeypatch.setattr(data, "_MIN_SHARE_ROWS", 4)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
+    started = Helpers()
+    real_popen = subprocess.Popen
+
+    def popen(args, **kwargs):
+        started.append(real_popen(started.command(args), **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    return started
+
+
+def write_shares(tmp_path):
+    path = tmp_path / "shares.csv"
+    write_sample_table(share_dataset(), path)
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "shares.csv"]
+    return path.read_bytes()
+
+
+def test_share_writer_matches_one_share_writer(tmp_path, one_share_bytes, helpers):
+    out = write_shares(tmp_path)
+    assert [h.returncode for h in helpers] == [0, 0]
+    assert out == one_share_bytes
+    lines = out.decode().splitlines()
+    for lo in (16, 33):
+        # the ids on either side of a share boundary, header on line 0
+        assert lines[lo].startswith(f"{lo - 1},") and lines[lo + 1].startswith(f"{lo},")
+
+
+def test_share_writer_formats_here_when_helper_cannot_start(tmp_path, one_share_bytes,
+                                                             helpers):
+    def cannot_start(args):
+        raise OSError("no helper")
+
+    helpers.command = cannot_start
+    assert write_shares(tmp_path) == one_share_bytes
+    assert helpers == []
+
+
+def test_share_writer_formats_here_when_helper_fails(tmp_path, one_share_bytes, helpers):
+    # the helper leaves a partial part file behind, then exits nonzero
+    helpers.command = lambda args: [
+        sys.executable, "-c",
+        "import sys; open(sys.argv[-1], 'w').write('partial'); sys.exit(3)", *args[3:]]
+    assert write_shares(tmp_path) == one_share_bytes
+    assert [h.returncode for h in helpers] == [3, 3]
+
+
+def test_share_writer_stops_helpers_and_cleans_up_on_error(tmp_path, helpers, monkeypatch):
+    write_rows = data._write_rows
+
+    def failing(fh, first_id, *columns):
+        if first_id == 0:
+            raise RuntimeError("disk gone")
+        write_rows(fh, first_id, *columns)
+
+    monkeypatch.setattr(data, "_write_rows", failing)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_sample_table(share_dataset(), tmp_path / "shares.csv")
+    assert len(helpers) == 2 and all(h.returncode is not None for h in helpers)
+    assert os.listdir(tmp_path) == ["shares.csv"]
+
+
+def test_share_writer_needs_no_main_guard_in_caller(tmp_path, one_share_bytes):
+    # a caller without an ``if __name__ == "__main__"`` guard; re-importing
+    # it in a helper would append a second line to the log
+    script = tmp_path / "caller.py"
+    script.write_text(textwrap.dedent(f"""\
+        import subprocess, sys
+        sys.path.insert(0, {str(Path(data.__file__).parents[1])!r})
+        with open(sys.argv[2], "a") as log:
+            log.write("ran\\n")
+        from dualsift import data, generate_synthetic, inject_noise
+        from dualsift import NoiseKind, NoiseSpec, SyntheticSpec
+        data._MIN_SHARE_ROWS = 4
+        data._usable_cpus = lambda: 3
+        started, real_popen = [], subprocess.Popen
+        subprocess.Popen = lambda *a, **k: started.append(real_popen(*a, **k)) or started[-1]
+        ds = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=50, seed=4)),
+                          NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=2))
+        data.write_sample_table(ds, sys.argv[1])
+        assert [h.returncode for h in started] == [0, 0], started
+    """))
+    out, log = tmp_path / "shares.csv", tmp_path / "log.txt"
+    done = subprocess.run([sys.executable, str(script), str(out), str(log)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert log.read_text() == "ran\n"
+    assert out.read_bytes() == one_share_bytes
 
 
 @pytest.mark.parametrize("column", ["features", "logits"])

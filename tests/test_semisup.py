@@ -28,6 +28,7 @@ from dualsift.classifier import (
     softmax_rows,
 )
 from dualsift import semisup
+from dualsift.errors import NumericalError
 from dualsift.pipeline import DistillParams
 from dualsift.seeding import rng_from
 import reference
@@ -392,6 +393,29 @@ def test_distill_round_deterministic():
     np.testing.assert_array_equal(runs[0].partition.positive_ids, runs[1].partition.positive_ids)
     for m in range(cfg.ensemble_size):
         np.testing.assert_array_equal(runs[0].ensemble.w1[m], runs[1].ensemble.w1[m])
+
+
+def test_check_alive_names_the_member_past_the_limit():
+    ens = make_ensemble(4, 3, TrainConfig(seed=1))
+    x = rng_from(2).standard_normal((30, 4))
+    semisup._check_alive(ens, x, "warm-up")
+    ens.w2[1] *= 10 * semisup.MAX_ACTIVATION
+    with pytest.raises(NumericalError, match="member 1 diverged after warm-up"):
+        semisup._check_alive(ens, x, "warm-up")
+    ens.w2[1] = np.nan
+    with pytest.raises(NumericalError, match="member 1 .* nan exceeds"):
+        semisup._check_alive(ens, x, "round 0")
+    semisup._check_alive(ens, x[:0], "warm-up")  # no rows, nothing to check
+
+
+def test_distill_round_raises_when_members_diverge():
+    ds = generate_synthetic(SyntheticSpec(k=5, d=8, n=600, seed=2))
+    ds = inject_noise(ds, NoiseSpec(NoiseKind.SYMMETRIC, 0.4, seed=4))
+    cfg = TrainConfig(seed=5, warmup_epochs=3)
+    ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+    hot = TrainConfig(seed=5, warmup_epochs=3, lr=100.0)
+    with pytest.raises(NumericalError, match="diverged after round 0"):
+        distill_round(ens, ds, hot, DistillParams(), round_index=0)
 
 
 def test_train_config_validation():
