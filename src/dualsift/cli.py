@@ -30,7 +30,7 @@ from .data import (
 )
 from .division import ThresholdStrategy, write_partition_file, read_partition_file
 from .errors import NumericalError, ParseError
-from .gmm import GmmConfig, Orientation
+from .gmm import GmmConfig
 from .metanet import MetaTrainConfig
 from .metrics import selection_metrics
 from .metrics import accuracy as ensemble_accuracy
@@ -45,7 +45,8 @@ class UsageError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing: defaults, flat key=value config files, flag override
+# configuration plumbing: defaults, flat key=value config files, flag override.
+# Each config key is also the flag --<key with dashes>, typed as its default.
 
 # config key -> field of the config class it sets; each such key takes its
 # default from that field
@@ -104,26 +105,18 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(raw: str, like) -> object:
-    if isinstance(like, int) and not isinstance(like, bool):
-        return int(raw)
-    if isinstance(like, float):
-        return float(raw)
-    return raw
-
-
 def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg[key] = _coerce(raw, defaults[key])
+                cfg[key] = type(defaults[key])(raw)
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -144,8 +137,8 @@ def _parse_noise(text: str) -> NoiseSpec | None:
 def _distill_params(cfg: dict) -> DistillParams:
     gmm_kwargs = _kwargs(cfg, _GMM_KEYS)
     return DistillParams(
-        loss_gmm=GmmConfig(Orientation.SMALLER_MEAN_CLEAN, **gmm_kwargs),
-        feat_gmm=GmmConfig(Orientation.LARGER_MEAN_CLEAN, **gmm_kwargs),
+        loss_gmm=replace(_PARAMS.loss_gmm, **gmm_kwargs),
+        feat_gmm=replace(_PARAMS.feat_gmm, **gmm_kwargs),
         **{key: ThresholdStrategy.parse(cfg[key]) for key in _STRATEGY_KEYS},
         meta=MetaTrainConfig(**_kwargs(cfg, _META_KEYS), seed=derive_seed(cfg["seed"], "meta")),
         meta_hidden=cfg["meta_hidden"],
@@ -296,27 +289,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_config_option(sub: argparse.ArgumentParser) -> None:
+# help text of the flags that carry one, by config key
+_HELP = {
+    "k": "class count",
+    "d": "feature dimension",
+    "n": "sample count",
+    "noise": "sym:R, asym:R, or none",
+    "loss_strategy": "loss-space threshold strategy, e.g. fixed:0.5 noise:0.4 percentile:0.36",
+    "sim_strategy": "feature-space threshold strategy",
+    "fuse_strategy": "fused-score threshold strategy (accept = reject cutoff)",
+}
+
+
+def _add_config_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    for key, default in defaults.items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
+                         help=_HELP.get(key))
     sub.add_argument("--config", help="flat key = value config file; flags override it")
-
-
-def _add_distill_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--loss-strategy", dest="loss_strategy",
-                     help="loss-space threshold strategy, e.g. fixed:0.5 noise:0.4 percentile:0.36")
-    sub.add_argument("--sim-strategy", dest="sim_strategy",
-                     help="feature-space threshold strategy")
-    sub.add_argument("--fuse-strategy", dest="fuse_strategy",
-                     help="fused-score threshold strategy (accept = reject cutoff)")
-    sub.add_argument("--gmm-max-iter", dest="gmm_max_iter", type=int)
-    sub.add_argument("--gmm-tol", dest="gmm_tol", type=float)
-    sub.add_argument("--variance-floor", dest="variance_floor", type=float)
-    sub.add_argument("--min-fit-size", dest="min_fit_size", type=int)
-    sub.add_argument("--meta-lr", dest="meta_lr", type=float)
-    sub.add_argument("--meta-epochs", dest="meta_epochs", type=int)
-    sub.add_argument("--meta-batch", dest="meta_batch", type=int)
-    sub.add_argument("--meta-patience", dest="meta_patience", type=int)
-    sub.add_argument("--meta-hidden", dest="meta_hidden", type=int)
-    sub.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,39 +316,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("generate", help="write a synthetic noisy benchmark")
-    gen.add_argument("--k", type=int, help="class count")
-    gen.add_argument("--d", type=int, help="feature dimension")
-    gen.add_argument("--n", type=int, help="sample count")
-    gen.add_argument("--cluster-spread", dest="cluster_spread", type=float)
-    gen.add_argument("--logit-sharpness", dest="logit_sharpness", type=float)
-    gen.add_argument("--noise", help="sym:R, asym:R, or none")
-    gen.add_argument("--seed", type=int)
     gen.add_argument("-o", "--output", required=True)
-    _add_config_option(gen)
+    _add_config_options(gen, GENERATE_DEFAULTS)
     gen.set_defaults(func=cmd_generate)
 
-    dis = subs.add_parser("distill", help="divide and purify one sample table")
-    dis.add_argument("input")
-    dis.add_argument("-o", "--output", required=True, help="output directory")
-    _add_distill_options(dis)
-    _add_config_option(dis)
-    dis.set_defaults(func=cmd_distill)
-
-    trn = subs.add_parser("train", help="warm up and run distillation rounds")
-    trn.add_argument("input")
-    trn.add_argument("-o", "--output", required=True, help="output directory")
-    trn.add_argument("--warmup-epochs", dest="warmup_epochs", type=int)
-    trn.add_argument("--rounds", type=int)
-    trn.add_argument("--lr", type=float)
-    trn.add_argument("--lambda-u", dest="lambda_u", type=float)
-    trn.add_argument("--lambda-r", dest="lambda_r", type=float)
-    trn.add_argument("--ensemble", type=int)
-    trn.add_argument("--hidden", type=int)
-    trn.add_argument("--batch-size", dest="batch_size", type=int)
-    trn.add_argument("--test-fraction", dest="test_fraction", type=float)
-    _add_distill_options(trn)
-    _add_config_option(trn)
-    trn.set_defaults(func=cmd_train)
+    for name, help_text, defaults, func in (
+        ("distill", "divide and purify one sample table", DISTILL_DEFAULTS, cmd_distill),
+        ("train", "warm up and run distillation rounds", TRAIN_DEFAULTS, cmd_train),
+    ):
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("input")
+        sub.add_argument("-o", "--output", required=True, help="output directory")
+        _add_config_options(sub, defaults)
+        sub.set_defaults(func=func)
 
     ev = subs.add_parser("evaluate", help="score a partition file against ground truth")
     ev.add_argument("partition")
@@ -380,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

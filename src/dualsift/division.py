@@ -22,6 +22,10 @@ from .scores import ScoreTable
 # its posteriors would split the cluster on them, not on label noise.
 MIN_COMPONENT_WEIGHT = 0.01
 
+# Each space's mixture settings: small loss is clean, large similarity is clean.
+LOSS_GMM = GmmConfig(Orientation.SMALLER_MEAN_CLEAN)
+FEAT_GMM = GmmConfig(Orientation.LARGER_MEAN_CLEAN)
+
 PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
 # A sample's tag; its value is the sample's code in a Partition.
 Tag = IntEnum("Tag", PARTITION_TAGS, start=0)
@@ -123,23 +127,18 @@ class Partition:
         object.__setattr__(self, "codes", codes)
 
     @classmethod
-    def from_ids(cls, n_total: int, positive_ids, negative_ids, uncertain_ids,
-                 clean_ids=None, noisy_ids=None, dropped_ids=None) -> "Partition":
-        """Build from division's id sets and, if given, purification's.
-
-        Each group of sets must cover 0..N-1 exactly once, and positives
-        must lie in the clean set and negatives in the noisy set.
-        """
-        codes = _cover(n_total, (positive_ids, negative_ids, uncertain_ids), (Tag.P, Tag.N, Tag.U))
-        judged = (clean_ids, noisy_ids, dropped_ids)
-        if all(ids is None for ids in judged):
-            return cls(codes)
-        if any(ids is None for ids in judged):
-            raise ValueError("clean/noisy/dropped must be set together")
-        final = _cover(n_total, judged, (Tag.C, Tag.UN, Tag.DROPPED))
-        if (final[codes == Tag.P] != Tag.C).any() or (final[codes == Tag.N] != Tag.UN).any():
-            raise ValueError("positives must stay clean and negatives noisy")
-        return cls(np.where(codes == Tag.U, final, codes))
+    def from_ids(cls, n_total: int, positive_ids, negative_ids, uncertain_ids) -> "Partition":
+        """Build from division's P/N/U id sets, which must cover 0..N-1 exactly once."""
+        id_sets = [np.asarray(ids, dtype=np.int64).ravel()
+                   for ids in (positive_ids, negative_ids, uncertain_ids)]
+        flat = np.concatenate(id_sets)
+        if flat.size != n_total or (flat.size and (flat.min() < 0 or flat.max() >= n_total)) \
+                or not np.bincount(flat, minlength=n_total).all():
+            raise ValueError("P/N/U must partition 0..N-1")
+        codes = np.empty(n_total, dtype=np.int8)
+        for tag, ids in zip((Tag.P, Tag.N, Tag.U), id_sets):
+            codes[ids] = tag
+        return cls(codes)
 
     def _having(self, *tags: Tag) -> np.ndarray:
         """Ascending ids whose tag is one of ``tags``."""
@@ -161,19 +160,6 @@ class Partition:
         return np.array(PARTITION_TAGS, dtype=object)[self.codes].tolist()
 
 
-def _cover(n_total: int, id_sets, tags) -> np.ndarray:
-    """Codes for id sets that must cover 0..n_total-1 exactly once."""
-    id_sets = [np.asarray(ids, dtype=np.int64).ravel() for ids in id_sets]
-    flat = np.concatenate(id_sets)
-    if flat.size != n_total or (flat.size and (flat.min() < 0 or flat.max() >= n_total)) \
-            or not np.bincount(flat, minlength=n_total).all():
-        raise ValueError("/".join(tag.name for tag in tags) + " must partition 0..N-1")
-    codes = np.empty(n_total, dtype=np.int8)
-    for tag, ids in zip(tags, id_sets):
-        codes[ids] = tag
-    return codes
-
-
 def _checked_fit(values: np.ndarray, config: GmmConfig):
     """``fit_gmm1d``, with a collapsed component raised as :class:`DegenerateFit`."""
     g = fit_gmm1d(values, config)
@@ -186,8 +172,8 @@ def _checked_fit(values: np.ndarray, config: GmmConfig):
 def compute_posteriors(
     table: ScoreTable,
     clusters: list[NoisyCluster],
-    loss_config: GmmConfig | None = None,
-    feat_config: GmmConfig | None = None,
+    loss_config: GmmConfig = LOSS_GMM,
+    feat_config: GmmConfig = FEAT_GMM,
 ) -> tuple[ScoreTable, list[str]]:
     """Fit per-cluster mixtures in both spaces and fill the posteriors.
 
@@ -196,8 +182,6 @@ def compute_posteriors(
     affected space (routing its members to the uncertain set) and are
     reported in the returned notes.
     """
-    loss_config = loss_config or GmmConfig(Orientation.SMALLER_MEAN_CLEAN)
-    feat_config = feat_config or GmmConfig(Orientation.LARGER_MEAN_CLEAN)
     out = replace(table, posterior_loss=table.posterior_loss.copy(),
                   posterior_sim=table.posterior_sim.copy())
     notes: list[str] = []
@@ -210,12 +194,9 @@ def compute_posteriors(
             out.posterior_loss[ids] = posteriors(g, out.loss_score[ids])
         except DegenerateFit as exc:
             notes.append(f"gmm_degenerate:class={cluster.class_id}:space=loss:{exc}")
-        scored = ids[~out.unscored_sim[ids]]
         try:
-            if scored.size == 0:
-                raise DegenerateFit("no scored members")
-            g = _checked_fit(out.sim_score[scored], feat_config)
-            out.posterior_sim[scored] = posteriors(g, out.sim_score[scored])
+            g = _checked_fit(out.sim_score[ids], feat_config)
+            out.posterior_sim[ids] = posteriors(g, out.sim_score[ids])
         except DegenerateFit as exc:
             notes.append(f"gmm_degenerate:class={cluster.class_id}:space=feature:{exc}")
     return out, notes

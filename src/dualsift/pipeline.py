@@ -10,6 +10,8 @@ import numpy as np
 from .classifier import ToyClassifier
 from .data import Dataset, partition_by_label
 from .division import (
+    FEAT_GMM,
+    LOSS_GMM,
     Partition,
     ThresholdStrategy,
     compute_posteriors,
@@ -17,7 +19,7 @@ from .division import (
     resolve_threshold,
 )
 from .errors import MetaStarved
-from .gmm import GmmConfig, Orientation
+from .gmm import GmmConfig
 from .metanet import (
     MetaTrainConfig,
     build_meta_dataset,
@@ -36,8 +38,8 @@ FALLBACK_LAMBDA = 0.5
 class DistillParams:
     """Everything one division-plus-purification pass needs."""
 
-    loss_gmm: GmmConfig = field(default_factory=lambda: GmmConfig(Orientation.SMALLER_MEAN_CLEAN))
-    feat_gmm: GmmConfig = field(default_factory=lambda: GmmConfig(Orientation.LARGER_MEAN_CLEAN))
+    loss_gmm: GmmConfig = LOSS_GMM
+    feat_gmm: GmmConfig = FEAT_GMM
     loss_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))
     sim_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))
     fuse_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))

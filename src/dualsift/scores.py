@@ -21,24 +21,20 @@ _NORM_EPS = 1e-12
 class ScoreTable:
     """Per-sample scores and posteriors, aligned with sample ids.
 
-    NaN marks an unset posterior or an unscored sample. ``unscored_sim``
-    flags samples whose similarity could not be computed; downstream they
-    are routed to the uncertain set. Each stage derives its output with
-    ``dataclasses.replace``, so tables share the columns a stage does not
-    set; no stage writes into a table it was given.
+    NaN marks an unset posterior or an unscored sample. Each stage derives
+    its output with ``dataclasses.replace``, so tables share the columns a
+    stage does not set; no stage writes into a table it was given.
     """
 
     loss_score: np.ndarray
     sim_score: np.ndarray
-    unscored_sim: np.ndarray
     posterior_loss: np.ndarray
     posterior_sim: np.ndarray
     fused: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> "ScoreTable":
-        scores = [np.full(n, np.nan) for _ in range(5)]
-        return cls(scores[0], scores[1], np.ones(n, dtype=bool), *scores[2:])
+        return cls(*(np.full(n, np.nan) for _ in range(5)))
 
     @property
     def n(self) -> int:
@@ -73,8 +69,7 @@ def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
     """Fill loss and similarity scores for every sample; posteriors stay unset.
 
     Empty clusters contribute nothing. Any sample not covered by the given
-    clusters keeps NaN scores and an unscored flag, which routes it to the
-    uncertain set downstream.
+    clusters keeps NaN scores.
     """
     table = ScoreTable.empty(dataset.n)
     for cluster in clusters:
@@ -85,5 +80,4 @@ def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
         table.loss_score[ids] = _cross_entropy_rows(
             dataset.logits[ids], dataset.noisy_labels[ids])
         table.sim_score[ids] = _cosine_rows(dataset.features[ids], center)
-        table.unscored_sim[ids] = False
     return table

@@ -1,10 +1,18 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from dualsift import Dataset, load_sample_table, write_sample_table
-from dualsift.cli import DISTILL_DEFAULTS, GENERATE_DEFAULTS, TRAIN_DEFAULTS, main
+from dualsift.cli import (
+    DISTILL_DEFAULTS,
+    GENERATE_DEFAULTS,
+    TRAIN_DEFAULTS,
+    _effective_config,
+    build_parser,
+    main,
+)
 
 REPORT_KEYS = {"config", "sizes", "selection", "per_round", "accuracy", "fallbacks"}
 
@@ -42,6 +50,47 @@ def test_defaults_pinned():
                       (TRAIN_DEFAULTS, train)):
         assert got == want
         assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@pytest.mark.parametrize("name, defaults", [
+    ("generate", GENERATE_DEFAULTS), ("distill", DISTILL_DEFAULTS),
+    ("train", TRAIN_DEFAULTS), ("evaluate", {}),
+])
+def test_flags_are_config_keys(name, defaults):
+    # one --<key with dashes> flag per config key, typed as its default
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in subs.choices[name]._actions
+               if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    want = {flag(key) for key in defaults}
+    if defaults:
+        want |= {"-o", "--output", "--config"}
+    assert {opt for a in options for opt in a.option_strings} == want
+    by_dest = {a.dest: a for a in options}
+    for key, default in defaults.items():
+        assert by_dest[key].option_strings == [flag(key)]
+        assert by_dest[key].type is type(default) and by_dest[key].default is None
+
+
+NON_DEFAULT = {int: "7", float: "0.125", str: "percentile:0.3"}
+
+
+@pytest.mark.parametrize("key", sorted(TRAIN_DEFAULTS))
+def test_config_file_value_matches_flag(tmp_path, key):
+    raw = NON_DEFAULT[type(TRAIN_DEFAULTS[key])]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw}\n")
+    parse = build_parser().parse_args
+    head = ["train", "data.csv", "-o", "out"]
+    via_file = _effective_config(TRAIN_DEFAULTS, parse([*head, "--config", str(cfg)]))
+    via_flag = _effective_config(TRAIN_DEFAULTS, parse([*head, flag(key), raw]))
+    assert via_file == via_flag
+    assert via_file[key] != TRAIN_DEFAULTS[key]
+    assert type(via_file[key]) is type(TRAIN_DEFAULTS[key])
 
 
 # ------------------------------------------------------------------- generate
@@ -320,3 +369,16 @@ def test_evaluate_not_utf8_partition_is_data_error(tmp_path, capsys):
 def test_usage_error_exit_code():
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["distill", ".", "-o", "out"], id="distill_directory_input"),
+    pytest.param(["evaluate", ".", "."], id="evaluate_directory_inputs"),
+    pytest.param(["generate", "--n", 50, "-o", "g.csv/x.csv"], id="generate_under_a_file"),
+])
+def test_unusable_path_is_data_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.csv").write_text("")
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -25,7 +25,7 @@ from dualsift import (
     score_dataset,
     write_partition_file,
 )
-from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS
+from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.pipeline import DistillParams, run_distillation
 
@@ -134,7 +134,6 @@ def posterior_table(pp, ps):
     t = ScoreTable.empty(n)
     t.loss_score[:] = 0.0
     t.sim_score[:] = 0.0
-    t.unscored_sim[:] = False
     t.posterior_loss[:] = pp
     t.posterior_sim[:] = ps
     return t
@@ -198,7 +197,6 @@ def test_compute_posteriors_degenerate_class():
     table.sim_score[:10] = np.concatenate([rng.normal(0.9, 0.02, 5), rng.normal(0.2, 0.05, 5)])
     table.loss_score[10:] = 1.0
     table.sim_score[10:] = 0.5
-    table.unscored_sim[:] = False
     filled, notes = compute_posteriors(table, partition_by_label(ds))
     assert len(notes) == 2 and all("class=1" in n for n in notes)
     assert np.isnan(filled.posterior_loss[10:]).all()
@@ -219,7 +217,6 @@ def test_compute_posteriors_reports_collapsed_component():
     table = ScoreTable.empty(500)
     table.loss_score[:] = loss
     table.sim_score[:] = np.concatenate([rng.normal(0.9, 0.02, 250), rng.normal(0.2, 0.05, 250)])
-    table.unscored_sim[:] = False
     clusters = partition_by_label(two_class_dataset([0] * 500))
     filled, notes = compute_posteriors(table, clusters)
     assert notes == ["gmm_degenerate:class=0:space=loss:component weight 0.002 below 0.01"]
@@ -253,20 +250,8 @@ def test_partition_validates_cover():
                            uncertain_ids=np.array([]))
 
 
-def test_partition_validates_purified_consistency():
-    with pytest.raises(ValueError):
-        Partition.from_ids(n_total=2, positive_ids=np.array([0]), negative_ids=np.array([1]),
-                           uncertain_ids=np.array([]), clean_ids=np.array([1]),
-                           noisy_ids=np.array([0]), dropped_ids=np.array([]))
-
-
 def test_partition_file_roundtrip(tmp_path):
-    part = Partition.from_ids(
-        n_total=5,
-        positive_ids=np.array([0]), negative_ids=np.array([1]),
-        uncertain_ids=np.array([2, 3, 4]),
-        clean_ids=np.array([0, 2]), noisy_ids=np.array([1, 3]),
-        dropped_ids=np.array([4]))
+    part = Partition([Tag.P, Tag.N, Tag.C, Tag.UN, Tag.DROPPED])
     path = tmp_path / "part.csv"
     write_partition_file(part, path)
     text = path.read_text()

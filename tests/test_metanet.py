@@ -33,7 +33,6 @@ def table_with(pp, ps, fused=None):
     t = ScoreTable.empty(n)
     t.loss_score[:] = 0.0
     t.sim_score[:] = 0.0
-    t.unscored_sim[:] = False
     t.posterior_loss[:] = pp
     t.posterior_sim[:] = ps
     if fused is not None:

@@ -121,7 +121,6 @@ def test_score_dataset_matches_single_sample_ops():
         expected_sim = cosine_similarity_score(ds.features[i], centers[int(ds.noisy_labels[i])])
         assert table.loss_score[i] == pytest.approx(expected_loss, abs=1e-12)
         assert table.sim_score[i] == pytest.approx(expected_sim, abs=1e-12)
-    assert not table.unscored_sim.any()
     assert np.isnan(table.posterior_loss).all() and np.isnan(table.fused).all()
 
 
