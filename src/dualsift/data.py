@@ -3,17 +3,23 @@
 The on-disk sample-table format is UTF-8 CSV with header
 ``id,noisy_label,true_label,feat_0..feat_{D-1},logit_0..logit_{K-1}``.
 Floats are serialized with full round-trip precision and a true label of
--1 marks an absent ground truth.
+-1 marks an absent ground truth. Beside each table it writes, the writer
+leaves a sidecar ``<table>.npz`` holding the table's arrays and the sha256
+of its bytes, which lets a later load skip the parse.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -257,12 +263,67 @@ def read_text_lines(path: str | Path) -> list[str]:
 def load_sample_table(path: str | Path) -> Dataset:
     """Parse a sample-table CSV. Raises ParseError naming the bad line.
 
-    One ``np.loadtxt`` pass reads every table the line parser would accept
-    with identical values; anything else goes to the line parser, which
-    owns every error message.
+    A sidecar that :func:`write_sample_table` left for the table's current
+    bytes gives the arrays without a parse. Otherwise one ``np.loadtxt``
+    pass reads every table the line parser would accept with identical
+    values; anything else goes to the line parser, which owns every error
+    message.
     """
-    dataset = _load_sample_table_numpy(path)
+    dataset = _load_sample_table_sidecar(path)
+    if dataset is None:
+        dataset = _load_sample_table_numpy(path)
     return _load_sample_table_lines(path) if dataset is None else dataset
+
+
+_SIDECAR_ARRAYS = {"features": np.float64, "logits": np.float64,
+                   "noisy_labels": np.int64, "true_labels": np.int64}
+_SIDECAR_DIGEST = "csv_sha256"
+
+
+def _sidecar_path(path: str | Path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
+    """The arrays of the table's sidecar; None unless it is a regular file
+    owned by the table's owner, holds exactly the four arrays with the dtypes
+    and the shapes the table's header gives, and names the sha256 of the
+    table's current bytes."""
+    sidecar = _sidecar_path(path)
+    try:
+        info = os.stat(sidecar)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.stat(path).st_uid:
+            return None
+        with open(path, encoding="ascii") as fh:
+            d, k = _parse_header(fh.readline())
+        # np.load leaves a file it opened itself open when the zip is bad
+        with open(sidecar, "rb") as fh:
+            saved = np.load(fh, allow_pickle=False)
+            if not isinstance(saved, np.lib.npyio.NpzFile) \
+                    or sorted(saved.files) != sorted([*_SIDECAR_ARRAYS, _SIDECAR_DIGEST]):
+                return None
+            digest = saved[_SIDECAR_DIGEST]
+            if digest.shape != () or digest.dtype.kind != "U" \
+                    or digest.item() != _file_sha256(path):
+                return None
+            arrays = {name: saved[name] for name in _SIDECAR_ARRAYS}
+        # a header-only table must still fail as having no samples
+        n = arrays["noisy_labels"].size
+        shapes = {"features": (n, d), "logits": (n, k), "noisy_labels": (n,), "true_labels": (n,)}
+        if n == 0 or any(arr.dtype != _SIDECAR_ARRAYS[name] or arr.shape != shapes[name]
+                         for name, arr in arrays.items()):
+            return None
+        return Dataset(**arrays)
+    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, ParseError):
+        return None
 
 
 # str.splitlines breaks lines at \x0b \x0c \x1c \x1d \x1e, loadtxt does not;
@@ -368,34 +429,67 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     appended in order. A share whose helper cannot start or exits nonzero
     is formatted here instead. Every share goes through one row formatter,
     so the bytes do not depend on the share count.
+
+    When the output is a regular file, the sidecar ``<path>.npz`` is then
+    written beside it (see :func:`_write_sidecar`).
     """
     d, k = dataset.feature_dim, dataset.num_classes
     columns = (dataset.noisy_labels, dataset.true_labels, dataset.features, dataset.logits)
     shares = max(1, min(_usable_cpus(), dataset.n // _MIN_SHARE_ROWS))
-    bounds = [dataset.n * s // shares for s in range(shares + 1)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         fh.write(",".join(_expected_header(d, k)) + "\n")
         if shares == 1:
             _write_rows(fh, 0, *columns)
-            return
-        with tempfile.TemporaryDirectory(prefix=".shares-", dir=Path(path).parent) as tmp:
-            helpers = []
-            try:
-                for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                    helpers.append(_start_share(tmp, lo, [c[lo:hi] for c in columns]))
-                _write_rows(fh, 0, *(c[:bounds[1]] for c in columns))
-                for lo, hi, helper in zip(bounds[1:-1], bounds[2:], helpers):
-                    if helper is not None and helper.wait() == 0:
-                        fh.flush()
-                        with open(os.path.join(tmp, f"{lo}.csv"), "rb") as part:
-                            shutil.copyfileobj(part, fh.buffer)
-                    else:
-                        _write_rows(fh, lo, *(c[lo:hi] for c in columns))
-            finally:
-                for helper in helpers:
-                    if helper is not None and helper.poll() is None:
-                        helper.kill()
-                        helper.wait()
+        else:
+            _write_shares(fh, path, [dataset.n * s // shares for s in range(shares + 1)],
+                          columns)
+    if regular:
+        _write_sidecar(dataset, path)
+
+
+def _write_shares(fh, path: str | Path, bounds: list[int], columns) -> None:
+    """Format the rows ``bounds[s]:bounds[s + 1]`` of each share into ``fh``
+    in order, all but the first through a helper process."""
+    with tempfile.TemporaryDirectory(prefix=".shares-", dir=Path(path).parent) as tmp:
+        helpers = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                helpers.append(_start_share(tmp, lo, [c[lo:hi] for c in columns]))
+            _write_rows(fh, 0, *(c[:bounds[1]] for c in columns))
+            for lo, hi, helper in zip(bounds[1:-1], bounds[2:], helpers):
+                if helper is not None and helper.wait() == 0:
+                    fh.flush()
+                    with open(os.path.join(tmp, f"{lo}.csv"), "rb") as part:
+                        shutil.copyfileobj(part, fh.buffer)
+                else:
+                    _write_rows(fh, lo, *(c[lo:hi] for c in columns))
+        finally:
+            for helper in helpers:
+                if helper is not None and helper.poll() is None:
+                    helper.kill()
+                    helper.wait()
+
+
+def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
+    """Save the dataset's arrays and the sha256 of the closed table's bytes,
+    with the table's permission bits, to a temp file beside the table, then
+    move it to ``<path>.npz``. The sidecar only spares a later load its
+    parse, so one that cannot be written is left out."""
+    tmp = None
+    try:
+        digest = _file_sha256(path)
+        fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
+                                   dir=Path(path).parent)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **{name: getattr(dataset, name) for name in _SIDECAR_ARRAYS},
+                     **{_SIDECAR_DIGEST: np.array(digest)})
+        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        os.replace(tmp, _sidecar_path(path))
+    except OSError:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
 
 
 def _usable_cpus() -> int:

@@ -29,6 +29,7 @@ FEAT_GMM = GmmConfig(Orientation.LARGER_MEAN_CLEAN)
 PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
 # A sample's tag; its value is the sample's code in a Partition.
 Tag = IntEnum("Tag", PARTITION_TAGS, start=0)
+_TAG_CODES = {tag.name: tag.value for tag in Tag}
 
 
 class StrategyKind(Enum):
@@ -120,9 +121,11 @@ class Partition:
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = np.array(self.codes, dtype=np.int8)
+        codes = np.asarray(self.codes)
+        # range-check before the cast, which would wrap 256 to 0
         if codes.ndim != 1 or ((codes < 0) | (codes >= len(Tag))).any():
             raise ValueError("partition codes must be a 1-D array of Tag values")
+        codes = codes.astype(np.int8)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
 
@@ -244,7 +247,7 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
 
 def read_partition_file(path: str | Path) -> Partition:
     """Parse an ``id,tag`` partition file whose ids are exactly 0..N-1, in any order."""
-    mapping: dict[int, Tag] = {}
+    mapping: dict[int, int] = {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
         if not line.strip():
             continue
@@ -256,14 +259,16 @@ def read_partition_file(path: str | Path) -> Partition:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         tag = parts[1].strip()
-        if tag not in PARTITION_TAGS:
+        code = _TAG_CODES.get(tag)
+        if code is None:
             raise ParseError(f"unknown tag {tag!r}", line=lineno)
         if sample_id in mapping:
             raise ParseError(f"duplicate id {sample_id}", line=lineno)
-        mapping[sample_id] = Tag[tag]
+        mapping[sample_id] = code
     if not mapping:
         raise ParseError("no assignments")
     # the ids are distinct, so they are exactly 0..N-1 when both ends are
     if min(mapping) != 0 or max(mapping) != len(mapping) - 1:
         raise ParseError(f"ids run {min(mapping)}..{max(mapping)}, not 0..{len(mapping) - 1}")
-    return Partition([mapping[i] for i in range(len(mapping))])
+    n = len(mapping)
+    return Partition(np.fromiter(map(mapping.__getitem__, range(n)), dtype=np.int8, count=n))

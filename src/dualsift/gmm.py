@@ -6,6 +6,7 @@ scores; the orientation is explicit configuration, never inferred.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,9 @@ class GmmConfig:
     min_fit_size: int = 8
 
     def __post_init__(self):
+        for name in ("tol", "variance_floor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:

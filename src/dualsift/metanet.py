@@ -56,6 +56,9 @@ class MetaTrainConfig:
     min_delta: float = 1e-4
 
     def __post_init__(self):
+        for name in ("lr", "min_delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.epochs < 1:

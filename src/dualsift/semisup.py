@@ -45,6 +45,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("lr", "lambda_u", "lambda_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.warmup_epochs < 0 or self.rounds < 0:
             raise ValueError("epoch and round counts must be non-negative")
         if self.lr <= 0:

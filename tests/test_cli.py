@@ -234,6 +234,20 @@ def test_distill_bad_meta_hidden_usage_error(tmp_path, capsys, hidden):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("distill", "--gmm-tol"), ("distill", "--variance-floor"), ("distill", "--meta-lr"),
+    ("train", "--lr"), ("train", "--lambda-u"), ("train", "--lambda-r"),
+])
+def test_non_finite_float_flag_usage_error(tmp_path, capsys, command, flag, value):
+    data = small_benchmark(tmp_path, n=600, noise="asym:0.3", seed=9)
+    capsys.readouterr()
+    assert run([command, data, "-o", tmp_path / "o", flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------- train
 
 def test_train_rounds_zero_warmup_only(tmp_path):

@@ -1,12 +1,15 @@
 import os
+import stat
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import reference
 from dualsift import (
@@ -177,10 +180,14 @@ def assert_same_outcome(path):
         assert fast is None
         return
     for ds in [got] if fast is None else [got, fast]:
-        assert isinstance(ds, Dataset)
-        for name in ("features", "logits", "noisy_labels", "true_labels"):
-            a, b = getattr(ds, name), getattr(want, name)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert_bits_equal(ds, want)
+
+
+def assert_bits_equal(got, want):
+    assert isinstance(got, Dataset)
+    for name in ("features", "logits", "noisy_labels", "true_labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE_TABLES))
@@ -221,9 +228,9 @@ def test_write_load_roundtrip_bit_exact(tmp_path_factory, values):
     ds = Dataset(x[:, :1], x[:, 1:], np.zeros(n, dtype=int), np.full(n, -1))
     path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
     write_sample_table(ds, path)
-    back = load_sample_table(path)
-    assert back.features.tobytes() == ds.features.tobytes()
-    assert back.logits.tobytes() == ds.logits.tobytes()
+    # the sidecar serves load_sample_table; the two parsers read the CSV
+    for loader in (load_sample_table, _load_sample_table_numpy, _load_sample_table_lines):
+        assert_bits_equal(loader(path), ds)
 
 
 # ------------------------------------------------------------- writer oracle
@@ -295,7 +302,8 @@ def helpers(monkeypatch):
 def write_shares(tmp_path):
     path = tmp_path / "shares.csv"
     write_sample_table(share_dataset(), path)
-    assert sorted(os.listdir(tmp_path)) == ["one.csv", "shares.csv"]
+    assert sorted(os.listdir(tmp_path)) == ["one.csv", "one.csv.npz", "shares.csv",
+                                            "shares.csv.npz"]
     return path.read_bytes()
 
 
@@ -369,6 +377,197 @@ def test_share_writer_needs_no_main_guard_in_caller(tmp_path, one_share_bytes):
     assert done.returncode == 0, done.stderr
     assert log.read_text() == "ran\n"
     assert out.read_bytes() == one_share_bytes
+
+
+# ------------------------------------------------------------------- sidecar
+
+def sidecar_of(path):
+    return Path(f"{path}.npz")
+
+
+def written_table(tmp_path):
+    ds = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=40, seed=5)),
+                      NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=3))
+    path = tmp_path / "t.csv"
+    write_sample_table(ds, path)
+    return ds, path
+
+
+def refuse(path):
+    raise AssertionError(f"{path} was parsed")
+
+
+@st.composite
+def datasets(draw):
+    k, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    x = draw(hnp.arrays(np.float64, (n, d + k), elements=FINITE))
+    noisy = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    true = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, k - 1)))
+    return Dataset(x[:, :d], x[:, d:], noisy, true)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=datasets())
+def test_sidecar_load_equals_parse(tmp_path_factory, ds):
+    path = tmp_path_factory.mktemp("sidecar") / "t.csv"
+    write_sample_table(ds, path)
+    assert sorted(os.listdir(path.parent)) == ["t.csv", "t.csv.npz"]
+    assert (stat.S_IMODE(sidecar_of(path).stat().st_mode)
+            == stat.S_IMODE(path.stat().st_mode))
+    want = _load_sample_table_lines(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_load_sample_table_numpy", refuse)
+        got = load_sample_table(path)
+    assert_bits_equal(got, want)
+    assert_bits_equal(got, ds)
+
+
+def test_stale_sidecar_gives_the_parse_of_the_new_bytes(tmp_path):
+    ds, path = written_table(tmp_path)
+    text = path.read_text()
+    # the last digit of row 0's last logit
+    end = text.index("\n", text.index("\n") + 1) - 1
+    path.write_text(text[:end] + str((int(text[end]) + 1) % 10) + text[end + 1:])
+    got = load_sample_table(path)
+    assert_bits_equal(got, _load_sample_table_lines(path))
+    assert got.logits[0, -1] != ds.logits[0, -1]
+    assert_bits_equal(ds.subset(np.arange(1, ds.n)), got.subset(np.arange(1, ds.n)))
+
+
+@pytest.mark.parametrize("cell", [b"nan", None], ids=["nan_cell", "ragged_row"])
+def test_table_broken_after_writing_raises_the_parse_error(tmp_path, cell):
+    _, path = written_table(tmp_path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    cells = lines[3].split(b",")  # line 4: row id 2
+    lines[3] = b",".join(cells[:3] + [cell] + cells[4:]) if cell else b",".join(cells[:-1]) + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as with_sidecar:
+        load_sample_table(path)
+    sidecar_of(path).unlink()
+    with pytest.raises(ParseError) as without_sidecar:
+        load_sample_table(path)
+    assert with_sidecar.value.line == without_sidecar.value.line == 4
+    assert str(with_sidecar.value) == str(without_sidecar.value)
+
+
+def save_sidecar(path, **arrays):
+    with open(sidecar_of(path), "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def wrong_digest(path, saved):
+    save_sidecar(path, **{**saved, "csv_sha256": np.array("0" * 64)})
+
+
+def missing_key(path, saved):
+    save_sidecar(path, **{k: v for k, v in saved.items() if k != "true_labels"})
+
+
+def extra_key(path, saved):
+    save_sidecar(path, **saved, ids=np.arange(saved["noisy_labels"].size))
+
+
+def int32_labels(path, saved):
+    save_sidecar(path, **{**saved, "noisy_labels": saved["noisy_labels"].astype(np.int32)})
+
+
+def wrong_d(path, saved):
+    save_sidecar(path, **{**saved, "features": saved["features"][:, 1:]})
+
+
+def object_array(path, saved):
+    save_sidecar(path, **{**saved, "true_labels": saved["true_labels"].astype(object)})
+
+
+def truncated(path, saved):
+    save_sidecar(path, **saved)
+    whole = sidecar_of(path).read_bytes()
+    sidecar_of(path).write_bytes(whole[:len(whole) // 2])
+
+
+def directory(path, saved):
+    sidecar_of(path).mkdir()
+
+
+def foreign_owner(path, saved, monkeypatch):
+    save_sidecar(path, **saved)
+    real_stat = os.stat
+
+    def owned_by_another(p, *args, **kwargs):
+        info = real_stat(p, *args, **kwargs)
+        if os.fspath(p).endswith(".npz"):
+            return os.stat_result((*info[:4], info.st_uid + 1, *info[5:10]))
+        return info
+
+    monkeypatch.setattr(os, "stat", owned_by_another)
+
+
+@pytest.mark.parametrize("spoil", [wrong_digest, missing_key, extra_key, int32_labels, wrong_d,
+                                   object_array, truncated, directory, foreign_owner])
+def test_rejected_sidecar_falls_back_to_the_parse(tmp_path, monkeypatch, spoil):
+    ds, path = written_table(tmp_path)
+    with np.load(sidecar_of(path)) as npz:
+        saved = dict(npz)
+    # shifted features would show if the spoiled sidecar were used
+    saved["features"] = saved["features"] + 1.0
+    sidecar_of(path).unlink()
+    if spoil is foreign_owner:
+        spoil(path, saved, monkeypatch)
+    else:
+        spoil(path, saved)
+    parses = []
+    real_parse = data._load_sample_table_numpy
+    monkeypatch.setattr(data, "_load_sample_table_numpy",
+                        lambda p: parses.append(p) or real_parse(p))
+    assert_bits_equal(load_sample_table(path), ds)
+    assert parses == [path]
+
+
+def test_fifo_at_the_sidecar_path_is_not_opened(tmp_path):
+    ds, path = written_table(tmp_path)
+    sidecar_of(path).unlink()
+    os.mkfifo(sidecar_of(path))
+    # opening the fifo would block; the load runs in a daemon thread so the
+    # test fails instead of hanging
+    loaded = []
+    loader = threading.Thread(target=lambda: loaded.append(load_sample_table(path)), daemon=True)
+    loader.start()
+    loader.join(timeout=60)
+    assert not loader.is_alive()
+    assert_bits_equal(loaded[0], ds)
+
+
+def test_sidecar_that_cannot_be_written_is_left_out(tmp_path):
+    ds, path = written_table(tmp_path)
+    sidecar_of(path).unlink()
+    sidecar_of(path).mkdir()
+    write_sample_table(ds, path)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.npz"]
+    assert sidecar_of(path).is_dir()
+    assert_bits_equal(load_sample_table(path), ds)
+
+
+def test_empty_table_still_has_no_samples(tmp_path):
+    path = tmp_path / "t.csv"
+    write_sample_table(Dataset(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0, dtype=int),
+                               np.zeros(0, dtype=int)), path)
+    with pytest.raises(ParseError, match="no samples"):
+        load_sample_table(path)
+
+
+def test_non_regular_output_gets_no_sidecar(tmp_path):
+    ds, path = written_table(tmp_path)
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    # a writer that went on to read the fifo back would block; it runs in a
+    # daemon thread so the test fails instead of hanging
+    writer = threading.Thread(target=write_sample_table, args=(ds, fifo), daemon=True)
+    writer.start()
+    streamed = fifo.read_bytes()
+    writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert streamed == path.read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "t.csv", "t.csv.npz"]
 
 
 @pytest.mark.parametrize("column", ["features", "logits"])

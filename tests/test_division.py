@@ -244,6 +244,13 @@ def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
 
 # ------------------------------------------------------------ partition object
 
+@pytest.mark.parametrize("codes", [[256, 1, 259], [0, -256], [6], [-1]])
+def test_partition_rejects_codes_outside_the_tags(codes):
+    # 256 and 259 used to wrap to P and C in the int8 cast
+    with pytest.raises(ValueError, match="Tag values"):
+        Partition(np.array(codes))
+
+
 def test_partition_validates_cover():
     with pytest.raises(ValueError):
         Partition.from_ids(n_total=3, positive_ids=np.array([0]), negative_ids=np.array([1]),
