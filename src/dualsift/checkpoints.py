@@ -10,15 +10,15 @@ from typing import Callable
 
 import numpy as np
 
+from .data import repr_rows
 from .errors import ParseError
 
 
 def save_flat_params(path: str | Path, tag: str, dims: tuple[int, ...],
                      arrays: list[np.ndarray]) -> None:
-    lines = [" ".join([tag] + [str(d) for d in dims])]
-    for arr in arrays:
-        lines.extend(repr(float(v)) for v in np.asarray(arr, dtype=np.float64).ravel())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flat = np.concatenate([np.asarray(arr, dtype=np.float64).ravel() for arr in arrays])
+    lines = [" ".join([tag] + [str(d) for d in dims]).encode(), *repr_rows(flat[:, None])]
+    Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
 def load_flat_params(path: str | Path, expected_tag: str,

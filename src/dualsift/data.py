@@ -13,10 +13,7 @@ import contextlib
 import hashlib
 import math
 import os
-import shutil
 import stat
-import subprocess
-import sys
 import tempfile
 import warnings
 import zipfile
@@ -25,6 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .seeding import rng_from
@@ -405,80 +403,67 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
 
 
 # Rows formatted per write; larger blocks raise peak memory.
-_WRITE_BLOCK = 256
-# Fewest rows worth a helper process: several times what its ~0.3 s
-# start-up could have formatted in-process.
-_MIN_SHARE_ROWS = 20_000
-# Puts the parent's dualsift first on the helper's path, then formats a share.
-_SHARE_HELPER = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                 "from dualsift.data import _write_share; _write_share(*sys.argv[2:])")
-_PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_WRITE_BLOCK = 1024
 
 
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset in the sample-table CSV format.
 
-    Floats are written as their Python ``repr`` (shortest round-trip form);
-    rows go out in blocks of ``_WRITE_BLOCK`` to keep memory flat.
-
-    A table of at least ``2 * _MIN_SHARE_ROWS`` rows is split into
-    contiguous shares, one per usable CPU and at least ``_MIN_SHARE_ROWS``
-    rows each. This process formats the first share into the output file
-    while one helper process per other share formats it into a part file
-    in a temporary directory beside the output; the parts are then
-    appended in order. A share whose helper cannot start or exits nonzero
-    is formatted here instead. Every share goes through one row formatter,
-    so the bytes do not depend on the share count.
+    Floats are written as their Python ``repr`` (shortest round-trip form),
+    through :func:`repr_rows`; rows go out in blocks of ``_WRITE_BLOCK`` to
+    keep memory flat.
 
     When the output is a regular file, the sidecar ``<path>.npz`` is then
     written beside it (see :func:`_write_sidecar`).
     """
-    d, k = dataset.feature_dim, dataset.num_classes
-    columns = (dataset.noisy_labels, dataset.true_labels, dataset.features, dataset.logits)
-    shares = max(1, min(_usable_cpus(), dataset.n // _MIN_SHARE_ROWS))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        fh.write(",".join(_expected_header(d, k)) + "\n")
-        if shares == 1:
-            _write_rows(fh, 0, *columns)
-        else:
-            _write_shares(fh, path, [dataset.n * s // shares for s in range(shares + 1)],
-                          columns)
+        for chunk in _table_chunks(dataset):
+            fh.write(chunk)
+            digest.update(chunk)
     if regular:
-        _write_sidecar(dataset, path)
+        _write_sidecar(dataset, path, digest.hexdigest())
 
 
-def _write_shares(fh, path: str | Path, bounds: list[int], columns) -> None:
-    """Format the rows ``bounds[s]:bounds[s + 1]`` of each share into ``fh``
-    in order, all but the first through a helper process."""
-    with tempfile.TemporaryDirectory(prefix=".shares-", dir=Path(path).parent) as tmp:
-        helpers = []
-        try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                helpers.append(_start_share(tmp, lo, [c[lo:hi] for c in columns]))
-            _write_rows(fh, 0, *(c[:bounds[1]] for c in columns))
-            for lo, hi, helper in zip(bounds[1:-1], bounds[2:], helpers):
-                if helper is not None and helper.wait() == 0:
-                    fh.flush()
-                    with open(os.path.join(tmp, f"{lo}.csv"), "rb") as part:
-                        shutil.copyfileobj(part, fh.buffer)
-                else:
-                    _write_rows(fh, lo, *(c[lo:hi] for c in columns))
-        finally:
-            for helper in helpers:
-                if helper is not None and helper.poll() is None:
-                    helper.kill()
-                    helper.wait()
+def _table_chunks(dataset: Dataset):
+    """The table's bytes: the header, then one chunk per ``_WRITE_BLOCK`` rows."""
+    yield (",".join(_expected_header(dataset.feature_dim, dataset.num_classes)) + "\n").encode()
+    for start in range(0, dataset.n, _WRITE_BLOCK):
+        block = slice(start, start + _WRITE_BLOCK)
+        noisy = dataset.noisy_labels[block]
+        labels = repr_rows(np.column_stack(
+            (np.arange(start, start + noisy.size), noisy, dataset.true_labels[block])))
+        values = repr_rows(np.concatenate(
+            (dataset.features[block], dataset.logits[block]), axis=1))
+        yield b"".join([b"%s,%s\n" % row for row in zip(labels, values)])
 
 
-def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
-    """Save the dataset's arrays and the sha256 of the closed table's bytes,
-    with the table's permission bits, to a temp file beside the table, then
-    move it to ``<path>.npz``. The sidecar only spares a later load its
+def repr_rows(block: np.ndarray) -> list[bytes]:
+    """Each row of a non-empty, C-contiguous 2-d int64 or float64 array as
+    the ``repr`` of its values, comma-joined.
+
+    orjson formats float64 with the shortest round-trip digits, as ``repr``
+    does, but without ``repr``'s exponent form below 1e-4 and from 1e16 up,
+    and as ``null`` when not finite. A row holding a nonzero magnitude below
+    1e-4, one of 1e16 or more, or a non-finite value is formatted by
+    ``repr`` instead.
+    """
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].split(b"],[")
+    if block.dtype.kind == "f":
+        mag = np.abs(block)
+        for i in np.flatnonzero((((mag < 1e-4) & (mag > 0)) | ~(mag < 1e16)).any(axis=1)):
+            rows[i] = ",".join(map(repr, block[i].tolist())).encode()
+    return rows
+
+
+def _write_sidecar(dataset: Dataset, path: str | Path, digest: str) -> None:
+    """Save the dataset's arrays and ``digest``, the sha256 of the table's
+    bytes, with the table's permission bits, to a temp file beside the table,
+    then move it to ``<path>.npz``. The sidecar only spares a later load its
     parse, so one that cannot be written is left out."""
     tmp = None
     try:
-        digest = _file_sha256(path)
         fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
                                    dir=Path(path).parent)
         with os.fdopen(fd, "wb") as fh:
@@ -490,48 +475,3 @@ def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
         if tmp is not None:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _start_share(tmp: str, first_id: int, columns: list[np.ndarray]) -> subprocess.Popen | None:
-    """A helper formatting ``columns`` from row id ``first_id`` into
-    ``tmp/{first_id}.csv``; None where it cannot start."""
-    rows = os.path.join(tmp, f"{first_id}.npy")
-    try:
-        with open(rows, "wb") as fh:
-            for column in columns:
-                np.save(fh, column)
-        return subprocess.Popen(
-            [sys.executable, "-c", _SHARE_HELPER, _PACKAGE_PARENT,
-             rows, str(first_id), os.path.join(tmp, f"{first_id}.csv")],
-            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    except OSError:
-        return None
-
-
-def _write_share(rows: str, first_id: str, part: str) -> None:
-    """Helper entry: format the share saved in ``rows`` into ``part``."""
-    with open(rows, "rb") as fh:
-        columns = [np.load(fh) for _ in range(4)]
-    with open(part, "w", encoding="utf-8", newline="\n") as fh:
-        _write_rows(fh, int(first_id), *columns)
-
-
-def _write_rows(fh, first_id: int, noisy: np.ndarray, true: np.ndarray,
-                features: np.ndarray, logits: np.ndarray) -> None:
-    """The one row formatter: ``%d`` ids and labels, ``%r`` floats, with
-    ids counting up from ``first_id``."""
-    row = "%d,%d,%d," + ",".join(["%r"] * (features.shape[1] + logits.shape[1])) + "\n"
-    for start in range(0, noisy.shape[0], _WRITE_BLOCK):
-        block = slice(start, start + _WRITE_BLOCK)
-        fh.write("".join(
-            row % (i, y, t, *f, *g) for i, y, t, f, g in zip(
-                range(first_id + start, first_id + start + _WRITE_BLOCK),
-                noisy[block].tolist(), true[block].tolist(),
-                features[block].tolist(), logits[block].tolist())))

@@ -15,6 +15,11 @@ from .errors import NoCenter
 
 # Norms below this are treated as zero vectors; similarity defaults to 0.
 _NORM_EPS = 1e-12
+# A cluster whose largest feature magnitude lies outside this range is first
+# divided by a power of two: above it norms and dot products overflow, below
+# it norms near the absolute _NORM_EPS floor. The division is exact, and
+# cosines do not depend on scale.
+_FEATURE_RANGE = (2.0 ** -20, 2.0 ** 500)
 
 
 @dataclass
@@ -55,6 +60,15 @@ def class_center(features: np.ndarray, class_id: int) -> np.ndarray:
     return features.mean(axis=0)
 
 
+def _in_range(features: np.ndarray) -> np.ndarray:
+    """``features``, divided by the power of two that brings its largest
+    magnitude into [0.5, 1) when that lies outside ``_FEATURE_RANGE``."""
+    peak = np.abs(features).max()
+    if peak == 0 or _FEATURE_RANGE[0] <= peak <= _FEATURE_RANGE[1]:
+        return features
+    return np.ldexp(features, -np.frexp(peak)[1])
+
+
 def _cosine_rows(features: np.ndarray, center: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(features, axis=1)
     cn = np.linalg.norm(center)
@@ -76,8 +90,8 @@ def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
         ids = cluster.member_ids
         if ids.size == 0:
             continue
-        center = class_center(dataset.features[ids], cluster.class_id)
+        features = _in_range(dataset.features[ids])
         table.loss_score[ids] = _cross_entropy_rows(
             dataset.logits[ids], dataset.noisy_labels[ids])
-        table.sim_score[ids] = _cosine_rows(dataset.features[ids], center)
+        table.sim_score[ids] = _cosine_rows(features, class_center(features, cluster.class_id))
     return table

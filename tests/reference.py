@@ -2,7 +2,7 @@
 
 The package computes scores and losses over whole arrays; these one-sample
 versions are written independently so tests can compare the two. The
-per-element sample-table writer is the byte oracle for the block writer.
+row-at-a-time ``%r`` sample-table writer is the byte oracle for the block writer.
 The (n, 2) EM, the masked sigmoid, the clip-and-mean BCE, the per-batch-gather
 meta training loop, and the zero-buffer mixed loss with its per-step-gather
 epoch are the bit oracles for the package's buffered forms.
@@ -101,15 +101,15 @@ def total_loss(l_labeled: float, l_unlabeled: float, l_reg: float,
 
 
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a dataset in the sample-table CSV format."""
+    """Serialize a dataset in the sample-table CSV format, one ``%d`` and
+    ``%r`` row at a time."""
     d, k = dataset.feature_dim, dataset.num_classes
-    out = [",".join(_expected_header(d, k))]
-    for i in range(dataset.n):
-        cells = [str(i), str(int(dataset.noisy_labels[i])), str(int(dataset.true_labels[i]))]
-        cells += [repr(float(v)) for v in dataset.features[i]]
-        cells += [repr(float(v)) for v in dataset.logits[i]]
-        out.append(",".join(cells))
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
+    row = "%d,%d,%d," + ",".join(["%r"] * (d + k)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(_expected_header(d, k)) + "\n")
+        fh.writelines(row % (i, y, t, *f, *g) for i, (y, t, f, g) in enumerate(zip(
+            dataset.noisy_labels.tolist(), dataset.true_labels.tolist(),
+            dataset.features.tolist(), dataset.logits.tolist())))
 
 
 def _log_pdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 import argparse
 import json
+import os
+import subprocess
 
 import numpy as np
 import pytest
@@ -103,6 +105,16 @@ def test_generate_row_count(tmp_path, capsys):
     ds = load_sample_table(out)
     assert ds.n == 5000 and ds.num_classes == 10 and ds.feature_dim == 16
     assert "flipped=" in capsys.readouterr().out
+
+
+def test_generate_starts_no_child_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a child process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert run(["generate", "--n", 50_000, "--seed", 1, "-o", tmp_path / "g.csv"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.npz"]
 
 
 def test_generate_byte_identical(tmp_path):

@@ -1,8 +1,5 @@
 import os
 import stat
-import subprocess
-import sys
-import textwrap
 import threading
 from pathlib import Path
 
@@ -260,123 +257,39 @@ def test_writer_matches_oracle_on_extremes_single_columns(tmp_path):
     assert_writer_matches_oracle(ds, tmp_path)
 
 
-# -------------------------------------------------------------- share writer
-
-def share_dataset():
-    # 50 rows over 3 shares: rows 0-15 here, 16-32 and 33-49 in helpers
-    return inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=50, seed=4)),
-                        NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=2))
-
-
-@pytest.fixture
-def one_share_bytes(tmp_path):
-    path = tmp_path / "one.csv"
-    write_sample_table(share_dataset(), path)  # 50 rows: below the share threshold
-    return path.read_bytes()
+# repr's exponent edges, the extremes of float64, and signed zeros
+EDGE_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+               1e-4, float(np.nextafter(1e-4, 0)), 1e16, float(np.nextafter(1e16, 0)),
+               1.7976931348623157e308]
+EDGES = st.sampled_from(EDGE_VALUES + [-v for v in EDGE_VALUES])
 
 
-class Helpers(list):
-    """The helper processes a write started; set ``command`` to rewrite
-    each helper's argv before it starts."""
-
-    def command(self, args):
-        return args
-
-
-@pytest.fixture
-def helpers(monkeypatch):
-    """Splits the 50-row table into three shares and records its helpers."""
-    monkeypatch.setattr(data, "_MIN_SHARE_ROWS", 4)
-    monkeypatch.setattr(data, "_usable_cpus", lambda: 3)
-    started = Helpers()
-    real_popen = subprocess.Popen
-
-    def popen(args, **kwargs):
-        started.append(real_popen(started.command(args), **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(subprocess, "Popen", popen)
-    return started
+@st.composite
+def datasets(draw, elements=FINITE, max_n=20):
+    k, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, max_n))
+    x = draw(hnp.arrays(np.float64, (n, d + k), elements=elements))
+    noisy = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    true = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, k - 1)))
+    return Dataset(x[:, :d], x[:, d:], noisy, true)
 
 
-def write_shares(tmp_path):
-    path = tmp_path / "shares.csv"
-    write_sample_table(share_dataset(), path)
-    assert sorted(os.listdir(tmp_path)) == ["one.csv", "one.csv.npz", "shares.csv",
-                                            "shares.csv.npz"]
-    return path.read_bytes()
+@settings(max_examples=200, deadline=None)
+@given(ds=datasets(FINITE | EDGES, max_n=40))
+def test_writer_bytes_equal_reference(tmp_path_factory, ds):
+    assert_writer_matches_oracle(ds, tmp_path_factory.mktemp("oracle"))
 
 
-def test_share_writer_matches_one_share_writer(tmp_path, one_share_bytes, helpers):
-    out = write_shares(tmp_path)
-    assert [h.returncode for h in helpers] == [0, 0]
-    assert out == one_share_bytes
-    lines = out.decode().splitlines()
-    for lo in (16, 33):
-        # the ids on either side of a share boundary, header on line 0
-        assert lines[lo].startswith(f"{lo - 1},") and lines[lo + 1].startswith(f"{lo},")
-
-
-def test_share_writer_formats_here_when_helper_cannot_start(tmp_path, one_share_bytes,
-                                                             helpers):
-    def cannot_start(args):
-        raise OSError("no helper")
-
-    helpers.command = cannot_start
-    assert write_shares(tmp_path) == one_share_bytes
-    assert helpers == []
-
-
-def test_share_writer_formats_here_when_helper_fails(tmp_path, one_share_bytes, helpers):
-    # the helper leaves a partial part file behind, then exits nonzero
-    helpers.command = lambda args: [
-        sys.executable, "-c",
-        "import sys; open(sys.argv[-1], 'w').write('partial'); sys.exit(3)", *args[3:]]
-    assert write_shares(tmp_path) == one_share_bytes
-    assert [h.returncode for h in helpers] == [3, 3]
-
-
-def test_share_writer_stops_helpers_and_cleans_up_on_error(tmp_path, helpers, monkeypatch):
-    write_rows = data._write_rows
-
-    def failing(fh, first_id, *columns):
-        if first_id == 0:
-            raise RuntimeError("disk gone")
-        write_rows(fh, first_id, *columns)
-
-    monkeypatch.setattr(data, "_write_rows", failing)
-    with pytest.raises(RuntimeError, match="disk gone"):
-        write_sample_table(share_dataset(), tmp_path / "shares.csv")
-    assert len(helpers) == 2 and all(h.returncode is not None for h in helpers)
-    assert os.listdir(tmp_path) == ["shares.csv"]
-
-
-def test_share_writer_needs_no_main_guard_in_caller(tmp_path, one_share_bytes):
-    # a caller without an ``if __name__ == "__main__"`` guard; re-importing
-    # it in a helper would append a second line to the log
-    script = tmp_path / "caller.py"
-    script.write_text(textwrap.dedent(f"""\
-        import subprocess, sys
-        sys.path.insert(0, {str(Path(data.__file__).parents[1])!r})
-        with open(sys.argv[2], "a") as log:
-            log.write("ran\\n")
-        from dualsift import data, generate_synthetic, inject_noise
-        from dualsift import NoiseKind, NoiseSpec, SyntheticSpec
-        data._MIN_SHARE_ROWS = 4
-        data._usable_cpus = lambda: 3
-        started, real_popen = [], subprocess.Popen
-        subprocess.Popen = lambda *a, **k: started.append(real_popen(*a, **k)) or started[-1]
-        ds = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=50, seed=4)),
-                          NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=2))
-        data.write_sample_table(ds, sys.argv[1])
-        assert [h.returncode for h in started] == [0, 0], started
-    """))
-    out, log = tmp_path / "shares.csv", tmp_path / "log.txt"
-    done = subprocess.run([sys.executable, str(script), str(out), str(log)],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert log.read_text() == "ran\n"
-    assert out.read_bytes() == one_share_bytes
+def test_writer_matches_oracle_on_block_edges(tmp_path):
+    # odd values on the last row of one block and the first of the next
+    n = 2 * data._WRITE_BLOCK + 1
+    ds = generate_synthetic(SyntheticSpec(k=3, d=2, n=n, seed=7))
+    features = ds.features.copy()
+    for row in (0, data._WRITE_BLOCK - 1, data._WRITE_BLOCK, 2 * data._WRITE_BLOCK - 1, n - 1):
+        features[row] = EDGE_VALUES[row % len(EDGE_VALUES)], -5e-324
+    assert_writer_matches_oracle(ds.with_representation(features, ds.logits), tmp_path)
+    # the sidecar names the digest of every block written, not just the first
+    with np.load(sidecar_of(tmp_path / "ours.csv")) as saved:
+        assert saved["csv_sha256"].item() == data._file_sha256(tmp_path / "ours.csv")
 
 
 # ------------------------------------------------------------------- sidecar
@@ -395,15 +308,6 @@ def written_table(tmp_path):
 
 def refuse(path):
     raise AssertionError(f"{path} was parsed")
-
-
-@st.composite
-def datasets(draw):
-    k, d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 20))
-    x = draw(hnp.arrays(np.float64, (n, d + k), elements=FINITE))
-    noisy = draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1)))
-    true = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, k - 1)))
-    return Dataset(x[:, :d], x[:, d:], noisy, true)
 
 
 @settings(max_examples=60, deadline=None)

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dualsift import Dataset, NoCenter, class_center, partition_by_label, score_dataset
 from reference import cosine_similarity_score, cross_entropy_score
@@ -147,3 +148,22 @@ def test_score_dataset_deterministic_and_ordered(benchmark40):
     np.testing.assert_array_equal(a.loss_score, b.loss_score)
     np.testing.assert_array_equal(a.sim_score, b.sim_score)
     assert a.n == benchmark40.n
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 5)),
+                  elements=st.floats(-10, 10)),
+       st.floats(-300, 300), st.floats(1, 10))
+def test_similarities_invariant_to_cluster_scale(features, exponent, mantissa):
+    norms = np.linalg.norm(features, axis=1)
+    # keep every row and the centre clear of the zero-norm convention; the
+    # exponent keeps the scaled values normal, so the scaling itself is exact
+    assume(norms.min() > 0.1 and np.linalg.norm(features.mean(axis=0)) > 0.1)
+    n = features.shape[0]
+
+    def sims(x):
+        ds = Dataset(x, np.zeros((n, 1)), np.zeros(n, dtype=int), np.zeros(n, dtype=int))
+        return score_dataset(ds, partition_by_label(ds)).sim_score
+
+    scaled = features * (mantissa * 10.0 ** exponent)
+    np.testing.assert_allclose(sims(scaled), sims(features), rtol=1e-9, atol=1e-9)

@@ -28,6 +28,7 @@ from dualsift.classifier import (
     softmax_rows,
 )
 from dualsift import semisup
+from dualsift.checkpoints import save_flat_params
 from dualsift.errors import NumericalError
 from dualsift.pipeline import DistillParams
 from dualsift.seeding import rng_from
@@ -180,6 +181,15 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
         bad.write_text(header + "\n0.0\n")
         with pytest.raises(ParseError, match="line 1"):
             load_classifier_checkpoint(bad)
+
+
+def test_checkpoint_writes_each_value_as_its_repr(tmp_path):
+    # orjson writes null for non-finite values; they take the repr path
+    arrays = [np.array([[0.1, -0.0], [1e16, np.nan]]), np.array([5e-324, -np.inf, 1e-4])]
+    path = tmp_path / "p.txt"
+    save_flat_params(path, "tag", (2, 3), arrays)
+    values = [repr(float(v)) for arr in arrays for v in arr.ravel()]
+    assert path.read_text() == "\n".join(["tag 2 3", *values]) + "\n"
 
 
 def test_stacked_members_match_unstacked():
