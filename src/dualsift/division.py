@@ -246,7 +246,54 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
 
 
 def read_partition_file(path: str | Path) -> Partition:
-    """Parse an ``id,tag`` partition file whose ids are exactly 0..N-1, in any order."""
+    """Parse an ``id,tag`` partition file whose ids are exactly 0..N-1, in any order.
+
+    One numpy pass over the bytes reads a file of strict ``digits,TAG\\n``
+    lines; anything else goes to the line parser, which owns every error
+    message.
+    """
+    partition = _read_partition_numpy(path)
+    return _read_partition_lines(path) if partition is None else partition
+
+
+_TAG_BYTES = [(np.frombuffer(tag.name.encode(), dtype=np.uint8), tag) for tag in Tag]
+
+
+def _read_partition_numpy(path: str | Path) -> Partition | None:
+    """The fast path of :func:`read_partition_file`; None where it cannot vouch
+    for giving the line parser's result."""
+    try:
+        raw = np.fromfile(path, dtype=np.uint8)
+    except (OSError, ValueError):
+        return None
+    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+    n = ends.size
+    if n == 0 or commas.size != n or ends[-1] != raw.size - 1:
+        return None
+    id_len, tag_len = commas - np.r_[0, ends[:-1] + 1], ends - commas - 1
+    # one comma inside each line; a longer id has leading zeros or exceeds n - 1
+    if id_len.min() < 1 or tag_len.min() < 1 or id_len.max() > len(str(n - 1)):
+        return None
+    ids, codes = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
+    for place in range(1, id_len.max() + 1):
+        rows = np.flatnonzero(id_len >= place)
+        digits = raw[commas[rows] - place].astype(np.int64) - ord("0")
+        if ((digits < 0) | (digits > 9)).any():
+            return None
+        ids[rows] += digits * 10 ** (place - 1)
+    for name, tag in _TAG_BYTES:
+        rows = np.flatnonzero(tag_len == name.size)
+        match = (raw[commas[rows, None] + np.arange(1, name.size + 1)] == name).all(axis=1)
+        codes[rows[match]] = tag
+    if (codes < 0).any() or ids.max() >= n or not np.bincount(ids, minlength=n).all():
+        return None
+    by_id = np.empty(n, dtype=np.int8)
+    by_id[ids] = codes
+    return Partition(by_id)
+
+
+def _read_partition_lines(path: str | Path) -> Partition:
+    """Line-by-line parser; the error path of :func:`read_partition_file`."""
     mapping: dict[int, int] = {}
     for lineno, line in enumerate(read_text_lines(path), start=1):
         if not line.strip():

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateFit
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_LOWEST = float(np.finfo(np.float64).min)
 
 
 class Orientation(Enum):
@@ -69,12 +70,14 @@ def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
     return np.add(out, np.log(weights)[:, None], out=out)
 
 
-def _row_sums(a: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    # Sequential left-to-right sums of each row; the fits, and with them
-    # partition files and checkpoints, are pinned to this order, which
-    # pairwise ``sum(axis=1)`` would round differently. Returns a view
-    # into ``scratch``.
-    return np.add.accumulate(a, axis=1, out=scratch)[:, -1]
+def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``max(a, b) + log1p(exp(-|a - b|))`` into ``out``, using the (2, n)
+    ``scratch``. Equal arguments give ``a + log 2``; (-inf, -inf) gives -inf."""
+    lo, hi = scratch
+    np.maximum(a, b, out=out)
+    # -|a - b| = min - max, with the max lifted off -inf: -inf - _LOWEST is -inf, not nan
+    np.subtract(np.minimum(a, b, out=lo), np.maximum(out, _LOWEST, out=hi), out=lo)
+    return np.add(out, np.log1p(np.exp(lo, out=lo), out=lo), out=out)
 
 
 def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
@@ -101,18 +104,16 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
     variances = np.full(2, max(float(np.var(x)), config.variance_floor))
     weights = np.full(2, 0.5)
 
-    # (2, n) work buffers reused by every iteration
+    # (2, n) work buffers reused by every iteration; resp is E-step scratch till written
     log_joint = np.empty((2, x.size))
     resp = np.empty_like(log_joint)
-    scratch = np.empty_like(log_joint)
     log_norm = np.empty(x.size)
     lls: list[float] = []
     converged = False
     for _ in range(config.max_iter):
         # E step, in the log domain for stability
         _log_joint(x, weights, means, variances, out=log_joint)
-        np.logaddexp(log_joint[0], log_joint[1], out=log_norm)
-        ll = float(log_norm.sum())
+        ll = float(_logaddexp(log_joint[0], log_joint[1], log_norm, resp).sum())
         lls.append(ll)
         if len(lls) > 1 and abs(ll - lls[-2]) <= config.tol * max(1.0, abs(lls[-2])):
             converged = True
@@ -121,13 +122,12 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
         # M step; tiny responsibility mass is floored so a dying component
         # cannot divide by zero. log_joint, and resp once read, serve as
         # scratch until the next E step rewrites them.
-        nk = np.maximum(_row_sums(resp, scratch), 1e-12)
+        nk = np.maximum(resp.sum(axis=1), 1e-12)
         weights = nk / nk.sum()
-        means = _row_sums(np.multiply(resp, x, out=log_joint), scratch) / nk
+        means = np.multiply(resp, x, out=log_joint).sum(axis=1) / nk
         diff = np.subtract(x, means[:, None], out=log_joint)
-        np.multiply(resp, diff, out=scratch)
-        np.multiply(scratch, diff, out=scratch)
-        variances = np.maximum(_row_sums(scratch, resp) / nk, config.variance_floor)
+        np.multiply(np.multiply(resp, diff, out=resp), diff, out=resp)
+        variances = np.maximum(resp.sum(axis=1) / nk, config.variance_floor)
 
     clean = int(np.argmin(means)
                 if config.orientation is Orientation.SMALLER_MEAN_CLEAN
@@ -145,5 +145,5 @@ def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
     log_joint = _log_joint(x, gmm.weights, gmm.means, gmm.variances, out=np.empty((2, x.size)))
-    log_norm = np.logaddexp(log_joint[0], log_joint[1])
+    log_norm = _logaddexp(log_joint[0], log_joint[1], np.empty(x.size), np.empty_like(log_joint))
     return np.exp(np.subtract(log_joint[gmm.clean_component], log_norm, out=log_norm), out=log_norm)

@@ -3,9 +3,11 @@
 The package computes scores and losses over whole arrays; these one-sample
 versions are written independently so tests can compare the two. The
 row-at-a-time ``%r`` sample-table writer is the byte oracle for the block writer.
-The (n, 2) EM, the masked sigmoid, the clip-and-mean BCE, the per-batch-gather
-meta training loop, and the zero-buffer mixed loss with its per-step-gather
-epoch are the bit oracles for the package's buffered forms.
+The one-array-per-component EM, the masked sigmoid, the clip-and-mean BCE, the
+per-batch-gather meta training loop, and the zero-buffer mixed loss with its
+per-step-gather epoch are the bit oracles for the package's buffered forms.
+The (n, 2) EM with left-to-right sums and ``np.logaddexp`` is the fit as it was
+before pairwise sums; the package stays close to it, not equal.
 """
 import warnings
 from pathlib import Path
@@ -112,14 +114,20 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
             dataset.features.tolist(), dataset.logits.tolist())))
 
 
-def _log_pdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    # (n, 2) log density of each point under each component
-    diff = x[:, None] - means[None, :]
-    return -0.5 * (diff * diff / variances[None, :] + np.log(variances)[None, :] + _LOG_2PI)
+def _log_joint(x: np.ndarray, weight: float, mean: float, variance: float) -> np.ndarray:
+    # log weight plus log density of each point under one component
+    diff = x - mean
+    return np.log(weight) + -0.5 * (diff * diff / variance + np.log(variance) + _LOG_2PI)
+
+
+def logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``log(exp(a) + exp(b))`` of finite arrays, in the package's form."""
+    return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
 
 
 def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
-    """EM fit with deterministic percentile initialization.
+    """EM fit with deterministic percentile initialization, one 1-D array
+    per component.
 
     Component means start at the 10th and 90th percentiles, weights equal,
     both variances at the sample variance. Iterates until the relative
@@ -145,22 +153,20 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
     lls: list[float] = []
     converged = False
     for _ in range(config.max_iter):
-        # E step, in the log domain for stability
-        log_joint = np.log(weights)[None, :] + _log_pdf(x, means, variances)
-        log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        log_joint = [_log_joint(x, weights[k], means[k], variances[k]) for k in (0, 1)]
+        log_norm = logaddexp(*log_joint)
         ll = float(log_norm.sum())
         lls.append(ll)
         if len(lls) > 1 and abs(ll - lls[-2]) <= config.tol * max(1.0, abs(lls[-2])):
             converged = True
             break
-        resp = np.exp(log_joint - log_norm[:, None])
-        # M step; tiny responsibility mass is floored so a dying component
-        # cannot divide by zero
-        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        resp = [np.exp(lj - log_norm) for lj in log_joint]
+        nk = np.maximum(np.array([r.sum() for r in resp]), 1e-12)
         weights = nk / nk.sum()
-        means = (resp * x[:, None]).sum(axis=0) / nk
-        diff = x[:, None] - means[None, :]
-        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, config.variance_floor)
+        means = np.array([(r * x).sum() for r in resp]) / nk
+        variances = np.maximum(
+            np.array([(r * (x - m) * (x - m)).sum() for r, m in zip(resp, means)]) / nk,
+            config.variance_floor)
 
     clean = int(np.argmin(means)
                 if config.orientation is Orientation.SMALLER_MEAN_CLEAN
@@ -177,6 +183,59 @@ def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(x)):
         raise ValueError("values must be finite")
+    log_joint = [_log_joint(x, gmm.weights[k], gmm.means[k], gmm.variances[k]) for k in (0, 1)]
+    return np.exp(log_joint[gmm.clean_component] - logaddexp(*log_joint))
+
+
+def _log_pdf(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    # (n, 2) log density of each point under each component
+    diff = x[:, None] - means[None, :]
+    return -0.5 * (diff * diff / variances[None, :] + np.log(variances)[None, :] + _LOG_2PI)
+
+
+def sequential_fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
+    """The fit as it was before pairwise sums: an (n, 2) layout whose
+    axis-0 sums run left to right, and ``np.logaddexp``. Same checks and
+    initialization as :func:`fit_gmm1d`."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    if x.size < config.min_fit_size or np.ptp(x) == 0.0:
+        raise DegenerateFit("too few or identical values")
+    means = np.quantile(x, [0.1, 0.9])
+    if means[0] == means[1]:
+        means = np.array([x.min(), x.max()])
+    variances = np.full(2, max(float(np.var(x)), config.variance_floor))
+    weights = np.full(2, 0.5)
+
+    lls: list[float] = []
+    converged = False
+    for _ in range(config.max_iter):
+        log_joint = np.log(weights)[None, :] + _log_pdf(x, means, variances)
+        log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
+        ll = float(log_norm.sum())
+        lls.append(ll)
+        if len(lls) > 1 and abs(ll - lls[-2]) <= config.tol * max(1.0, abs(lls[-2])):
+            converged = True
+            break
+        resp = np.exp(log_joint - log_norm[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / nk.sum()
+        means = (resp * x[:, None]).sum(axis=0) / nk
+        diff = x[:, None] - means[None, :]
+        variances = np.maximum((resp * diff * diff).sum(axis=0) / nk, config.variance_floor)
+
+    clean = int(np.argmin(means)
+                if config.orientation is Orientation.SMALLER_MEAN_CLEAN
+                else np.argmax(means))
+    return Gmm1d(
+        weights=weights, means=means, variances=variances,
+        clean_component=clean, converged=converged, iterations=len(lls),
+        log_likelihoods=np.asarray(lls),
+    )
+
+
+def sequential_posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
+    """:func:`posteriors` through ``np.logaddexp`` on the (n, 2) layout."""
+    x = np.asarray(values, dtype=np.float64).ravel()
     log_joint = np.log(gmm.weights)[None, :] + _log_pdf(x, gmm.means, gmm.variances)
     log_norm = np.logaddexp(log_joint[:, 0], log_joint[:, 1])
     return np.exp(log_joint[:, gmm.clean_component] - log_norm)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from dualsift import (
     score_dataset,
     write_partition_file,
 )
+from dualsift import division
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.pipeline import DistillParams, run_distillation
@@ -285,6 +288,55 @@ def test_partition_file_roundtrip_codes(tmp_path_factory, codes):
     path = tmp_path_factory.mktemp("part") / "part.csv"
     write_partition_file(part, path)
     np.testing.assert_array_equal(read_partition_file(path).codes, part.codes)
+
+
+@settings(max_examples=50, deadline=None)
+@given(codes=st.lists(st.integers(0, len(PARTITION_TAGS) - 1), min_size=1, max_size=1200),
+       data=st.data())
+def test_partition_fast_read_matches_line_parser_on_shuffled_files(tmp_path_factory, codes, data):
+    order = data.draw(st.permutations(range(len(codes))))
+    path = tmp_path_factory.mktemp("part") / "part.csv"
+    path.write_bytes("".join(f"{i},{PARTITION_TAGS[codes[i]]}\n" for i in order).encode())
+    fast = division._read_partition_numpy(path)
+    assert fast is not None
+    np.testing.assert_array_equal(fast.codes, division._read_partition_lines(path).codes)
+    np.testing.assert_array_equal(fast.codes, codes)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("1,N\r\n0,P\r\n", id="crlf"),
+    pytest.param("0,P\r1,N\r", id="cr"),
+    pytest.param("0,P\n\n1,N\n", id="blank_line"),
+    pytest.param("0,P\n1,N", id="no_final_newline"),
+    pytest.param("0,P\n1,N\n2", id="unterminated_last_line"),
+    pytest.param("+0,P\n1,N\n", id="sign"),
+    pytest.param("0,P\n+,N\n", id="sign_alone"),
+    pytest.param(" 0,P\n1, N\n", id="spaces"),
+    pytest.param("00,P\n1,N\n", id="leading_zero"),
+    pytest.param("0,P\n\u0661,N\n", id="non_ascii_digit"),
+    pytest.param("0,P\n1,\u00dcN\n", id="non_ascii_tag"),
+    pytest.param("0,P\n0,N\n", id="duplicate_id"),
+    pytest.param("0,P\n1,X\n", id="unknown_tag"),
+    pytest.param("0,p\n1,N\n", id="lower_case_tag"),
+    pytest.param("0,P,N\n", id="three_fields"),
+    pytest.param(",P\n", id="empty_id"),
+    pytest.param("0,\n", id="empty_tag"),
+    pytest.param("0,P\n2,N\n", id="gap"),
+    pytest.param("0,P\n10,N\n", id="id_past_n"),
+    pytest.param("-1,P\n0,N\n", id="negative_id"),
+    pytest.param("", id="empty_file"),
+])
+def test_partition_fast_read_leaves_irregular_files_to_line_parser(tmp_path, text):
+    path = tmp_path / "part.csv"
+    path.write_bytes(text.encode())
+    assert division._read_partition_numpy(path) is None
+    try:
+        want = division._read_partition_lines(path)
+    except ParseError as exc:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
+            read_partition_file(path)
+    else:
+        np.testing.assert_array_equal(read_partition_file(path).codes, want.codes)
 
 
 @settings(max_examples=50, deadline=None)

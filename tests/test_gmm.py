@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference
-from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
+from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, gmm, posteriors
 
 
 def mixture_sample(n=2000, seed=0):
@@ -108,27 +108,75 @@ def test_config_validation():
         GmmConfig(Orientation.SMALLER_MEAN_CLEAN, tol=0.0)
 
 
-# ------------------------------------------------- buffered EM against the oracle
+# ------------------------------------------------------------ the log-sum-exp helper
+
+def logaddexp(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return gmm._logaddexp(a, b, np.empty(a.size), np.empty((2, a.size)))
+
+
+def test_logaddexp_equal_arguments_add_log_2():
+    l = np.array([-745.0, -3.5, 0.0, 1e-300, 2.25, 7e300])
+    assert np.array_equal(logaddexp(l, l), l + np.log(2.0))
+
+
+def test_logaddexp_of_minus_inf_is_the_other_argument():
+    other = np.array([-1e300, -2.5, 0.0, 3.75, 1e300])
+    minus_inf = np.full(other.size, -np.inf)
+    assert np.array_equal(logaddexp(other, minus_inf), other)
+    assert np.array_equal(logaddexp(minus_inf, other), other)
+
+
+def test_logaddexp_of_two_minus_inf_is_minus_inf():
+    # the suite turns any RuntimeWarning into an error
+    assert np.array_equal(logaddexp([-np.inf], [-np.inf]), [-np.inf])
+
+
+finite = st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(finite, finite), min_size=1, max_size=50))
+def test_logaddexp_matches_numpy(pairs):
+    a, b = np.array(pairs).T
+    np.testing.assert_allclose(logaddexp(a, b), np.logaddexp(a, b), rtol=1e-14)
+
+
+# ------------------------------------------------- buffered EM against the oracles
 
 MIN_FIT_SIZE = GmmConfig(Orientation.SMALLER_MEAN_CLEAN).min_fit_size
 
 
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(MIN_FIT_SIZE, 20_000), seed=st.integers(0, 2**32 - 1),
-       outlier=st.booleans(), max_iter=st.sampled_from([1, 3, 100]),
-       orientation=st.sampled_from(list(Orientation)))
-@example(n=MIN_FIT_SIZE, seed=0, outlier=False, max_iter=100,
-         orientation=Orientation.SMALLER_MEAN_CLEAN)
-@example(n=20_000, seed=1, outlier=True, max_iter=100, orientation=Orientation.LARGER_MEAN_CLEAN)
-@example(n=500, seed=2, outlier=True, max_iter=1, orientation=Orientation.SMALLER_MEAN_CLEAN)
-@example(n=500, seed=3, outlier=False, max_iter=3, orientation=Orientation.LARGER_MEAN_CLEAN)
-def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
+def oracle_grid(test):
+    """The hypothesis grid both oracle comparisons run on: mixtures of
+    MIN_FIT_SIZE..20000 points, optionally with one far outlier."""
+    test = example(n=500, seed=3, outlier=False, max_iter=3,
+                   orientation=Orientation.LARGER_MEAN_CLEAN)(test)
+    test = example(n=500, seed=2, outlier=True, max_iter=1,
+                   orientation=Orientation.SMALLER_MEAN_CLEAN)(test)
+    test = example(n=20_000, seed=1, outlier=True, max_iter=100,
+                   orientation=Orientation.LARGER_MEAN_CLEAN)(test)
+    test = example(n=MIN_FIT_SIZE, seed=0, outlier=False, max_iter=100,
+                   orientation=Orientation.SMALLER_MEAN_CLEAN)(test)
+    test = given(n=st.integers(MIN_FIT_SIZE, 20_000), seed=st.integers(0, 2**32 - 1),
+                 outlier=st.booleans(), max_iter=st.sampled_from([1, 3, 100]),
+                 orientation=st.sampled_from(list(Orientation)))(test)
+    return settings(max_examples=40, deadline=None)(test)
+
+
+def oracle_values(n, seed, outlier):
     rng = np.random.default_rng(seed)
     first = rng.random(n) < rng.uniform(0.05, 0.95)
     values = np.where(first, rng.normal(0.0, rng.uniform(0.01, 1.0), n),
                       rng.normal(rng.uniform(-3.0, 3.0), rng.uniform(0.01, 1.0), n))
     if outlier:
         values[rng.integers(n)] = 1e6
+    return values
+
+
+@oracle_grid
+def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
+    values = oracle_values(n, seed, outlier)
     cfg = GmmConfig(orientation, max_iter=max_iter)
     got, want = fit_gmm1d(values, cfg), reference.fit_gmm1d(values, cfg)
     for name in ("weights", "means", "variances", "log_likelihoods"):
@@ -136,3 +184,21 @@ def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_it
     assert (got.iterations, got.converged, got.clean_component) == \
         (want.iterations, want.converged, want.clean_component)
     assert np.array_equal(posteriors(got, values), reference.posteriors(want, values))
+
+
+@oracle_grid
+def test_fit_and_posteriors_close_to_sequential_sums(n, seed, outlier, max_iter, orientation):
+    # The fits once summed left to right and called np.logaddexp. Both round
+    # differently from the pairwise sums and the log1p form, by up to about
+    # n ulps per sum, which EM carries from iteration to iteration; values near
+    # zero (a mean, a log-likelihood, a small posterior) need an absolute bound.
+    values = oracle_values(n, seed, outlier)
+    cfg = GmmConfig(orientation, max_iter=max_iter)
+    got, want = fit_gmm1d(values, cfg), reference.sequential_fit_gmm1d(values, cfg)
+    close = dict(rtol=1e-9, atol=1e-9)
+    for name in ("weights", "means", "variances", "log_likelihoods"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), **close, err_msg=name)
+    assert (got.iterations, got.converged, got.clean_component) == \
+        (want.iterations, want.converged, want.clean_component)
+    np.testing.assert_allclose(posteriors(got, values),
+                               reference.sequential_posteriors(want, values), **close)
