@@ -1,15 +1,18 @@
 """Two-layer rectifier MLP: the toy ensemble's members and the meta net.
 
 Exposes both logits and the last hidden activations; the latter play the
-role of the feature embedding when scoring with a live model. Parameters
-may carry a leading member axis, ``w1 (M, D, H)``, ``b1 (M, H)``,
-``w2 (M, H, K)``, ``b2 (M, K)``, in which case inputs are ``(M, n, D)``
+role of the feature embedding when scoring with a live model. A network is
+one float64 buffer ``flat`` of ``P = D*H + H + H*K + K`` values plus its
+dimensions ``(D, H, K)``. ``w1 (D, H)``, ``b1 (H,)``, ``w2 (H, K)`` and
+``b2 (K,)`` are views of it, laid out row-major one after another, the
+order a checkpoint stores them in. Gradients come back as one array in the
+same layout, so an SGD step is one subtraction. A stacked model's buffer
+has a leading member axis, ``flat (M, P)``; its inputs are ``(M, n, D)``
 stacks (or one ``(n, D)`` batch shared by every member) and every output
 gains the same leading axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,53 +31,60 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-@dataclass
+def _block_sizes(dims: tuple[int, int, int]) -> tuple[int, int, int, int]:
+    d, h, k = dims
+    return d * h, h, h * k, k
+
+
 class ToyClassifier:
-    w1: np.ndarray  # ([M,] D, H)
-    b1: np.ndarray  # ([M,] H)
-    w2: np.ndarray  # ([M,] H, K)
-    b2: np.ndarray  # ([M,] K)
+    """``flat`` ([M,] P) with views ``w1``, ``b1``, ``w2``, ``b2`` into it."""
+
+    def __init__(self, flat: np.ndarray, dims: tuple[int, int, int]):
+        d, h, k = self.dims = tuple(dims)
+        sizes = _block_sizes(self.dims)
+        if flat.shape[-1:] != (sum(sizes),):
+            raise ValueError(f"dimensions {self.dims} need {sum(sizes)} parameters, "
+                             f"got shape {flat.shape}")
+        self.flat = flat
+        lead = flat.shape[:-1]
+        ends = np.cumsum(sizes).tolist()
+        self.w1 = flat[..., :ends[0]].reshape(*lead, d, h)
+        self.b1 = flat[..., ends[0]:ends[1]]
+        self.w2 = flat[..., ends[1]:ends[2]].reshape(*lead, h, k)
+        self.b2 = flat[..., ends[2]:]
 
     @classmethod
     def initialize(cls, input_dim: int, hidden: int, num_classes: int, seed: int = 0) -> "ToyClassifier":
         """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) initialization."""
         rng = rng_from(seed)
-        lim1 = 1.0 / np.sqrt(input_dim)
-        lim2 = 1.0 / np.sqrt(hidden)
-        return cls(
-            w1=rng.uniform(-lim1, lim1, size=(input_dim, hidden)),
-            b1=rng.uniform(-lim1, lim1, size=hidden),
-            w2=rng.uniform(-lim2, lim2, size=(hidden, num_classes)),
-            b2=rng.uniform(-lim2, lim2, size=num_classes),
-        )
+        dims = (input_dim, hidden, num_classes)
+        lims = (1.0 / np.sqrt(input_dim),) * 2 + (1.0 / np.sqrt(hidden),) * 2
+        return cls(np.concatenate([rng.uniform(-lim, lim, size=size)
+                                   for lim, size in zip(lims, _block_sizes(dims))]), dims)
 
     @classmethod
     def stack(cls, members: list["ToyClassifier"]) -> "ToyClassifier":
         """One model whose parameters gain a leading member axis."""
-        return cls(*(np.stack(group) for group in zip(*(m.params for m in members))))
-
-    @property
-    def params(self) -> tuple[np.ndarray, ...]:
-        return self.w1, self.b1, self.w2, self.b2
+        return cls(np.stack([m.flat for m in members]), members[0].dims)
 
     @property
     def input_dim(self) -> int:
-        return self.w1.shape[-2]
+        return self.dims[0]
 
     @property
     def hidden(self) -> int:
-        return self.w1.shape[-1]
+        return self.dims[1]
 
     @property
     def num_classes(self) -> int:
-        return self.w2.shape[-1]
+        return self.dims[2]
 
     def member(self, m: int) -> "ToyClassifier":
         """Member ``m`` of a stacked model, as a view."""
-        return ToyClassifier(*(p[m] for p in self.params))
+        return ToyClassifier(self.flat[m], self.dims)
 
     def copy(self) -> "ToyClassifier":
-        return ToyClassifier(*(p.copy() for p in self.params))
+        return ToyClassifier(self.flat.copy(), self.dims)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (logits, hidden activations) for a ([M,] n, D) batch."""
@@ -96,15 +106,16 @@ def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
     return logits.mean(axis=0), hidden.mean(axis=0), softmax_rows(logits).mean(axis=0)
 
 
-def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> dict:
-    """Parameter gradients given the loss gradient at the logits."""
+def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
+    """Parameter gradients given the loss gradient at the logits, laid out as ``net.flat``."""
     dz1 = (dlogits @ net.w2.swapaxes(-1, -2)) * (h > 0)
-    return {
-        "w2": h.swapaxes(-1, -2) @ dlogits,
-        "b2": dlogits.sum(axis=-2),
-        "w1": x.swapaxes(-1, -2) @ dz1,
-        "b1": dz1.sum(axis=-2),
-    }
+    lead = net.flat.shape[:-1]
+    return np.concatenate([
+        (x.swapaxes(-1, -2) @ dz1).reshape(*lead, -1),
+        dz1.sum(axis=-2),
+        (h.swapaxes(-1, -2) @ dlogits).reshape(*lead, -1),
+        dlogits.sum(axis=-2),
+    ], axis=-1)
 
 
 def mixed_loss_and_grads(
@@ -165,26 +176,21 @@ def mixed_loss_and_grads(
     return loss, _backward(clf, x, h, dlogits)
 
 
-def apply_sgd_step(clf: ToyClassifier, grads: dict, lr: float) -> None:
-    clf.w1 -= lr * grads["w1"]
-    clf.b1 -= lr * grads["b1"]
-    clf.w2 -= lr * grads["w2"]
-    clf.b2 -= lr * grads["b2"]
+def apply_sgd_step(clf: ToyClassifier, grads: np.ndarray, lr: float) -> None:
+    clf.flat -= lr * grads
 
 
 def save_classifier_checkpoint(clf: ToyClassifier, path: str | Path) -> None:
-    if clf.w1.ndim != 2:
+    if clf.flat.ndim != 1:
         raise ValueError("a checkpoint holds one network; save stacked members one at a time")
-    save_flat_params(path, _CHECKPOINT_TAG,
-                     (clf.input_dim, clf.hidden, clf.num_classes), list(clf.params))
+    save_flat_params(path, _CHECKPOINT_TAG, clf.dims, clf.flat)
 
 
 def load_classifier_checkpoint(path: str | Path) -> ToyClassifier:
-    def shapes_of(dims):
-        if len(dims) != 3:
-            raise ParseError(f"expected dimensions D H K, got {dims}", line=1)
-        d, h, k = dims
-        return [(d, h), (h,), (h, k), (k,)]
-
-    _, arrays = load_flat_params(path, _CHECKPOINT_TAG, shapes_of)
-    return ToyClassifier(*arrays)
+    dims, flat = load_flat_params(path, _CHECKPOINT_TAG)
+    if len(dims) != 3:
+        raise ParseError(f"expected dimensions D H K, got {dims}", line=1)
+    expected = sum(_block_sizes(dims))
+    if flat.size != expected:
+        raise ParseError(f"expected {expected} parameters, got {flat.size}")
+    return ToyClassifier(flat, dims)

@@ -15,8 +15,6 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (
     Dataset,
     NoiseKind,
@@ -145,22 +143,8 @@ def _distill_params(cfg: dict) -> DistillParams:
     )
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def _write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -282,7 +266,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if partition.n_total != truth.n:
         raise ParseError("partition ids do not match the truth file ids")
     report = selection_metrics(partition.clean_ids, truth.clean_mask)
-    print(json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 

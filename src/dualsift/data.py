@@ -258,6 +258,18 @@ def read_text_lines(path: str | Path) -> list[str]:
         raise ParseError(str(exc), line=len((head + ".").splitlines())) from exc
 
 
+def check_number_text(text: str, line: int) -> None:
+    """Raise ParseError naming ``line`` when ``text``, numeric fields only,
+    holds ``_`` or a non-ASCII character.
+
+    ``int`` and ``float`` read ``1_0`` as 10 and ``\u0661`` as 1; the numpy
+    fast paths refuse both, and so must every line parser.
+    """
+    if "_" in text or not text.isascii():
+        bad = next(c for c in text if c == "_" or not c.isascii())
+        raise ParseError(f"numeric field holds {bad!r}", line=line)
+
+
 def load_sample_table(path: str | Path) -> Dataset:
     """Parse a sample-table CSV. Raises ParseError naming the bad line.
 
@@ -381,6 +393,7 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
         parts = line.split(",")
         if len(parts) != width:
             raise ParseError(f"expected {width} fields, got {len(parts)}", line=lineno)
+        check_number_text(line, line=lineno)
         try:
             ids[row_idx] = int(parts[0])
             noisy[row_idx] = int(parts[1])

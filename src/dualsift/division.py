@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyCluster, read_text_lines
+from .data import NoisyCluster, check_number_text, read_text_lines
 from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import ScoreTable
@@ -301,6 +301,7 @@ def _read_partition_lines(path: str | Path) -> Partition:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError("expected id,tag", line=lineno)
+        check_number_text(parts[0], line=lineno)
         try:
             sample_id = int(parts[0])
         except ValueError as exc:

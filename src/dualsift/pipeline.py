@@ -56,7 +56,6 @@ class DistillResult:
     partition: Partition
     table: ScoreTable
     fallbacks: list[str]
-    meta_net: ToyClassifier | None
 
 
 def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
@@ -71,7 +70,6 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
     table, fallbacks = compute_posteriors(table, clusters, params.loss_gmm, params.feat_gmm)
     partition = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
 
-    meta_net = None
     try:
         meta_data = build_meta_dataset(partition, table)
         net0 = ToyClassifier.initialize(2, params.meta_hidden, 1,
@@ -92,4 +90,4 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
         # nothing to judge; purify only merges the certain sets
         cut = 0.5
     partition = purify(table, partition, cut, cut)
-    return DistillResult(partition, table, fallbacks, meta_net)
+    return DistillResult(partition, table, fallbacks)

@@ -18,7 +18,6 @@ from .data import Dataset
 from .division import Partition
 from .errors import NumericalError
 from .pipeline import DistillParams, DistillResult, run_distillation
-from .scores import ScoreTable
 from .seeding import derive_seed, rng_from
 
 # Largest |hidden activation| or |logit| a member may show on the train split
@@ -96,7 +95,7 @@ def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
 def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
     """Raise NumericalError when a member's activations on ``x`` left the
     safe range (or stopped being finite)."""
-    peaks = np.zeros(len(ensemble.w1))
+    peaks = np.zeros(len(ensemble.flat))
     for start in range(0, x.shape[0], _CHECK_BLOCK):
         logits, hidden = ensemble.forward(x[start:start + _CHECK_BLOCK])
         # np.maximum keeps a NaN, which then fails the bound below
@@ -146,7 +145,7 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     """
     targets = _one_hot(dataset.noisy_labels, dataset.num_classes)
     seed = derive_seed(config.seed, "warmup")
-    rngs = [rng_from(derive_seed(seed, f"warmup-member-{m}")) for m in range(len(ensemble.w1))]
+    rngs = [rng_from(derive_seed(seed, f"warmup-member-{m}")) for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
     for _ in range(config.warmup_epochs):
         _train_epoch_mixed(
@@ -161,7 +160,6 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
 class RoundResult:
     ensemble: ToyClassifier
     partition: Partition
-    table: ScoreTable
     fallbacks: list[str]
 
 
@@ -195,7 +193,7 @@ def distill_round(
     guessed = guessed / guessed.sum(axis=1, keepdims=True)
 
     rngs = [rng_from(derive_seed(train_config.seed, f"round-{round_index}-member-{m}"))
-            for m in range(len(ensemble.w1))]
+            for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
     _train_epoch_mixed(
         ensemble, dataset.features[clean_ids], refined,
@@ -203,4 +201,4 @@ def distill_round(
         train_config.lambda_u, train_config.lambda_r,
         train_config.lr, train_config.batch_size, rngs)
     _check_alive(ensemble, dataset.features, f"round {round_index}")
-    return RoundResult(ensemble, partition, table, result.fallbacks)
+    return RoundResult(ensemble, partition, result.fallbacks)

@@ -8,13 +8,16 @@ per-batch-gather meta training loop, and the zero-buffer mixed loss with its
 per-step-gather epoch are the bit oracles for the package's buffered forms.
 The (n, 2) EM with left-to-right sums and ``np.logaddexp`` is the fit as it was
 before pairwise sums; the package stays close to it, not equal.
+The training loops update each named parameter view on its own, from a dict
+of per-name gradients, so they check the package's flat-buffer step rather
+than reuse it.
 """
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from dualsift.classifier import ToyClassifier, apply_sgd_step
+from dualsift.classifier import ToyClassifier
 from dualsift.data import Dataset, _expected_header
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
@@ -250,6 +253,19 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def network(w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: np.ndarray) -> ToyClassifier:
+    """A hand-written single network: the four arrays laid out one after another."""
+    flat = np.concatenate([np.asarray(p, dtype=np.float64).ravel() for p in (w1, b1, w2, b2)])
+    return ToyClassifier(flat, (w1.shape[0], w1.shape[1], w2.shape[1]))
+
+
+def sgd_step(net: ToyClassifier, grads: dict, lr: float) -> None:
+    """Per-name SGD update through the parameter views."""
+    for name, grad in grads.items():
+        param = getattr(net, name)
+        param -= lr * grad
+
+
 def forward(net: ToyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(logits, hidden activations) of a ([M,] n, D) batch, out of place."""
     z1 = np.asarray(x, dtype=np.float64) @ net.w1 + net.b1[..., None, :]
@@ -331,7 +347,7 @@ def train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda
         loss, grads = mixed_loss_and_grads(ensemble, xl, tl, xu, qu, lambda_u, lambda_r)
         if not np.isfinite(loss).all():
             raise NumericalError(f"training produced non-finite loss {loss}")
-        apply_sgd_step(ensemble, grads, lr)
+        sgd_step(ensemble, grads, lr)
 
 
 def mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
@@ -373,7 +389,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
             loss, grads = meta_loss_and_grads(net, data.inputs[batch], data.labels[batch])
             if not np.isfinite(loss):
                 raise NumericalError(f"meta training produced non-finite loss {loss}")
-            apply_sgd_step(net, grads, config.lr)
+            sgd_step(net, grads, config.lr)
         epoch_loss = mean_bce(meta_scores(net, data.inputs), data.labels)
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")

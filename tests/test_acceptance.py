@@ -181,6 +181,7 @@ def test_criterion_8_numerical_contracts():
     mx = rng.random((12, 2))
     my = (rng.random(12) > 0.5).astype(float)
     _, mg = meta_loss_and_grads(net, mx, my)
+    mg = ToyClassifier(mg, net.dims)
     worst = 0.0
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
@@ -193,7 +194,7 @@ def test_criterion_8_numerical_contracts():
             dn, _ = meta_loss_and_grads(net, mx, my)
             param[idx] = orig
             fd = (up - dn) / (2 * step)
-            worst = max(worst, abs(mg[name][idx] - fd) / max(abs(mg[name][idx]), abs(fd), 1e-8))
+            worst = max(worst, abs(getattr(mg, name)[idx] - fd) / max(abs(getattr(mg, name)[idx]), abs(fd), 1e-8))
     meta_ok = worst <= 1e-4
 
     # classifier gradient check
@@ -205,6 +206,7 @@ def test_criterion_8_numerical_contracts():
     qu = rng.random((4, 3))
     qu /= qu.sum(axis=1, keepdims=True)
     _, cg = mixed_loss_and_grads(clf, xc, tc, xu, qu, 3.0, 1.0)
+    cg = ToyClassifier(cg, clf.dims)
     worst_c = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)
@@ -216,7 +218,7 @@ def test_criterion_8_numerical_contracts():
             dn, _ = mixed_loss_and_grads(clf, xc, tc, xu, qu, 3.0, 1.0)
             param[idx] = orig
             fd = (up - dn) / (2 * step)
-            worst_c = max(worst_c, abs(cg[name][idx] - fd) / max(abs(cg[name][idx]), abs(fd), 1e-8))
+            worst_c = max(worst_c, abs(getattr(cg, name)[idx] - fd) / max(abs(getattr(cg, name)[idx]), abs(fd), 1e-8))
     clf_ok = worst_c <= 1e-4
 
     # shift and scale invariances

@@ -6,7 +6,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from dualsift import Dataset, load_sample_table, write_sample_table
+from dualsift import Dataset, ParseError, load_sample_table, read_partition_file, write_sample_table
 from dualsift.cli import (
     DISTILL_DEFAULTS,
     GENERATE_DEFAULTS,
@@ -390,6 +390,35 @@ def test_evaluate_not_utf8_partition_is_data_error(tmp_path, capsys):
     part.write_bytes(b"0,P\n1,\xffN\n")
     assert run(["evaluate", part, truth]) == 3
     assert capsys.readouterr().err.startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0661"])
+def test_evaluate_partition_id_with_underscore_or_non_ascii_digit_is_data_error(
+        tmp_path, capsys, bad):
+    # int() reads 1_0 as 10 and the Arabic-Indic digit one as 1; either would
+    # complete the 0..N-1 cover here
+    n = int(bad) + 1
+    part = tmp_path / "part.csv"
+    part.write_text("".join(f"{i},N\n" for i in range(n - 1)) + f"{bad},N\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f"^line {n}: numeric field holds"):
+        read_partition_file(part)
+    assert run(["evaluate", part, write_truth(tmp_path, [True] * n)]) == 3
+    assert capsys.readouterr().err.startswith(f"error: line {n}: numeric field holds")
+
+
+@pytest.mark.parametrize("cell", ["1_0.5", "\u0661.5"])
+def test_evaluate_table_cell_with_underscore_or_non_ascii_digit_is_data_error(
+        tmp_path, capsys, cell):
+    truth = write_truth(tmp_path, [True, False])
+    lines = truth.read_text().splitlines()
+    lines[2] = ",".join([*lines[2].split(",")[:3], cell, *lines[2].split(",")[4:]])
+    truth.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 3: numeric field holds"):
+        load_sample_table(truth)
+    part = tmp_path / "part.csv"
+    part.write_text("0,P\n1,N\n")
+    assert run(["evaluate", part, truth]) == 3
+    assert capsys.readouterr().err.startswith("error: line 3: numeric field holds")
 
 
 def test_usage_error_exit_code():

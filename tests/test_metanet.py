@@ -68,20 +68,20 @@ def test_build_meta_dataset_starved():
 # ------------------------------------------------------------------- forward
 
 def test_meta_forward_zero_params():
-    net = ToyClassifier(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
-                        b2=np.zeros(1))
+    net = reference.network(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
+                            b2=np.zeros(1))
     assert meta_scores(net, np.array([[0.3, 0.8]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_meta_forward_saturation():
-    net = ToyClassifier(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
-                        b2=np.array([30.0]))
+    net = reference.network(w1=np.zeros((2, 4)), b1=np.zeros(4), w2=np.zeros(4)[:, None],
+                            b2=np.array([30.0]))
     assert meta_scores(net, np.array([[0.5, 0.5]]))[0] >= 1.0 - 1e-9
 
 
 def test_meta_forward_hand_network():
-    net = ToyClassifier(w1=np.array([[1.0], [0.0]]), b1=np.zeros(1),
-                        w2=np.array([1.0])[:, None], b2=np.zeros(1))
+    net = reference.network(w1=np.array([[1.0], [0.0]]), b1=np.zeros(1),
+                            w2=np.array([1.0])[:, None], b2=np.zeros(1))
     expected = 1.0 / (1.0 + math.exp(-1.0))
     assert expected == pytest.approx(0.73106, abs=1e-5)
     assert meta_scores(net, np.array([[1.0, 0.0]]))[0] == pytest.approx(expected, abs=1e-12)
@@ -167,8 +167,7 @@ def test_train_meta_deterministic():
     cfg = MetaTrainConfig(seed=4)
     a = train_meta(ToyClassifier.initialize(2, 10, 1, seed=1), data, cfg)
     b = train_meta(ToyClassifier.initialize(2, 10, 1, seed=1), data, cfg)
-    for pa, pb in zip(a.params, b.params):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(a.flat, b.flat)
 
 
 def test_train_config_validation():
@@ -190,10 +189,11 @@ def test_meta_gradient_matches_finite_differences():
     x = rng.random((16, 2))
     y = (rng.random(16) > 0.5).astype(float)
     _, grads = meta_loss_and_grads(net, x, y)
+    grads = ToyClassifier(grads, net.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(net, name)
-        analytic = grads[name]
+        analytic = getattr(grads, name)
         for idx in np.ndindex(param.shape):
             orig = param[idx]
             param[idx] = orig + step
@@ -296,8 +296,7 @@ def test_train_meta_matches_per_batch_gather(batch_size):
     cfg = MetaTrainConfig(seed=3, epochs=4, batch_size=batch_size)
     net = ToyClassifier.initialize(2, 10, 1, seed=1)
     got, want = train_meta(net, data, cfg), reference.train_meta(net, data, cfg)
-    for pa, pb in zip(got.params, want.params):
-        assert np.array_equal(pa, pb)
+    assert np.array_equal(got.flat, want.flat)
 
 
 # ------------------------------------------------------------------ baseline
@@ -322,8 +321,7 @@ def test_meta_checkpoint_roundtrip_exact(tmp_path):
     save_classifier_checkpoint(net, path)
     assert path.read_text().splitlines()[0] == "toyclassifier 2 7 1"
     back = load_classifier_checkpoint(path)
-    for pa, pb in zip(net.params, back.params):
-        np.testing.assert_array_equal(pa, pb)
+    np.testing.assert_array_equal(net.flat, back.flat)
     path.write_text("toyclassifier 2 0 1\n0.0\n")
     with pytest.raises(ParseError, match="line 1"):
         load_classifier_checkpoint(path)

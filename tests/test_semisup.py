@@ -21,6 +21,7 @@ from dualsift import (
 )
 from dualsift.classifier import (
     ToyClassifier,
+    apply_sgd_step,
     ensemble_outputs,
     load_classifier_checkpoint,
     mixed_loss_and_grads,
@@ -130,10 +131,11 @@ def test_classifier_gradient_matches_finite_differences():
     qu = rng.random((4, 4))
     qu /= qu.sum(axis=1, keepdims=True)
     _, grads = mixed_loss_and_grads(clf, xc, tc, xu, qu, 3.0, 1.0)
+    grads = ToyClassifier(grads, clf.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)
-        analytic = grads[name]
+        analytic = getattr(grads, name)
         for idx in np.ndindex(param.shape):
             orig = param[idx]
             param[idx] = orig + step
@@ -183,13 +185,83 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
             load_classifier_checkpoint(bad)
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661"])
+def test_checkpoint_value_with_underscore_or_non_ascii_digit_is_rejected(tmp_path, value):
+    path = tmp_path / "clf.txt"
+    save_classifier_checkpoint(ToyClassifier.initialize(2, 3, 2, seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[4] = value
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="^line 5: numeric field holds"):
+        load_classifier_checkpoint(path)
+    # a sign, surrounding ASCII whitespace, a bare trailing dot, CRLF and
+    # blank lines still load
+    lines[4] = " +1. "
+    path.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+    assert load_classifier_checkpoint(path).flat[3] == 1.0
+
+
+def test_checkpoint_with_wrong_parameter_count_is_rejected(tmp_path):
+    path = tmp_path / "clf.txt"
+    save_classifier_checkpoint(ToyClassifier.initialize(2, 3, 2, seed=1), path)
+    text = path.read_text()
+    for body, count in ((text + "0.5\n", 18), (text.rsplit("\n", 2)[0] + "\n", 16)):
+        path.write_text(body)
+        with pytest.raises(ParseError, match=f"^expected 17 parameters, got {count}$"):
+            load_classifier_checkpoint(path)
+
+
 def test_checkpoint_writes_each_value_as_its_repr(tmp_path):
     # orjson writes null for non-finite values; they take the repr path
-    arrays = [np.array([[0.1, -0.0], [1e16, np.nan]]), np.array([5e-324, -np.inf, 1e-4])]
+    flat = np.array([0.1, -0.0, 1e16, np.nan, 5e-324, -np.inf, 1e-4])
     path = tmp_path / "p.txt"
-    save_flat_params(path, "tag", (2, 3), arrays)
-    values = [repr(float(v)) for arr in arrays for v in arr.ravel()]
+    save_flat_params(path, "tag", (2, 3), flat)
+    values = [repr(float(v)) for v in flat]
     assert path.read_text() == "\n".join(["tag 2 3", *values]) + "\n"
+
+
+# ---------------------------------------------------------------- flat layout
+
+PARAM_NAMES = ("w1", "b1", "w2", "b2")
+
+
+def test_sgd_step_moves_every_view():
+    single = ToyClassifier.initialize(3, 4, 2, seed=1)
+    stacked = ToyClassifier.stack([ToyClassifier.initialize(3, 4, 2, seed=s) for s in (1, 2)])
+    for clf in (single, stacked):
+        before = clf.copy()
+        grads = rng_from(3).normal(size=clf.flat.shape)
+        apply_sgd_step(clf, grads, 0.5)
+        step = ToyClassifier(grads, clf.dims)
+        for name in PARAM_NAMES:
+            assert np.shares_memory(getattr(clf, name), clf.flat)
+            np.testing.assert_array_equal(
+                getattr(clf, name), getattr(before, name) - 0.5 * getattr(step, name))
+
+
+def test_member_is_a_view_and_copy_shares_nothing():
+    stack = ToyClassifier.stack([ToyClassifier.initialize(3, 4, 2, seed=s) for s in (1, 2, 3)])
+    for m in range(3):
+        member = stack.member(m)
+        assert member.flat.shape == stack.flat[m].shape
+        assert np.shares_memory(member.flat, stack.flat[m])
+        member.w2[1, 0] = 7.0 + m
+        assert stack.w2[m, 1, 0] == 7.0 + m
+    copy = stack.copy()
+    np.testing.assert_array_equal(copy.flat, stack.flat)
+    for name in ("flat", *PARAM_NAMES):
+        assert not np.shares_memory(getattr(copy, name), stack.flat)
+
+
+def test_checkpoint_of_each_stacked_member_reloads_bit_for_bit(tmp_path):
+    ds = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=5, n=60, seed=1)),
+                      NoiseSpec(NoiseKind.SYMMETRIC, 0.2, seed=2))
+    cfg = TrainConfig(seed=4, ensemble_size=3, hidden=6, warmup_epochs=1)
+    stack = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
+    for m in range(cfg.ensemble_size):
+        path = tmp_path / f"member_{m}.txt"
+        save_classifier_checkpoint(stack.member(m), path)
+        assert load_classifier_checkpoint(path).flat.tobytes() == stack.flat[m].tobytes()
 
 
 def test_stacked_members_match_unstacked():
@@ -216,8 +288,7 @@ def test_stacked_members_match_unstacked():
                 (plain, mixed_loss_and_grads(clf, xc[m], tc[m], empty_x[m], empty_t[m],
                                              0.0, 0.0))):
             assert loss[m] == loss_m
-            for name, grad in grads_m.items():
-                np.testing.assert_array_equal(grads[name][m], grad)
+            np.testing.assert_array_equal(grads[m], grads_m)
 
     x = rng.normal(size=(20, 16))
     mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
@@ -288,8 +359,9 @@ def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, see
         want_loss, want_grads = reference.mixed_loss_and_grads(
             clf, xl, targets, xu, guesses, lambda_u, lambda_r)
     assert same_bits(loss, want_loss)
+    grads = ToyClassifier(grads, clf.dims)
     for name in ("w1", "b1", "w2", "b2"):
-        assert same_bits(grads[name], want_grads[name]), name
+        assert same_bits(getattr(grads, name), want_grads[name]), name
 
 
 def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
@@ -311,8 +383,7 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
     monkeypatch.setattr(semisup, "_train_epoch_mixed", reference.train_epoch_mixed)
     want_nets, want_parts = run()
     for got, want in zip(got_nets, want_nets):
-        for pa, pb in zip(got.params, want.params):
-            assert same_bits(pa, pb)
+        assert same_bits(got.flat, want.flat)
     for got, want in zip(got_parts, want_parts):
         assert np.array_equal(got.codes, want.codes)
 
