@@ -68,14 +68,6 @@ class ToyClassifier:
         return cls(np.stack([m.flat for m in members]), members[0].dims)
 
     @property
-    def input_dim(self) -> int:
-        return self.dims[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.dims[1]
-
-    @property
     def num_classes(self) -> int:
         return self.dims[2]
 
@@ -94,10 +86,6 @@ class ToyClassifier:
         logits = h @ self.w2
         logits += self.b2[..., None, :]
         return logits, h
-
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(x)
-        return softmax_rows(logits)
 
 
 def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):

@@ -6,6 +6,10 @@ Floats are serialized with full round-trip precision and a true label of
 -1 marks an absent ground truth. Beside each table it writes, the writer
 leaves a sidecar ``<table>.npz`` holding the table's arrays and the sha256
 of its bytes, which lets a later load skip the parse.
+
+Both text formats, tables and partition files, are read by one vouched
+``np.loadtxt`` pass (:func:`loadtxt_rows`) and one id check (:func:`id_order`);
+a file the pass refuses goes to its line parser, which owns every error.
 """
 from __future__ import annotations
 
@@ -338,9 +342,40 @@ def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
 
 # str.splitlines breaks lines at \x0b \x0c \x1c \x1d \x1e, loadtxt does not;
 # loadtxt's number parsers skip \x1c-\x1f as whitespace, int() and float()
-# do not. A table holding any of them takes the line parser.
-_LOADTXT_UNSAFE = "\x0b\x0c\x1c\x1d\x1e\x1f"
+# do not; bytes fields drop a trailing \x00, str.strip() does not. A file
+# holding any of them takes the line parser.
+_LOADTXT_UNSAFE = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
 _SCAN_CHUNK = 1 << 20
+
+
+def loadtxt_rows(path: str | Path, dtype: np.dtype, skiprows: int = 0) -> np.ndarray | None:
+    """The comma-separated rows of an ASCII file as a ``dtype`` record array,
+    read by one ``np.loadtxt`` pass; None for a file holding a non-ASCII or
+    ``_LOADTXT_UNSAFE`` character or no rows, and for any row loadtxt refuses
+    or warns about. Where it gives rows, a line parser reads the same values."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
+                if any(c in chunk for c in _LOADTXT_UNSAFE):
+                    return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=skiprows,
+                              comments=None, ndmin=1, encoding="ascii")
+    except (OSError, UnicodeDecodeError, ValueError, Warning):
+        return None
+    return rows if rows.size else None
+
+
+def id_order(ids: np.ndarray) -> np.ndarray | None:
+    """The order that puts rows in id order (``order[i]`` is the row of id
+    ``i``); None unless the int64 ``ids`` are exactly 0..N-1, each once."""
+    n = ids.size
+    if n and (ids.min() < 0 or ids.max() >= n) or not np.bincount(ids, minlength=n).all():
+        return None
+    order = np.empty(n, dtype=np.int64)
+    order[ids] = np.arange(n)
+    return order
 
 
 def _load_sample_table_numpy(path: str | Path) -> Dataset | None:
@@ -349,28 +384,19 @@ def _load_sample_table_numpy(path: str | Path) -> Dataset | None:
     try:
         with open(path, encoding="ascii") as fh:
             d, k = _parse_header(fh.readline())
-            for chunk in iter(lambda: fh.read(_SCAN_CHUNK), ""):
-                if any(c in chunk for c in _LOADTXT_UNSAFE):
-                    return None
     except (OSError, UnicodeDecodeError, ParseError):
         return None
     dtype = np.dtype([("id", "i8"), ("noisy", "i8"), ("true", "i8"), ("x", "f8", (d + k,))])
+    table = loadtxt_rows(path, dtype, skiprows=1)
+    order = None if table is None else id_order(table["id"])
+    if order is None:
+        return None
+    x = table["x"]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(path, dtype=dtype, delimiter=",", skiprows=1,
-                               comments=None, ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
+        # Dataset refuses the non-finite values and labels the line parser does
+        return Dataset(x[order, :d], x[order, d:], table["noisy"][order], table["true"][order])
+    except ValueError:
         return None
-    n = table.size
-    ids, noisy, true, x = table["id"], table["noisy"], table["true"], table["x"]
-    if (n == 0 or not np.isfinite(x).all() or noisy.min() < 0 or noisy.max() >= k
-            or true.min() < -1 or true.max() >= k):
-        return None
-    order = np.argsort(ids, kind="stable")
-    if not np.array_equal(ids[order], np.arange(n)):
-        return None
-    return Dataset(x[order, :d], x[order, d:], noisy[order], true[order])
 
 
 def _load_sample_table_lines(path: str | Path) -> Dataset:
@@ -409,8 +435,8 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
             raise ParseError(f"true_label {true[row_idx]} outside [-1, {k})", line=lineno)
         features[row_idx] = floats[:d]
         logits[row_idx] = floats[d:]
-    order = np.argsort(ids, kind="stable")
-    if not np.array_equal(ids[order], np.arange(n)):
+    order = id_order(ids)
+    if order is None:
         raise ParseError("sample ids must form 0..N-1 without gaps or duplicates")
     return Dataset(features[order], logits[order], noisy[order], true[order])
 

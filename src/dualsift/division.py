@@ -4,6 +4,9 @@ Per noisy cluster, posteriors from the loss-space and feature-space
 mixtures are thresholded independently; samples accepted in both spaces
 become positives, rejected in both become negatives, and disagreements
 form the uncertain set that purification later re-judges.
+
+A partition file, one ``id,tag`` line per sample, is read like a sample
+table: by ``data.loadtxt_rows`` and ``data.id_order``, or its line parser.
 """
 from __future__ import annotations
 
@@ -13,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyCluster, check_number_text, read_text_lines
+from .data import NoisyCluster, check_number_text, id_order, loadtxt_rows, read_text_lines
 from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
-from .scores import ScoreTable
+from .scores import SCORE_RANGE, ScoreTable, in_range
 
 # A fitted component lighter than this has collapsed onto a few outliers;
 # its posteriors would split the cluster on them, not on label noise.
@@ -135,13 +138,11 @@ class Partition:
         id_sets = [np.asarray(ids, dtype=np.int64).ravel()
                    for ids in (positive_ids, negative_ids, uncertain_ids)]
         flat = np.concatenate(id_sets)
-        if flat.size != n_total or (flat.size and (flat.min() < 0 or flat.max() >= n_total)) \
-                or not np.bincount(flat, minlength=n_total).all():
+        order = id_order(flat) if flat.size == n_total else None
+        if order is None:
             raise ValueError("P/N/U must partition 0..N-1")
-        codes = np.empty(n_total, dtype=np.int8)
-        for tag, ids in zip((Tag.P, Tag.N, Tag.U), id_sets):
-            codes[ids] = tag
-        return cls(codes)
+        tags = np.array([Tag.P, Tag.N, Tag.U], dtype=np.int8)
+        return cls(np.repeat(tags, [ids.size for ids in id_sets])[order])
 
     def _having(self, *tags: Tag) -> np.ndarray:
         """Ascending ids whose tag is one of ``tags``."""
@@ -180,28 +181,27 @@ def compute_posteriors(
 ) -> tuple[ScoreTable, list[str]]:
     """Fit per-cluster mixtures in both spaces and fill the posteriors.
 
-    Degenerate fits, and fits with a component lighter than
+    A cluster's scores beyond ``SCORE_RANGE`` are fit divided by a power of
+    two. Degenerate fits, and fits with a component lighter than
     ``MIN_COMPONENT_WEIGHT``, leave that cluster's posteriors NaN in the
     affected space (routing its members to the uncertain set) and are
     reported in the returned notes.
     """
     out = replace(table, posterior_loss=table.posterior_loss.copy(),
                   posterior_sim=table.posterior_sim.copy())
+    spaces = (("loss", loss_config, out.loss_score, out.posterior_loss),
+              ("feature", feat_config, out.sim_score, out.posterior_sim))
     notes: list[str] = []
     for cluster in clusters:
         ids = cluster.member_ids
         if ids.size == 0:
             continue
-        try:
-            g = _checked_fit(out.loss_score[ids], loss_config)
-            out.posterior_loss[ids] = posteriors(g, out.loss_score[ids])
-        except DegenerateFit as exc:
-            notes.append(f"gmm_degenerate:class={cluster.class_id}:space=loss:{exc}")
-        try:
-            g = _checked_fit(out.sim_score[ids], feat_config)
-            out.posterior_sim[ids] = posteriors(g, out.sim_score[ids])
-        except DegenerateFit as exc:
-            notes.append(f"gmm_degenerate:class={cluster.class_id}:space=feature:{exc}")
+        for space, config, scores, posterior in spaces:
+            values = in_range(scores[ids], SCORE_RANGE)
+            try:
+                posterior[ids] = posteriors(_checked_fit(values, config), values)
+            except DegenerateFit as exc:
+                notes.append(f"gmm_degenerate:class={cluster.class_id}:space={space}:{exc}")
     return out, notes
 
 
@@ -248,48 +248,29 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
 def read_partition_file(path: str | Path) -> Partition:
     """Parse an ``id,tag`` partition file whose ids are exactly 0..N-1, in any order.
 
-    One numpy pass over the bytes reads a file of strict ``digits,TAG\\n``
-    lines; anything else goes to the line parser, which owns every error
-    message.
+    One ``np.loadtxt`` pass reads a file of ``id,TAG`` lines with plain
+    ASCII ids and tags; anything else goes to the line parser, which owns
+    every error message.
     """
     partition = _read_partition_numpy(path)
     return _read_partition_lines(path) if partition is None else partition
 
 
-_TAG_BYTES = [(np.frombuffer(tag.name.encode(), dtype=np.uint8), tag) for tag in Tag]
+# Every tag fits in 7 bytes, so a longer one cut to 8 matches none.
+_PARTITION_ROW = np.dtype([("id", "i8"), ("tag", "S8")])
 
 
 def _read_partition_numpy(path: str | Path) -> Partition | None:
     """The fast path of :func:`read_partition_file`; None where it cannot vouch
     for giving the line parser's result."""
-    try:
-        raw = np.fromfile(path, dtype=np.uint8)
-    except (OSError, ValueError):
+    rows = loadtxt_rows(path, _PARTITION_ROW)
+    order = None if rows is None else id_order(rows["id"])
+    if order is None:
         return None
-    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
-    n = ends.size
-    if n == 0 or commas.size != n or ends[-1] != raw.size - 1:
-        return None
-    id_len, tag_len = commas - np.r_[0, ends[:-1] + 1], ends - commas - 1
-    # one comma inside each line; a longer id has leading zeros or exceeds n - 1
-    if id_len.min() < 1 or tag_len.min() < 1 or id_len.max() > len(str(n - 1)):
-        return None
-    ids, codes = np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int8)
-    for place in range(1, id_len.max() + 1):
-        rows = np.flatnonzero(id_len >= place)
-        digits = raw[commas[rows] - place].astype(np.int64) - ord("0")
-        if ((digits < 0) | (digits > 9)).any():
-            return None
-        ids[rows] += digits * 10 ** (place - 1)
-    for name, tag in _TAG_BYTES:
-        rows = np.flatnonzero(tag_len == name.size)
-        match = (raw[commas[rows, None] + np.arange(1, name.size + 1)] == name).all(axis=1)
-        codes[rows[match]] = tag
-    if (codes < 0).any() or ids.max() >= n or not np.bincount(ids, minlength=n).all():
-        return None
-    by_id = np.empty(n, dtype=np.int8)
-    by_id[ids] = codes
-    return Partition(by_id)
+    codes = np.full(rows.size, -1, dtype=np.int8)
+    for tag in Tag:
+        codes[rows["tag"] == tag.name.encode()] = tag
+    return None if (codes < 0).any() else Partition(codes[order])
 
 
 def _read_partition_lines(path: str | Path) -> Partition:

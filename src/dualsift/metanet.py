@@ -19,6 +19,8 @@ from .scores import ScoreTable
 from .seeding import rng_from
 
 _PRED_CLAMP = 1e-7
+# An epoch's full-data BCE must fall by more than this to reset early stopping.
+MIN_DELTA = 1e-4
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -53,12 +55,10 @@ class MetaTrainConfig:
     batch_size: int = 64
     seed: int = 0
     patience: int = 5
-    min_delta: float = 1e-4
 
     def __post_init__(self):
-        for name in ("lr", "min_delta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not math.isfinite(self.lr):
+            raise ValueError("lr must be finite")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.epochs < 1:
@@ -104,7 +104,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     """Mini-batch SGD with seeded shuffling; keeps the lowest-BCE state seen.
 
     Early-stops after ``patience`` epochs without an improvement of at
-    least ``min_delta`` in the full-data training BCE.
+    least ``MIN_DELTA`` in the full-data training BCE.
     """
     if data.n == 0:
         raise ValueError("meta dataset is empty")
@@ -128,7 +128,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
         epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")
-        if epoch_loss < best_loss - config.min_delta:
+        if epoch_loss < best_loss - MIN_DELTA:
             stale = 0
         else:
             stale += 1

@@ -20,6 +20,9 @@ _NORM_EPS = 1e-12
 # it norms near the absolute _NORM_EPS floor. The division is exact, and
 # cosines do not depend on scale.
 _FEATURE_RANGE = (2.0 ** -20, 2.0 ** 500)
+# A mixture fit squares score spreads, which overflow past about 2^511; a
+# cluster's scores above this are fit divided by a power of two.
+SCORE_RANGE = (0.0, 2.0 ** 500)
 
 
 @dataclass
@@ -60,13 +63,13 @@ def class_center(features: np.ndarray, class_id: int) -> np.ndarray:
     return features.mean(axis=0)
 
 
-def _in_range(features: np.ndarray) -> np.ndarray:
-    """``features``, divided by the power of two that brings its largest
-    magnitude into [0.5, 1) when that lies outside ``_FEATURE_RANGE``."""
-    peak = np.abs(features).max()
-    if peak == 0 or _FEATURE_RANGE[0] <= peak <= _FEATURE_RANGE[1]:
-        return features
-    return np.ldexp(features, -np.frexp(peak)[1])
+def in_range(values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """``values``, divided by the power of two that brings its largest
+    magnitude into [0.5, 1) when that lies outside ``bounds``."""
+    peak = np.abs(values).max()
+    if peak == 0 or bounds[0] <= peak <= bounds[1]:
+        return values
+    return np.ldexp(values, -np.frexp(peak)[1])
 
 
 def _cosine_rows(features: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -90,7 +93,7 @@ def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
         ids = cluster.member_ids
         if ids.size == 0:
             continue
-        features = _in_range(dataset.features[ids])
+        features = in_range(dataset.features[ids], _FEATURE_RANGE)
         table.loss_score[ids] = _cross_entropy_rows(
             dataset.logits[ids], dataset.noisy_labels[ids])
         table.sim_score[ids] = _cosine_rows(features, class_center(features, cluster.class_id))

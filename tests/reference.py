@@ -21,7 +21,7 @@ from dualsift.classifier import ToyClassifier
 from dualsift.data import Dataset, _expected_header
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
-from dualsift.metanet import MetaDataset, MetaTrainConfig, _sigmoid
+from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid
 from dualsift.semisup import _epoch_batches
 from dualsift.seeding import rng_from
 
@@ -339,7 +339,7 @@ def train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda
     steps = -(-(nc + nu) // batch_size) if nc + nu else 0
     lab_idx = _epoch_batches(nc, batch_size, rngs, steps) if nc else None
     unl_idx = _epoch_batches(nu, batch_size, rngs, steps) if nu else None
-    empty_x = np.zeros((len(rngs), 0, ensemble.input_dim))
+    empty_x = np.zeros((len(rngs), 0, ensemble.dims[0]))
     empty_t = np.zeros((len(rngs), 0, ensemble.num_classes))
     for s in range(steps):
         xl, tl = (x_lab[lab_idx[s]], targets[lab_idx[s]]) if nc else (empty_x, empty_t)
@@ -373,7 +373,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     with the out-of-place forward and the clip-and-mean BCE.
 
     Early-stops after ``patience`` epochs without an improvement of at
-    least ``min_delta`` in the full-data training BCE.
+    least ``MIN_DELTA`` in the full-data training BCE.
     """
     if data.n == 0:
         raise ValueError("meta dataset is empty")
@@ -393,7 +393,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
         epoch_loss = mean_bce(meta_scores(net, data.inputs), data.labels)
         if not np.isfinite(epoch_loss):
             raise NumericalError(f"meta training produced non-finite loss {epoch_loss}")
-        if epoch_loss < best_loss - config.min_delta:
+        if epoch_loss < best_loss - MIN_DELTA:
             stale = 0
         else:
             stale += 1

@@ -134,6 +134,10 @@ HOSTILE_TABLES = {
     "form_feed_in_row": rows(b"0,0,-1,0.5,\x0c1.0,0.0", ROW1),
     "form_feed_at_row_end": rows(ROW0 + b"\x0c", ROW1),
     "unit_separator_in_cell": rows(b"0,0,-1,0.5\x1f,1.0,0.0", ROW1),
+    "nul_in_cell": rows(b"0,0,-1,0.5\x00,1.0,0.0", ROW1),
+    "nul_in_label": rows(b"0,0\x00,-1,0.5,1.0,0.0", ROW1),
+    "nul_at_row_end": rows(ROW0 + b"\x00", ROW1),
+    "nul_line": rows(ROW0, b"\x00", ROW1),
     "comment_line": rows(b"# note", ROW0, ROW1),
     "blank_middle": rows(ROW0, b"", ROW1),
     "whitespace_middle": rows(ROW0, b" \t ", ROW1),

@@ -1,8 +1,9 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualsift import (
     Dataset,
@@ -25,6 +26,7 @@ from dualsift import (
     read_partition_file,
     resolve_threshold,
     score_dataset,
+    selection_metrics,
     write_partition_file,
 )
 from dualsift import division
@@ -245,6 +247,22 @@ def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
     assert np.isfinite(fused.fused).all() and np.isnan(filled.fused).all()
 
 
+def test_huge_logits_select_as_in_range_ones():
+    # at logits x 1e300 the loss scores' spread overflows when squared; each
+    # cluster's scores are fit divided by a power of two instead
+    base = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=600, seed=1)),
+                        NoiseSpec(NoiseKind.SYMMETRIC, 0.4, seed=1))
+    f1 = {}
+    for scale in (1e100, 1e300):
+        dataset = base.with_representation(base.features, base.logits * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_distillation(dataset, DistillParams())
+        assert result.fallbacks == []
+        f1[scale] = selection_metrics(result.partition.clean_ids, dataset.clean_mask).f1
+    assert abs(f1[1e300] - f1[1e100]) <= 0.01
+
+
 # ------------------------------------------------------------ partition object
 
 @pytest.mark.parametrize("codes", [[256, 1, 259], [0, -256], [6], [-1]])
@@ -303,40 +321,104 @@ def test_partition_fast_read_matches_line_parser_on_shuffled_files(tmp_path_fact
     np.testing.assert_array_equal(fast.codes, codes)
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param("1,N\r\n0,P\r\n", id="crlf"),
-    pytest.param("0,P\r1,N\r", id="cr"),
-    pytest.param("0,P\n\n1,N\n", id="blank_line"),
-    pytest.param("0,P\n1,N", id="no_final_newline"),
-    pytest.param("0,P\n1,N\n2", id="unterminated_last_line"),
-    pytest.param("+0,P\n1,N\n", id="sign"),
-    pytest.param("0,P\n+,N\n", id="sign_alone"),
-    pytest.param(" 0,P\n1, N\n", id="spaces"),
-    pytest.param("00,P\n1,N\n", id="leading_zero"),
-    pytest.param("0,P\n\u0661,N\n", id="non_ascii_digit"),
-    pytest.param("0,P\n1,\u00dcN\n", id="non_ascii_tag"),
-    pytest.param("0,P\n0,N\n", id="duplicate_id"),
-    pytest.param("0,P\n1,X\n", id="unknown_tag"),
-    pytest.param("0,p\n1,N\n", id="lower_case_tag"),
-    pytest.param("0,P,N\n", id="three_fields"),
-    pytest.param(",P\n", id="empty_id"),
-    pytest.param("0,\n", id="empty_tag"),
-    pytest.param("0,P\n2,N\n", id="gap"),
-    pytest.param("0,P\n10,N\n", id="id_past_n"),
-    pytest.param("-1,P\n0,N\n", id="negative_id"),
-    pytest.param("", id="empty_file"),
+@pytest.mark.parametrize("text, refused", [
+    pytest.param("1,N\r\n0,P\r\n", False, id="crlf"),
+    pytest.param("0,P\r1,N\r", False, id="cr"),
+    pytest.param("0,P\n\n1,N\n", False, id="blank_line"),
+    pytest.param("0,P\n1,N", False, id="no_final_newline"),
+    pytest.param("0,P\n1,N\n2", True, id="unterminated_last_line"),
+    pytest.param("+0,P\n1,N\n", False, id="sign"),
+    pytest.param("0,P\n+,N\n", True, id="sign_alone"),
+    pytest.param(" 0,P\n1, N\n", True, id="spaces"),
+    pytest.param("00,P\n1,N\n", False, id="leading_zero"),
+    pytest.param("0,P\n\u0661,N\n", True, id="non_ascii_digit"),
+    pytest.param("0,P\n1,\u00dcN\n", True, id="non_ascii_tag"),
+    pytest.param("0,P\n0,N\n", True, id="duplicate_id"),
+    pytest.param("0,P\n1,X\n", True, id="unknown_tag"),
+    pytest.param("0,p\n1,N\n", True, id="lower_case_tag"),
+    pytest.param("0,P,N\n", True, id="three_fields"),
+    pytest.param(",P\n", True, id="empty_id"),
+    pytest.param("0,\n", True, id="empty_tag"),
+    pytest.param("0,P\n2,N\n", True, id="gap"),
+    pytest.param("0,P\n10,N\n", True, id="id_past_n"),
+    pytest.param("-1,P\n0,N\n", True, id="negative_id"),
+    pytest.param("", True, id="empty_file"),
+    pytest.param("0,P\x00\n1,N\n", True, id="nul_after_tag"),
+    pytest.param("0\x00,P\n1,N\n", True, id="nul_after_id"),
+    pytest.param("0,DROPPEDXY\n", True, id="tag_past_eight_bytes"),
 ])
-def test_partition_fast_read_leaves_irregular_files_to_line_parser(tmp_path, text):
+def test_partition_fast_read_leaves_irregular_files_to_line_parser(tmp_path, text, refused):
+    """The numpy pass refuses exactly the ``refused`` files; what it reads
+    equals the line parser's partition, and read_partition_file gives the
+    line parser's partition or its error."""
     path = tmp_path / "part.csv"
     path.write_bytes(text.encode())
-    assert division._read_partition_numpy(path) is None
+    fast = division._read_partition_numpy(path)
+    assert (fast is None) == refused
+    assert_partition_read_matches_line_parser(path)
+
+
+def assert_partition_read_matches_line_parser(path):
+    fast = division._read_partition_numpy(path)
     try:
         want = division._read_partition_lines(path)
     except ParseError as exc:
+        assert fast is None
         with pytest.raises(ParseError, match=f"^{re.escape(str(exc))}$"):
             read_partition_file(path)
     else:
+        if fast is not None:
+            np.testing.assert_array_equal(fast.codes, want.codes)
         np.testing.assert_array_equal(read_partition_file(path).codes, want.codes)
+
+
+# Bytes that may sit around an id or a tag: whitespace of every kind, signs,
+# zeros, NUL, digit separators, and non-ASCII letters and digits.
+HOSTILE_FIXES = ["", "", "", " ", "\t", "+", "-", "0", "00", "\x00", "_", "\x7f",
+                 "\u00e9", "\u0661", "\u00a0", *map(chr, range(0x0b, 0x20))]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\n\n", "\n \t\n", "\x0b", "\x1e", "\x85",
+             "\u2028"]
+
+
+def trap(**kw):
+    """An ``example`` of two clean lines, the first carrying ``kw``."""
+    return example(**{"tags": ["P", "N"], "shuffle": 0, "fix": "", "where": 0,
+                      "every_line": False, "hit": 0, "bad": None, "line_end": "\n",
+                      "final_end": True, **kw})
+
+
+@settings(max_examples=300, deadline=None)
+@given(tags=st.lists(st.sampled_from(PARTITION_TAGS), min_size=1, max_size=6),
+       shuffle=st.integers(0, 2**16), fix=st.sampled_from(HOSTILE_FIXES),
+       where=st.integers(0, 3), every_line=st.booleans(), hit=st.integers(0, 5),
+       bad=st.sampled_from([None] * 8 + ["id+1", "-id", "DROPPEDX", "DROPPEDXY", "p", ""]),
+       line_end=st.sampled_from(LINE_ENDS), final_end=st.booleans())
+@trap(fix="\x00", where=3)  # a bytes field drops a trailing NUL
+@trap(fix="\x00", where=1)
+@trap(fix="\x1f", where=1)  # loadtxt's int parser skips \x1c-\x1f
+@trap(bad="DROPPEDXY")       # an S8 field cuts a longer tag to 8 bytes
+def test_partition_read_matches_line_parser_on_hostile_bytes(
+        tmp_path_factory, tags, shuffle, fix, where, every_line, hit, bad, line_end, final_end):
+    """read_partition_file gives the line parser's codes or its exact error,
+    and the numpy pass reads nothing the line parser reads otherwise.
+
+    ``fix`` goes before or after the id or the tag of line ``hit``, or of
+    every line, and ``bad`` replaces that line's id or tag, so that files
+    both parsers accept are drawn as well as files they refuse."""
+    n = len(tags)
+    lines = []
+    for row, i in enumerate(np.random.default_rng(shuffle).permutation(n)):
+        fields = ["", str(i), "", ",", "", tags[i], ""]
+        if row == hit % n and bad is not None:
+            fields[1], fields[5] = {"id+1": (str(i + 1), tags[i]),
+                                    "-id": (f"-{i}", tags[i])}.get(bad, (str(i), bad))
+        if every_line or row == hit % n:
+            fields[(0, 2, 4, 6)[where]] = fix
+        lines.append("".join(fields) + line_end)
+    text = "".join(lines)
+    path = tmp_path_factory.mktemp("part") / "part.csv"
+    path.write_bytes((text if final_end else text[:-len(line_end)]).encode())
+    assert_partition_read_matches_line_parser(path)
 
 
 @settings(max_examples=50, deadline=None)

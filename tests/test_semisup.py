@@ -117,7 +117,7 @@ def test_classifier_forward_shapes():
     clf = ToyClassifier.initialize(4, 8, 3, seed=0)
     logits, hidden = clf.forward(np.zeros((5, 4)))
     assert logits.shape == (5, 3) and hidden.shape == (5, 8)
-    probs = clf.probs(np.random.default_rng(0).normal(size=(5, 4)))
+    probs = softmax_rows(clf.forward(np.random.default_rng(0).normal(size=(5, 4)))[0])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -159,7 +159,7 @@ def test_mixed_loss_matches_composed_ops():
     qu = rng.random((5, 4))
     qu /= qu.sum(axis=1, keepdims=True)
     loss, _ = mixed_loss_and_grads(clf, xc, tc, xu, qu, 3.0, 1.0)
-    pc, pu = clf.probs(xc), clf.probs(xu)
+    pc, pu = softmax_rows(clf.forward(xc)[0]), softmax_rows(clf.forward(xu)[0])
     mean_pred = np.vstack([pc, pu]).mean(axis=0)
     expected = total_loss(labeled_loss(pc, tc), unlabeled_loss(pu, qu),
                           reg_loss(mean_pred), 3.0, 1.0)
