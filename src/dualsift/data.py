@@ -442,14 +442,14 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
 
 
 # Rows formatted per write; larger blocks raise peak memory.
-_WRITE_BLOCK = 1024
+WRITE_BLOCK = 1024
 
 
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset in the sample-table CSV format.
 
     Floats are written as their Python ``repr`` (shortest round-trip form),
-    through :func:`repr_rows`; rows go out in blocks of ``_WRITE_BLOCK`` to
+    through :func:`repr_rows`; rows go out in blocks of ``WRITE_BLOCK`` to
     keep memory flat.
 
     When the output is a regular file, the sidecar ``<path>.npz`` is then
@@ -466,10 +466,10 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
 
 
 def _table_chunks(dataset: Dataset):
-    """The table's bytes: the header, then one chunk per ``_WRITE_BLOCK`` rows."""
+    """The table's bytes: the header, then one chunk per ``WRITE_BLOCK`` rows."""
     yield (",".join(_expected_header(dataset.feature_dim, dataset.num_classes)) + "\n").encode()
-    for start in range(0, dataset.n, _WRITE_BLOCK):
-        block = slice(start, start + _WRITE_BLOCK)
+    for start in range(0, dataset.n, WRITE_BLOCK):
+        block = slice(start, start + WRITE_BLOCK)
         noisy = dataset.noisy_labels[block]
         labels = repr_rows(np.column_stack(
             (np.arange(start, start + noisy.size), noisy, dataset.true_labels[block])))

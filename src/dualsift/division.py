@@ -6,7 +6,8 @@ become positives, rejected in both become negatives, and disagreements
 form the uncertain set that purification later re-judges.
 
 A partition file, one ``id,tag`` line per sample, is read like a sample
-table: by ``data.loadtxt_rows`` and ``data.id_order``, or its line parser.
+table: by ``data.loadtxt_rows`` and ``data.id_order``, or its line parser;
+it is written like one too, through ``data.repr_rows`` in blocks.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NoisyCluster, check_number_text, id_order, loadtxt_rows, read_text_lines
+from .data import (WRITE_BLOCK, NoisyCluster, check_number_text, id_order, loadtxt_rows,
+                   read_text_lines, repr_rows)
 from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import SCORE_RANGE, ScoreTable, in_range
@@ -239,10 +241,18 @@ def divide_dataset(
                               np.concatenate(unc_parts))
 
 
+_TAG_BYTES = np.array([tag.encode() for tag in PARTITION_TAGS], dtype=object)
+
+
 def write_partition_file(partition: Partition, path: str | Path) -> None:
-    """Newline-delimited ``id,tag`` serialization of the partition."""
-    lines = [f"{i},{tag}" for i, tag in enumerate(partition.tags())]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Newline-delimited ``id,tag`` serialization of the partition,
+    ``WRITE_BLOCK`` lines per write to keep memory flat."""
+    codes = partition.codes
+    with open(path, "wb") as fh:
+        for start in range(0, codes.size, WRITE_BLOCK):
+            tags = _TAG_BYTES[codes[start:start + WRITE_BLOCK]]
+            ids = repr_rows(np.arange(start, start + tags.size)[:, None])
+            fh.write(b"".join([b"%s,%s\n" % row for row in zip(ids, tags)]))
 
 
 def read_partition_file(path: str | Path) -> Partition:

@@ -19,8 +19,12 @@ from .scores import ScoreTable
 from .seeding import rng_from
 
 _PRED_CLAMP = 1e-7
-# An epoch's full-data BCE must fall by more than this to reset early stopping.
+# An epoch's training-set BCE must fall by more than this to reset early stopping.
 MIN_DELTA = 1e-4
+# Meta training reads a seeded uniform subsample of at most this many pairs.
+# At fixed thresholds the certain set is linearly separable, so a net of a
+# few dozen parameters learns no more from 85k pairs than from 8k.
+MAX_PAIRS = 8192
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -63,6 +67,8 @@ class MetaTrainConfig:
             raise ValueError("lr must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -103,11 +109,16 @@ def meta_loss_and_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarr
 def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -> ToyClassifier:
     """Mini-batch SGD with seeded shuffling; keeps the lowest-BCE state seen.
 
-    Early-stops after ``patience`` epochs without an improvement of at
-    least ``MIN_DELTA`` in the full-data training BCE.
+    A dataset of more than ``MAX_PAIRS`` pairs is first replaced by a seeded
+    uniform subsample of ``MAX_PAIRS`` of them, drawn without replacement;
+    a smaller one is used whole. Early-stops after ``patience`` epochs
+    without an improvement of at least ``MIN_DELTA`` in the training BCE.
     """
     if data.n == 0:
         raise ValueError("meta dataset is empty")
+    if data.n > MAX_PAIRS:
+        keep = rng_from(config.seed, "meta-sample").choice(data.n, MAX_PAIRS, replace=False)
+        data = MetaDataset(inputs=data.inputs[keep], labels=data.labels[keep])
     rng = rng_from(config.seed, "meta-shuffle")
     net = net.copy()
     best = net.copy()

@@ -246,6 +246,16 @@ def test_distill_bad_meta_hidden_usage_error(tmp_path, capsys, hidden):
     assert len(err) == 1 and err[0].startswith("error:")
 
 
+@pytest.mark.parametrize("patience", [0, -3])
+def test_distill_bad_meta_patience_usage_error(tmp_path, capsys, patience):
+    data = small_benchmark(tmp_path, n=600, noise="asym:0.3", seed=9)
+    capsys.readouterr()
+    assert run(["distill", data, "-o", tmp_path / "o", "--meta-patience", patience]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "patience" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag", [
     ("distill", "--gmm-tol"), ("distill", "--variance-floor"), ("distill", "--meta-lr"),

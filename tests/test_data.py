@@ -285,10 +285,10 @@ def test_writer_bytes_equal_reference(tmp_path_factory, ds):
 
 def test_writer_matches_oracle_on_block_edges(tmp_path):
     # odd values on the last row of one block and the first of the next
-    n = 2 * data._WRITE_BLOCK + 1
+    n = 2 * data.WRITE_BLOCK + 1
     ds = generate_synthetic(SyntheticSpec(k=3, d=2, n=n, seed=7))
     features = ds.features.copy()
-    for row in (0, data._WRITE_BLOCK - 1, data._WRITE_BLOCK, 2 * data._WRITE_BLOCK - 1, n - 1):
+    for row in (0, data.WRITE_BLOCK - 1, data.WRITE_BLOCK, 2 * data.WRITE_BLOCK - 1, n - 1):
         features[row] = EDGE_VALUES[row % len(EDGE_VALUES)], -5e-324
     assert_writer_matches_oracle(ds.with_representation(features, ds.logits), tmp_path)
     # the sidecar names the digest of every block written, not just the first

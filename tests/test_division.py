@@ -30,9 +30,11 @@ from dualsift import (
     write_partition_file,
 )
 from dualsift import division
+from dualsift.data import WRITE_BLOCK
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.pipeline import DistillParams, run_distillation
+from dualsift.seeding import rng_from
 
 
 # ----------------------------------------------------------------- strategies
@@ -285,6 +287,14 @@ def test_partition_file_roundtrip(tmp_path):
     text = path.read_text()
     assert text == "0,P\n1,N\n2,C\n3,UN\n4,DROPPED\n"
     assert read_partition_file(path).tags() == ["P", "N", "C", "UN", "DROPPED"]
+
+
+@pytest.mark.parametrize("n", [1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 3 * WRITE_BLOCK])
+def test_partition_file_bytes_match_line_format_across_blocks(tmp_path, n):
+    part = Partition(rng_from(n).integers(0, len(PARTITION_TAGS), n))
+    path = tmp_path / "part.csv"
+    write_partition_file(part, path)
+    assert path.read_bytes() == "".join(f"{i},{t}\n" for i, t in enumerate(part.tags())).encode()
 
 
 @pytest.mark.parametrize("text, match", [

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -202,3 +203,29 @@ def test_fit_and_posteriors_close_to_sequential_sums(n, seed, outlier, max_iter,
         (want.iterations, want.converged, want.clean_component)
     np.testing.assert_allclose(posteriors(got, values),
                                reference.sequential_posteriors(want, values), **close)
+
+
+# ------------------------------------------------------ invariance under a·x + b
+
+FLIPPED = {Orientation.SMALLER_MEAN_CLEAN: Orientation.LARGER_MEAN_CLEAN,
+           Orientation.LARGER_MEAN_CLEAN: Orientation.SMALLER_MEAN_CLEAN}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@oracle_grid
+def test_posteriors_invariant_under_affine_maps(sign, n, seed, outlier, max_iter, orientation):
+    # The EM updates commute with x -> a·x + b once the variance floor, an
+    # absolute variance, is mapped to a²·floor with them. The stopping rule
+    # does not: the map moves each log-likelihood by n·log|a| and the rule
+    # compares its change with tol·|ll|, so a mapped fit may stop at another
+    # iteration. A tol this small stops a fit only where the log-likelihood
+    # repeats exactly, at a fixed point of the updates.
+    rng = np.random.default_rng([seed, 1])
+    a, b = sign * 2.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-10.0, 10.0)
+    values = oracle_values(n, seed, outlier)
+    cfg = GmmConfig(orientation, max_iter=max_iter, tol=np.finfo(np.float64).tiny)
+    mapped_cfg = replace(cfg, orientation=orientation if a > 0 else FLIPPED[orientation],
+                         variance_floor=a * a * cfg.variance_floor)
+    mapped = a * values + b
+    np.testing.assert_allclose(posteriors(fit_gmm1d(mapped, mapped_cfg), mapped),
+                               posteriors(fit_gmm1d(values, cfg), values), rtol=1e-6, atol=1e-6)

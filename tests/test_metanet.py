@@ -22,7 +22,8 @@ from dualsift import (
     train_meta,
     weighted_average_baseline,
 )
-from dualsift.metanet import _mean_bce, _sigmoid
+from dualsift import metanet
+from dualsift.metanet import MAX_PAIRS, _mean_bce, _sigmoid
 from dualsift.pipeline import DistillParams
 from dualsift.scores import ScoreTable
 from dualsift.seeding import rng_from
@@ -173,6 +174,9 @@ def test_train_meta_deterministic():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         MetaTrainConfig(epochs=0)
+    for patience in (0, -3):
+        with pytest.raises(ValueError, match="patience"):
+            MetaTrainConfig(patience=patience)
     with pytest.raises(ValueError):
         MetaTrainConfig(lr=0.0)
 
@@ -297,6 +301,38 @@ def test_train_meta_matches_per_batch_gather(batch_size):
     net = ToyClassifier.initialize(2, 10, 1, seed=1)
     got, want = train_meta(net, data, cfg), reference.train_meta(net, data, cfg)
     assert np.array_equal(got.flat, want.flat)
+
+
+def uniform_meta(n, seed):
+    inputs = rng_from(seed).random((n, 2))
+    return MetaDataset(inputs=inputs, labels=(inputs.sum(axis=1) > 1.0).astype(float))
+
+
+@pytest.mark.parametrize("n", [MAX_PAIRS + 1, 3 * MAX_PAIRS])
+def test_train_meta_above_the_cap_trains_on_a_seeded_subsample(monkeypatch, n):
+    data = uniform_meta(n, seed=n)
+    cfg = MetaTrainConfig(seed=7, epochs=3, patience=3, batch_size=100)
+    net = ToyClassifier.initialize(2, 10, 1, seed=1)
+    keep = rng_from(cfg.seed, "meta-sample").choice(n, MAX_PAIRS, replace=False)
+    want = reference.train_meta(net, MetaDataset(data.inputs[keep], data.labels[keep]), cfg)
+    steps = []
+    real = metanet.meta_loss_and_grads
+    monkeypatch.setattr(metanet, "meta_loss_and_grads",
+                        lambda *args: steps.append(args[1].shape[0]) or real(*args))
+    got = train_meta(net, data, cfg)
+    assert np.array_equal(got.flat, want.flat)
+    # patience == epochs, so every epoch runs
+    assert len(steps) == cfg.epochs * math.ceil(MAX_PAIRS / cfg.batch_size)
+    assert sum(steps) == cfg.epochs * MAX_PAIRS
+    assert not np.array_equal(got.flat, reference.train_meta(net, data, cfg).flat)
+
+
+def test_train_meta_at_the_cap_uses_every_pair():
+    data = uniform_meta(MAX_PAIRS, seed=1)
+    cfg = MetaTrainConfig(seed=7, epochs=2, batch_size=100)
+    net = ToyClassifier.initialize(2, 10, 1, seed=1)
+    assert np.array_equal(train_meta(net, data, cfg).flat,
+                          reference.train_meta(net, data, cfg).flat)
 
 
 # ------------------------------------------------------------------ baseline
