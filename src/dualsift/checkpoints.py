@@ -5,6 +5,7 @@ network's flat parameter buffer, one full-precision float per line.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ def save_flat_params(path: str | Path, tag: str, dims: tuple[int, ...],
 
 
 def load_flat_params(path: str | Path, expected_tag: str) -> tuple[tuple[int, ...], np.ndarray]:
-    """Read a checkpoint: its dimensions and its parameters as one flat array."""
+    """Read a checkpoint: its dimensions and its finite parameters as one flat array."""
     lines = read_text_lines(path)
     if not lines:
         raise ParseError("empty checkpoint")
@@ -44,4 +45,6 @@ def load_flat_params(path: str | Path, expected_tag: str) -> tuple[tuple[int, ..
             values.append(float(line))
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not math.isfinite(values[-1]):
+            raise ParseError("non-finite float value", line=lineno)
     return dims, np.asarray(values, dtype=np.float64)

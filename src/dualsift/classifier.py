@@ -22,7 +22,8 @@ from .errors import ParseError
 from .seeding import rng_from
 
 _CHECKPOINT_TAG = "toyclassifier"
-_PROB_CLAMP = 1e-7
+# Floor on a probability before its log, in every loss here and in metanet's.
+PROB_CLAMP = 1e-7
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -125,12 +126,7 @@ def mixed_loss_and_grads(
     n_all = nc + nu
     if n_all == 0:
         raise ValueError("both batch groups are empty")
-    if nc and nu:
-        x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64, copy=False)
-    elif nc:
-        x = np.asarray(x_labeled, dtype=np.float64)
-    else:
-        x = np.asarray(x_unlabeled, dtype=np.float64)
+    x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64, copy=False)
     logits, h = clf.forward(x)
     p = softmax_rows(logits)
     k = clf.num_classes
@@ -138,7 +134,7 @@ def mixed_loss_and_grads(
 
     loss = 0.0
     if nc:
-        pc = np.maximum(p[..., :nc, :], _PROB_CLAMP)
+        pc = np.maximum(p[..., :nc, :], PROB_CLAMP)
         loss += -(targets * np.log(pc)).sum(axis=rows) / nc
         if not nu and not lambda_r:
             return loss, _backward(clf, x, h, (p - targets) / nc)
@@ -154,7 +150,7 @@ def mixed_loss_and_grads(
         gp[..., nc:, :] += lambda_u * 2.0 * diff / nu
     if lambda_r:
         mean_pred = p.sum(axis=-2, keepdims=True) / n_all
-        clipped = np.maximum(mean_pred, _PROB_CLAMP)
+        clipped = np.maximum(mean_pred, PROB_CLAMP)
         uniform = 1.0 / k
         loss += lambda_r * (uniform * (np.log(uniform) - np.log(clipped))).sum(axis=rows)
         gp += lambda_r * (-uniform / clipped) / n_all

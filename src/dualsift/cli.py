@@ -218,6 +218,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_cfg = TrainConfig(**_kwargs(cfg, _TRAIN_KEYS), seed=cfg["seed"])
     dataset = load_sample_table(args.input)
     train_set, test_set, _, _ = split_dataset(dataset, cfg["test_fraction"], cfg["seed"])
+    if train_set.n == 0:
+        raise UsageError(f"test_fraction {cfg['test_fraction']} leaves no training "
+                         f"samples out of {dataset.n}")
     can_score = test_set.n > 0 and test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)

@@ -169,6 +169,13 @@ def _class_centroids(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
 
 
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """(n, num_classes) float64 rows holding 1.0 at each label."""
+    out = np.zeros((labels.shape[0], num_classes))
+    out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a deterministic toy benchmark with known-clean labels.
 
@@ -180,9 +187,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     true = rng.integers(0, spec.k, size=spec.n)
     centroids = _class_centroids(spec.k, spec.d, rng)
     features = centroids[true] + spec.cluster_spread * rng.standard_normal((spec.n, spec.d))
-    onehot = np.zeros((spec.n, spec.k))
-    onehot[np.arange(spec.n), true] = 1.0
-    logits = spec.logit_sharpness * onehot + LOGIT_JITTER * rng.standard_normal((spec.n, spec.k))
+    logits = spec.logit_sharpness * one_hot(true, spec.k) \
+        + LOGIT_JITTER * rng.standard_normal((spec.n, spec.k))
     return Dataset(features, logits, true.copy(), true.copy())
 
 

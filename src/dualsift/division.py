@@ -34,7 +34,6 @@ FEAT_GMM = GmmConfig(Orientation.LARGER_MEAN_CLEAN)
 PARTITION_TAGS = ("P", "N", "U", "C", "UN", "DROPPED")
 # A sample's tag; its value is the sample's code in a Partition.
 Tag = IntEnum("Tag", PARTITION_TAGS, start=0)
-_TAG_CODES = {tag.name: tag.value for tag in Tag}
 
 
 class StrategyKind(Enum):
@@ -222,8 +221,6 @@ def divide_dataset(
     pos_parts, neg_parts, unc_parts = ([np.empty(0, dtype=np.int64)] for _ in range(3))
     for cluster in clusters:
         ids = cluster.member_ids
-        if ids.size == 0:
-            continue
         pp = table.posterior_loss[ids]
         ps = table.posterior_sim[ids]
         finite_pp = pp[np.isfinite(pp)]
@@ -298,7 +295,7 @@ def _read_partition_lines(path: str | Path) -> Partition:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         tag = parts[1].strip()
-        code = _TAG_CODES.get(tag)
+        code = Tag.__members__.get(tag)
         if code is None:
             raise ParseError(f"unknown tag {tag!r}", line=lineno)
         if sample_id in mapping:

@@ -41,6 +41,8 @@ class GmmConfig:
             raise ValueError("tol must be positive")
         if self.variance_floor <= 0:
             raise ValueError("variance_floor must be positive")
+        if self.min_fit_size < 1:
+            raise ValueError("min_fit_size must be >= 1")
 
 
 @dataclass(frozen=True)

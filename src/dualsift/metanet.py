@@ -12,13 +12,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifier import ToyClassifier, _backward, apply_sgd_step
+from .classifier import PROB_CLAMP, ToyClassifier, _backward, apply_sgd_step
 from .division import Partition, Tag
 from .errors import MetaStarved, NumericalError
 from .scores import ScoreTable
 from .seeding import rng_from
 
-_PRED_CLAMP = 1e-7
 # An epoch's training-set BCE must fall by more than this to reset early stopping.
 MIN_DELTA = 1e-4
 # Meta training reads a seeded uniform subsample of at most this many pairs.
@@ -92,7 +91,7 @@ def build_meta_dataset(partition: Partition, table: ScoreTable) -> MetaDataset:
 
 
 def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
-    p = np.minimum(np.maximum(preds, _PRED_CLAMP), 1.0 - _PRED_CLAMP)
+    p = np.minimum(np.maximum(preds, PROB_CLAMP), 1.0 - PROB_CLAMP)
     terms = labels * np.log(p) + (1.0 - labels) * np.log(1.0 - p)
     return float(-(terms.sum() / terms.size))
 

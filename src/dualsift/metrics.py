@@ -1,7 +1,7 @@
 """Selection quality against ground truth, plus classification accuracy."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,13 +25,7 @@ class SelectionReport:
     degenerate: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "tp_rate": self.tp_rate, "tn_rate": self.tn_rate,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "n_selected": self.n_selected, "n_total": self.n_total,
-            "degenerate": list(self.degenerate),
-        }
+        return {**asdict(self), "degenerate": list(self.degenerate)}
 
 
 def selection_metrics(selected_ids: np.ndarray, clean_mask: np.ndarray) -> SelectionReport:

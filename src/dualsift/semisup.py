@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_loss_and_grads
-from .data import Dataset
+from .data import Dataset, one_hot
 from .division import Partition
 from .errors import NumericalError
 from .pipeline import DistillParams, DistillResult, run_distillation
@@ -51,6 +51,8 @@ class TrainConfig:
             raise ValueError("epoch and round counts must be non-negative")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.lambda_u < 0 or self.lambda_r < 0:
+            raise ValueError("lambda_u and lambda_r must be non-negative")
         if self.ensemble_size < 1:
             raise ValueError("need at least one ensemble member")
         if self.hidden < 1 or self.batch_size < 1:
@@ -76,12 +78,6 @@ def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray):
     """
     logits, hidden, probs = ensemble_outputs(ensemble, x)
     return logits, hidden - hidden.mean(axis=0), probs
-
-
-def _one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
@@ -115,19 +111,13 @@ def _train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambd
     # matches a plain epoch over the whole dataset; each member draws its
     # batches from its own generator, and one stacked step moves all members.
     # The epoch's batches are gathered up front, so each step reads views.
+    # An empty group draws nothing and gathers (steps, members, 0, ·) stacks.
     nc, nu = x_lab.shape[0], x_unl.shape[0]
-    steps = -(-(nc + nu) // batch_size) if nc + nu else 0
-
-    def gathered(x, y):
-        # (steps, members, batch, ·) stacks of one group's rows
-        if not x.shape[0]:
-            return (np.zeros((steps, len(rngs), 0, x.shape[-1])),
-                    np.zeros((steps, len(rngs), 0, y.shape[-1])))
-        idx = _epoch_batches(x.shape[0], batch_size, rngs, steps)
-        return x[idx], y[idx]
-
-    xl_all, tl_all = gathered(x_lab, targets)
-    xu_all, qu_all = gathered(x_unl, guesses)
+    steps = -(-(nc + nu) // batch_size)
+    lab_idx = _epoch_batches(nc, batch_size, rngs, steps)
+    unl_idx = _epoch_batches(nu, batch_size, rngs, steps)
+    xl_all, tl_all = x_lab[lab_idx], targets[lab_idx]
+    xu_all, qu_all = x_unl[unl_idx], guesses[unl_idx]
     for s in range(steps):
         loss, grads = mixed_loss_and_grads(ensemble, xl_all[s], tl_all[s], xu_all[s], qu_all[s],
                                            lambda_u, lambda_r)
@@ -143,9 +133,9 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     derived seed so the members stay decorrelated. Raises NumericalError
     when a member ends past ``MAX_ACTIVATION`` on the training set.
     """
-    targets = _one_hot(dataset.noisy_labels, dataset.num_classes)
+    targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     seed = derive_seed(config.seed, "warmup")
-    rngs = [rng_from(derive_seed(seed, f"warmup-member-{m}")) for m in range(len(ensemble.flat))]
+    rngs = [rng_from(seed, f"warmup-member-{m}") for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
     for _ in range(config.warmup_epochs):
         _train_epoch_mixed(
@@ -187,12 +177,12 @@ def distill_round(
     clean_ids = partition.clean_ids
     noisy_ids = partition.noisy_ids
     fused = np.clip(table.fused[clean_ids], 0.0, 1.0)
-    refined = fused[:, None] * _one_hot(dataset.noisy_labels[clean_ids], dataset.num_classes) \
+    refined = fused[:, None] * one_hot(dataset.noisy_labels[clean_ids], dataset.num_classes) \
         + (1.0 - fused)[:, None] * mean_probs[clean_ids]
     guessed = mean_probs[noisy_ids]
     guessed = guessed / guessed.sum(axis=1, keepdims=True)
 
-    rngs = [rng_from(derive_seed(train_config.seed, f"round-{round_index}-member-{m}"))
+    rngs = [rng_from(train_config.seed, f"round-{round_index}-member-{m}")
             for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
     _train_epoch_mixed(

@@ -270,7 +270,32 @@ def test_non_finite_float_flag_usage_error(tmp_path, capsys, command, flag, valu
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--lambda-u", -3), ("train", "--lambda-r", -3),
+    ("distill", "--min-fit-size", -5), ("distill", "--min-fit-size", 0),
+])
+def test_negative_weight_or_fit_size_usage_error(tmp_path, capsys, command, flag, value):
+    # these used to exit 0: a negated loss term, or a fit of any size
+    data = small_benchmark(tmp_path, n=600, noise="asym:0.3", seed=9)
+    capsys.readouterr()
+    assert run([command, data, "-o", tmp_path / "o", flag, value]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and flag[2:].replace("-", "_") in err[0]
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------- train
+
+def test_train_empty_train_split_usage_error(tmp_path, capsys):
+    # 0.9 of 2 rows rounds to 2 test rows; this used to exit 0 with n 0
+    # after two RuntimeWarnings
+    path = tmp_path / "two.csv"
+    write_sample_table(Dataset(np.eye(2), np.eye(2), [0, 1], [0, 1]), path)
+    assert run(["train", path, "-o", tmp_path / "o", "--test-fraction", 0.9]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: test_fraction 0.9 leaves no training samples out of 2"]
+    assert not (tmp_path / "o").exists()
+
 
 def test_train_rounds_zero_warmup_only(tmp_path):
     data = small_benchmark(tmp_path, n=400)

@@ -107,6 +107,10 @@ def test_config_validation():
         GmmConfig(Orientation.SMALLER_MEAN_CLEAN, max_iter=0)
     with pytest.raises(ValueError):
         GmmConfig(Orientation.SMALLER_MEAN_CLEAN, tol=0.0)
+    for size in (0, -5):
+        with pytest.raises(ValueError, match="min_fit_size"):
+            GmmConfig(Orientation.SMALLER_MEAN_CLEAN, min_fit_size=size)
+    GmmConfig(Orientation.SMALLER_MEAN_CLEAN, min_fit_size=1)
 
 
 # ------------------------------------------------------------ the log-sum-exp helper

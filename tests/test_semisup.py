@@ -201,6 +201,17 @@ def test_checkpoint_value_with_underscore_or_non_ascii_digit_is_rejected(tmp_pat
     assert load_classifier_checkpoint(path).flat[3] == 1.0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_checkpoint_non_finite_value_is_rejected(tmp_path, value):
+    path = tmp_path / "clf.txt"
+    save_classifier_checkpoint(ToyClassifier.initialize(2, 3, 2, seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[4] = value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="^line 5: non-finite float value$"):
+        load_classifier_checkpoint(path)
+
+
 def test_checkpoint_with_wrong_parameter_count_is_rejected(tmp_path):
     path = tmp_path / "clf.txt"
     save_classifier_checkpoint(ToyClassifier.initialize(2, 3, 2, seed=1), path)
@@ -388,6 +399,33 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
         assert np.array_equal(got.codes, want.codes)
 
 
+@pytest.mark.parametrize("empty", ["labeled", "unlabeled"])
+def test_epoch_with_an_empty_group_matches_per_step_gather_oracle(empty):
+    # the empty group draws nothing from the members' generators and adds
+    # no rows to any step; the other group's batches cycle as usual
+    rng = np.random.default_rng(7)
+    d, k, members = 5, 4, 2
+    x_lab, x_unl = rng.normal(size=(23, d)), rng.normal(size=(17, d))
+    targets = rng.dirichlet(np.ones(k), 23)
+    guesses = rng.dirichlet(np.ones(k), 17)
+    if empty == "labeled":
+        x_lab, targets = x_lab[:0], targets[:0]
+    else:
+        x_unl, guesses = x_unl[:0], guesses[:0]
+    start = ToyClassifier.stack([ToyClassifier.initialize(d, 6, k, seed=m)
+                                 for m in range(members)])
+    nets, states = [], []
+    for epoch in (semisup._train_epoch_mixed, reference.train_epoch_mixed):
+        net = start.copy()
+        rngs = [rng_from(3, f"m{m}") for m in range(members)]
+        epoch(net, x_lab, targets, x_unl, guesses, 3.0, 1.0, 0.05, 6, rngs)
+        nets.append(net)
+        states.append([r.bit_generator.state for r in rngs])
+    assert same_bits(nets[0].flat, nets[1].flat)
+    assert not same_bits(nets[0].flat, start.flat)
+    assert states[0] == states[1]
+
+
 # --------------------------------------------------------------------- warmup
 
 def noiseless_data(n=1000, spread=0.05, seed=6):
@@ -504,6 +542,10 @@ def test_train_config_validation():
         TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(ensemble_size=0)
+    for name in ("lambda_u", "lambda_r"):
+        with pytest.raises(ValueError, match="non-negative"):
+            TrainConfig(**{name: -3.0})
+        TrainConfig(**{name: 0.0})
 
 
 def test_softmax_rows_distribution():
