@@ -31,6 +31,11 @@ import orjson
 from .errors import ParseError
 from .seeding import rng_from
 
+# Rows per block of every pass over a whole table outside per-cluster
+# scoring (generate, table and partition writes, fusion, the trainer's
+# activation check); larger blocks raise peak memory.
+ROW_BLOCK = 1024
+
 # Absolute stddev of the Gaussian jitter added to synthetic oracle logits.
 # Kept small relative to the default logit_sharpness so the loss signal is
 # informative but not perfectly separable.
@@ -186,10 +191,17 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = rng_from(spec.seed)
     true = rng.integers(0, spec.k, size=spec.n)
     centroids = _class_centroids(spec.k, spec.d, rng)
-    features = centroids[true] + spec.cluster_spread * rng.standard_normal((spec.n, spec.d))
-    logits = spec.logit_sharpness * one_hot(true, spec.k) \
-        + LOGIT_JITTER * rng.standard_normal((spec.n, spec.k))
-    return Dataset(features, logits, true.copy(), true.copy())
+    # the normals are drawn into the output arrays and shifted in place,
+    # ROW_BLOCK rows at a time, so no second (N, D) or (N, K) array exists
+    features = rng.standard_normal((spec.n, spec.d))
+    features *= spec.cluster_spread
+    logits = rng.standard_normal((spec.n, spec.k))
+    logits *= LOGIT_JITTER
+    for start in range(0, spec.n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        features[block] += centroids[true[block]]
+        logits[block] += spec.logit_sharpness * one_hot(true[block], spec.k)
+    return Dataset(features, logits, true, true.copy())
 
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
@@ -447,15 +459,11 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
     return Dataset(features[order], logits[order], noisy[order], true[order])
 
 
-# Rows formatted per write; larger blocks raise peak memory.
-WRITE_BLOCK = 1024
-
-
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset in the sample-table CSV format.
 
     Floats are written as their Python ``repr`` (shortest round-trip form),
-    through :func:`repr_rows`; rows go out in blocks of ``WRITE_BLOCK`` to
+    through :func:`repr_rows`; rows go out in blocks of ``ROW_BLOCK`` to
     keep memory flat.
 
     When the output is a regular file, the sidecar ``<path>.npz`` is then
@@ -472,10 +480,10 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
 
 
 def _table_chunks(dataset: Dataset):
-    """The table's bytes: the header, then one chunk per ``WRITE_BLOCK`` rows."""
+    """The table's bytes: the header, then one chunk per ``ROW_BLOCK`` rows."""
     yield (",".join(_expected_header(dataset.feature_dim, dataset.num_classes)) + "\n").encode()
-    for start in range(0, dataset.n, WRITE_BLOCK):
-        block = slice(start, start + WRITE_BLOCK)
+    for start in range(0, dataset.n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
         noisy = dataset.noisy_labels[block]
         labels = repr_rows(np.column_stack(
             (np.arange(start, start + noisy.size), noisy, dataset.true_labels[block])))
@@ -506,14 +514,26 @@ def _write_sidecar(dataset: Dataset, path: str | Path, digest: str) -> None:
     """Save the dataset's arrays and ``digest``, the sha256 of the table's
     bytes, with the table's permission bits, to a temp file beside the table,
     then move it to ``<path>.npz``. The sidecar only spares a later load its
-    parse, so one that cannot be written is left out."""
+    parse, so one that cannot be written is left out.
+
+    Each member holds the bytes ``np.savez`` writes for it: a stored, zip64
+    ``<name>.npy`` with the version 1.0 header, then the array's buffer,
+    written from a flat ``uint8`` view instead of ``savez``'s ``tobytes``
+    copies, so a sidecar costs no memory per row."""
+    arrays = {name: getattr(dataset, name) for name in _SIDECAR_ARRAYS}
+    arrays[_SIDECAR_DIGEST] = np.array(digest)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
                                    dir=Path(path).parent)
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **{name: getattr(dataset, name) for name in _SIDECAR_ARRAYS},
-                     **{_SIDECAR_DIGEST: np.array(digest)})
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+            for name, arr in arrays.items():
+                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, np.lib.format.header_data_from_array_1_0(arr))
+                    # reshape(-1) views a C-contiguous array, the 0-d digest
+                    # and 0-row tables included
+                    member.write(arr.reshape(-1).view(np.uint8))
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, _sidecar_path(path))
     except OSError:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (WRITE_BLOCK, NoisyCluster, check_number_text, id_order, loadtxt_rows,
+from .data import (ROW_BLOCK, NoisyCluster, check_number_text, id_order, loadtxt_rows,
                    read_text_lines, repr_rows)
 from .errors import DegenerateFit, ParseError
 from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
@@ -243,11 +243,11 @@ _TAG_BYTES = np.array([tag.encode() for tag in PARTITION_TAGS], dtype=object)
 
 def write_partition_file(partition: Partition, path: str | Path) -> None:
     """Newline-delimited ``id,tag`` serialization of the partition,
-    ``WRITE_BLOCK`` lines per write to keep memory flat."""
+    ``ROW_BLOCK`` lines per write to keep memory flat."""
     codes = partition.codes
     with open(path, "wb") as fh:
-        for start in range(0, codes.size, WRITE_BLOCK):
-            tags = _TAG_BYTES[codes[start:start + WRITE_BLOCK]]
+        for start in range(0, codes.size, ROW_BLOCK):
+            tags = _TAG_BYTES[codes[start:start + ROW_BLOCK]]
             ids = repr_rows(np.arange(start, start + tags.size)[:, None])
             fh.write(b"".join([b"%s,%s\n" % row for row in zip(ids, tags)]))
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classifier import PROB_CLAMP, ToyClassifier, _backward, apply_sgd_step
+from .data import ROW_BLOCK
 from .division import Partition, Tag
 from .errors import MetaStarved, NumericalError
 from .scores import ScoreTable
@@ -162,10 +163,16 @@ def fuse_scores(net: ToyClassifier, table: ScoreTable) -> ScoreTable:
     """Fused score for every sample, certain-set members included.
 
     Samples with a missing posterior in either space fuse to NaN and are
-    later routed to the noisy side by :func:`purify`.
+    later routed to the noisy side by :func:`purify`. Pairs go through the
+    net ``ROW_BLOCK`` rows at a time, so the hidden layer never spans the
+    table; each row's score is the bits of a whole-array call.
     """
-    pairs = np.column_stack([table.posterior_loss, table.posterior_sim])
-    return replace(table, fused=meta_scores(net, pairs))
+    fused = np.empty(table.n)
+    for start in range(0, table.n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        fused[block] = meta_scores(
+            net, np.column_stack([table.posterior_loss[block], table.posterior_sim[block]]))
+    return replace(table, fused=fused)
 
 
 def purify(table: ScoreTable, partition: Partition,

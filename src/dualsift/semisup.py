@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_loss_and_grads
-from .data import Dataset, one_hot
+from .data import ROW_BLOCK, Dataset, one_hot
 from .division import Partition
 from .errors import NumericalError
 from .pipeline import DistillParams, DistillResult, run_distillation
@@ -24,8 +24,6 @@ from .seeding import derive_seed, rng_from
 # after warm-up or a round. Healthy members stay near 10 (the 5k benchmark
 # peaks at |h| 3.1 and |logit| 9.7); diverged ones pass 1e6 and keep going.
 MAX_ACTIVATION = 1e4
-# Rows per forward pass of that check, so it adds no memory peak.
-_CHECK_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -92,8 +90,8 @@ def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
     """Raise NumericalError when a member's activations on ``x`` left the
     safe range (or stopped being finite)."""
     peaks = np.zeros(len(ensemble.flat))
-    for start in range(0, x.shape[0], _CHECK_BLOCK):
-        logits, hidden = ensemble.forward(x[start:start + _CHECK_BLOCK])
+    for start in range(0, x.shape[0], ROW_BLOCK):
+        logits, hidden = ensemble.forward(x[start:start + ROW_BLOCK])
         # np.maximum keeps a NaN, which then fails the bound below
         peaks = np.maximum(peaks, np.maximum(np.abs(hidden).max(axis=(1, 2)),
                                              np.abs(logits).max(axis=(1, 2))))

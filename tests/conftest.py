@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -53,3 +54,30 @@ def train_run(benchmark40_csv, tmp_path_factory):
     assert code == 0
     report = json.loads((outdir / "report.json").read_text())
     return {"outdir": outdir, "report": report, "seconds": elapsed}
+
+
+def _traced_extra(fn, *args):
+    """``fn(*args)`` and the most bytes it held at once beyond those held
+    when it started, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_extra():
+    return _traced_extra
+
+
+@pytest.fixture
+def growth_per_row():
+    """``extra(n)``'s growth per added row from 20k to 80k rows, after one
+    call at 1k rows pays the allocations a first call makes once."""
+    def growth(extra):
+        extra(1_000)
+        return (extra(80_000) - extra(20_000)) / 60_000
+    return growth

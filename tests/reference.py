@@ -3,6 +3,8 @@
 The package computes scores and losses over whole arrays; these one-sample
 versions are written independently so tests can compare the two. The
 row-at-a-time ``%r`` sample-table writer is the byte oracle for the block writer.
+The whole-array synthetic generator and fusion are the bit oracles for the
+package's in-place, row-blocked forms.
 The one-array-per-component EM, the masked sigmoid, the clip-and-mean BCE, the
 per-batch-gather meta training loop, and the zero-buffer mixed loss with its
 per-step-gather epoch are the bit oracles for the package's buffered forms.
@@ -13,15 +15,17 @@ of per-name gradients, so they check the package's flat-buffer step rather
 than reuse it.
 """
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from dualsift.classifier import ToyClassifier
-from dualsift.data import Dataset, _expected_header
+from dualsift.data import LOGIT_JITTER, Dataset, SyntheticSpec, _class_centroids, _expected_header
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
 from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid
+from dualsift.scores import ScoreTable
 from dualsift.semisup import _epoch_batches
 from dualsift.seeding import rng_from
 
@@ -115,6 +119,19 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
         fh.writelines(row % (i, y, t, *f, *g) for i, (y, t, f, g) in enumerate(zip(
             dataset.noisy_labels.tolist(), dataset.true_labels.tolist(),
             dataset.features.tolist(), dataset.logits.tolist())))
+
+
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
+    """The synthetic benchmark from whole-array expressions: centroid plus
+    scaled normals, and scaled one-hot plus jitter, each in one step."""
+    rng = rng_from(spec.seed)
+    true = rng.integers(0, spec.k, size=spec.n)
+    centroids = _class_centroids(spec.k, spec.d, rng)
+    features = centroids[true] + spec.cluster_spread * rng.standard_normal((spec.n, spec.d))
+    hot = np.zeros((spec.n, spec.k))
+    hot[np.arange(spec.n), true] = 1.0
+    logits = spec.logit_sharpness * hot + LOGIT_JITTER * rng.standard_normal((spec.n, spec.k))
+    return Dataset(features, logits, true.copy(), true.copy())
 
 
 def _log_joint(x: np.ndarray, weight: float, mean: float, variance: float) -> np.ndarray:
@@ -358,6 +375,12 @@ def mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
 def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
     logits, _ = forward(net, pairs)
     return _sigmoid(logits[:, 0])
+
+
+def fuse_scores(net: ToyClassifier, table: ScoreTable) -> ScoreTable:
+    """Fused scores from one forward pass over every posterior pair."""
+    pairs = np.column_stack([table.posterior_loss, table.posterior_sim])
+    return replace(table, fused=meta_scores(net, pairs))
 
 
 def meta_loss_and_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarray):

@@ -1,6 +1,7 @@
 import os
 import stat
 import threading
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -285,10 +286,10 @@ def test_writer_bytes_equal_reference(tmp_path_factory, ds):
 
 def test_writer_matches_oracle_on_block_edges(tmp_path):
     # odd values on the last row of one block and the first of the next
-    n = 2 * data.WRITE_BLOCK + 1
+    n = 2 * data.ROW_BLOCK + 1
     ds = generate_synthetic(SyntheticSpec(k=3, d=2, n=n, seed=7))
     features = ds.features.copy()
-    for row in (0, data.WRITE_BLOCK - 1, data.WRITE_BLOCK, 2 * data.WRITE_BLOCK - 1, n - 1):
+    for row in (0, data.ROW_BLOCK - 1, data.ROW_BLOCK, 2 * data.ROW_BLOCK - 1, n - 1):
         features[row] = EDGE_VALUES[row % len(EDGE_VALUES)], -5e-324
     assert_writer_matches_oracle(ds.with_representation(features, ds.logits), tmp_path)
     # the sidecar names the digest of every block written, not just the first
@@ -478,6 +479,50 @@ def test_non_regular_output_gets_no_sidecar(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "t.csv", "t.csv.npz"]
 
 
+SIDECAR_ENTRIES = {"features": np.float64, "logits": np.float64, "noisy_labels": np.int64,
+                   "true_labels": np.int64, "csv_sha256": np.dtype("<U64")}
+
+
+def test_sidecar_written_by_savez_still_loads(tmp_path, monkeypatch):
+    ds, path = written_table(tmp_path)
+    sidecar_of(path).unlink()
+    save_sidecar(path, **{name: getattr(ds, name) for name in data._SIDECAR_ARRAYS},
+                 csv_sha256=np.array(data._file_sha256(path)))
+    monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
+    monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
+    assert_bits_equal(load_sample_table(path), ds)
+
+
+@pytest.mark.parametrize("n", [0, 40])
+def test_sidecar_members_are_the_bytes_savez_writes(tmp_path, n):
+    ds, path = written_table(tmp_path)
+    ds = ds.subset(np.arange(n))
+    write_sample_table(ds, path)
+    with np.load(sidecar_of(path), allow_pickle=False) as saved:
+        assert sorted(saved.files) == sorted(SIDECAR_ENTRIES)
+        for name, dtype in SIDECAR_ENTRIES.items():
+            want = np.array(data._file_sha256(path)) if name == "csv_sha256" \
+                else getattr(ds, name)
+            assert (saved[name].dtype, saved[name].shape) == (dtype, want.shape)
+            assert saved[name].tobytes() == want.tobytes()
+        arrays = dict(saved)
+    save_sidecar(tmp_path / "savez", **arrays)
+    with zipfile.ZipFile(sidecar_of(path)) as ours, \
+            zipfile.ZipFile(sidecar_of(tmp_path / "savez")) as theirs:
+        assert ours.namelist() == theirs.namelist()
+        for name in ours.namelist():
+            assert ours.getinfo(name).compress_type == zipfile.ZIP_STORED
+            assert ours.read(name) == theirs.read(name)
+
+
+def test_write_memory_does_not_grow_with_rows(tmp_path, traced_extra, growth_per_row):
+    def extra(n):
+        ds = generate_synthetic(SyntheticSpec(k=10, d=16, n=n, seed=1))
+        return traced_extra(write_sample_table, ds, tmp_path / "t.csv")[1]
+    # the savez sidecar copied each array through tobytes: 122 bytes a row
+    assert growth_per_row(extra) < 1
+
+
 @pytest.mark.parametrize("column", ["features", "logits"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite(column, bad):
@@ -517,6 +562,24 @@ def test_generate_low_dim_centroids():
     ds = generate_synthetic(SyntheticSpec(k=8, d=3, n=80, cluster_spread=1e-12, seed=4))
     norms = np.linalg.norm(ds.features, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("k, d", [(3, 5), (12, 4)], ids=["d_ge_k", "d_lt_k"])
+@pytest.mark.parametrize("n", ["k", data.ROW_BLOCK - 1, data.ROW_BLOCK, data.ROW_BLOCK + 1,
+                               3 * data.ROW_BLOCK + 1])
+def test_generate_matches_whole_array_oracle(k, d, n):
+    spec = SyntheticSpec(k=k, d=d, n=k if n == "k" else n, cluster_spread=0.7,
+                         logit_sharpness=2.5, seed=11)
+    assert_bits_equal(generate_synthetic(spec), reference.generate_synthetic(spec))
+
+
+def test_generate_extra_memory_per_row_is_bounded(traced_extra, growth_per_row):
+    def extra(n):
+        ds, peak = traced_extra(generate_synthetic, SyntheticSpec(k=10, d=16, n=n, seed=1))
+        return peak - sum(getattr(ds, name).nbytes for name in data._SIDECAR_ARRAYS)
+    # room for int64 labels (8 bytes a row) and Dataset's finiteness mask
+    # (D = 16 bytes a row); the whole-array expressions held 72 bytes a row
+    assert growth_per_row(extra) <= 32
 
 
 def test_generate_invalid_spec():

@@ -30,7 +30,7 @@ from dualsift import (
     write_partition_file,
 )
 from dualsift import division
-from dualsift.data import WRITE_BLOCK
+from dualsift.data import ROW_BLOCK
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.pipeline import DistillParams, run_distillation
@@ -289,7 +289,7 @@ def test_partition_file_roundtrip(tmp_path):
     assert read_partition_file(path).tags() == ["P", "N", "C", "UN", "DROPPED"]
 
 
-@pytest.mark.parametrize("n", [1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 3 * WRITE_BLOCK])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK])
 def test_partition_file_bytes_match_line_format_across_blocks(tmp_path, n):
     part = Partition(rng_from(n).integers(0, len(PARTITION_TAGS), n))
     path = tmp_path / "part.csv"

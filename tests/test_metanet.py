@@ -222,6 +222,37 @@ def test_fuse_scores_matches_forward():
     assert np.isnan(fused[2])
 
 
+def posterior_table(n, seed=0):
+    """Posteriors in [0, 1] with NaN in the loss column, the feature
+    column, or both, on rows spread over every block."""
+    rng = np.random.default_rng(seed)
+    pp, ps = rng.random(n), rng.random(n)
+    pp[rng.random(n) < 0.1] = np.nan
+    ps[rng.random(n) < 0.1] = np.nan
+    pp[::97] = ps[::89] = np.nan
+    return table_with(pp, ps)
+
+
+@pytest.mark.parametrize("n", [1, metanet.ROW_BLOCK - 1, metanet.ROW_BLOCK,
+                               metanet.ROW_BLOCK + 1, 3 * metanet.ROW_BLOCK + 1])
+def test_fuse_scores_matches_whole_array_oracle(n):
+    net = ToyClassifier.initialize(2, DistillParams().meta_hidden, 1, seed=n)
+    table = posterior_table(n, seed=n)
+    got, want = fuse_scores(net, table).fused, reference.fuse_scores(net, table).fused
+    assert np.isnan(got).any()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_fuse_memory_does_not_grow_with_rows(traced_extra, growth_per_row):
+    net = ToyClassifier.initialize(2, DistillParams().meta_hidden, 1, seed=3)
+
+    def extra(n):
+        table, peak = traced_extra(fuse_scores, net, posterior_table(n))
+        return peak - table.fused.nbytes
+    # the whole-array pass held the pairs and the hidden layer: 117 bytes a row
+    assert growth_per_row(extra) < 1
+
+
 def test_purify_basic_split():
     part = simple_partition(4, pos=[0], neg=[1])
     table = table_with(np.zeros(4), np.zeros(4), fused=[0.0, 0.0, 0.9, 0.2])
