@@ -20,6 +20,7 @@ from .data import (
     NoiseKind,
     NoiseSpec,
     SyntheticSpec,
+    check_number_text,
     generate_synthetic,
     inject_noise,
     load_sample_table,
@@ -90,6 +91,22 @@ TRAIN_DEFAULTS = {
 }
 
 
+def _value_type(kind: type):
+    """Read a flag or config value as ``kind``. Its number (a spec's, after
+    the colon) must not hold ``_`` or a non-ASCII character: ``int`` and
+    ``float`` accept both, and no file parser does."""
+    def read(text: str):
+        try:
+            check_number_text(text.partition(":")[2] if kind is str else text)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return kind(text)
+    return read
+
+
+_VALUE_TYPES = {kind: _value_type(kind) for kind in (int, float, str)}
+
+
 def _read_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -110,8 +127,8 @@ def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg[key] = type(defaults[key])(raw)
-            except ValueError as exc:
+                cfg[key] = _VALUE_TYPES[type(defaults[key])](raw)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
     for key in defaults:
         value = getattr(args, key)
@@ -289,6 +306,9 @@ _HELP = {
 
 
 def _add_config_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    # a flag keeps its plain type; the parser converts it with that type's reader
+    for kind, read in _VALUE_TYPES.items():
+        sub.register("type", kind, read)
     for key, default in defaults.items():
         sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
                          help=_HELP.get(key))

@@ -280,12 +280,12 @@ def read_text_lines(path: str | Path) -> list[str]:
         raise ParseError(str(exc), line=len((head + ".").splitlines())) from exc
 
 
-def check_number_text(text: str, line: int) -> None:
-    """Raise ParseError naming ``line`` when ``text``, numeric fields only,
-    holds ``_`` or a non-ASCII character.
+def check_number_text(text: str, line: int | None = None) -> None:
+    """Raise ParseError, naming ``line`` if given, when ``text``, numeric
+    fields only, holds ``_`` or a non-ASCII character.
 
     ``int`` and ``float`` read ``1_0`` as 10 and ``\u0661`` as 1; the numpy
-    fast paths refuse both, and so must every line parser.
+    fast paths refuse both, and so must every line parser and the CLI.
     """
     if "_" in text or not text.isascii():
         bad = next(c for c in text if c == "_" or not c.isascii())

@@ -79,14 +79,16 @@ class ThresholdStrategy:
 def resolve_threshold(strategy: ThresholdStrategy, posteriors_list: np.ndarray) -> float:
     """Turn a strategy into a concrete cutoff for one posterior population.
 
-    PERCENTILE uses the nearest-rank quantile sorted[ceil(p*n) - 1] with the
-    1-based rank clamped to the valid range.
+    PERCENTILE uses the nearest-rank quantile sorted[ceil(p*n) - 1] of the n
+    finite posteriors, the 1-based rank clamped to the valid range; with none
+    there is nothing to judge, and the cutoff is NaN, which fails every comparison.
     """
     if strategy.kind is StrategyKind.FIXED:
         return strategy.value
-    vals = np.sort(np.asarray(posteriors_list, dtype=np.float64).ravel())
+    vals = np.asarray(posteriors_list, dtype=np.float64).ravel()
+    vals = np.sort(vals[np.isfinite(vals)])
     if vals.size == 0:
-        raise ValueError("percentile strategy needs a non-empty posterior list")
+        return np.nan
     rank = int(np.ceil(strategy.value * vals.size))
     return float(vals[min(max(rank, 1), vals.size) - 1])
 
@@ -101,7 +103,7 @@ def divide_cluster(
 
     Positive requires strictly exceeding both thresholds, negative requires
     at-or-below both; everything else, including members with NaN
-    posteriors, is uncertain.
+    posteriors and every member at a NaN threshold, is uncertain.
     """
     pp = np.asarray(posterior_loss, dtype=np.float64)
     ps = np.asarray(posterior_sim, dtype=np.float64)
@@ -132,18 +134,6 @@ class Partition:
         codes = codes.astype(np.int8)
         codes.setflags(write=False)
         object.__setattr__(self, "codes", codes)
-
-    @classmethod
-    def from_ids(cls, n_total: int, positive_ids, negative_ids, uncertain_ids) -> "Partition":
-        """Build from division's P/N/U id sets, which must cover 0..N-1 exactly once."""
-        id_sets = [np.asarray(ids, dtype=np.int64).ravel()
-                   for ids in (positive_ids, negative_ids, uncertain_ids)]
-        flat = np.concatenate(id_sets)
-        order = id_order(flat) if flat.size == n_total else None
-        if order is None:
-            raise ValueError("P/N/U must partition 0..N-1")
-        tags = np.array([Tag.P, Tag.N, Tag.U], dtype=np.int8)
-        return cls(np.repeat(tags, [ids.size for ids in id_sets])[order])
 
     def _having(self, *tags: Tag) -> np.ndarray:
         """Ascending ids whose tag is one of ``tags``."""
@@ -215,27 +205,19 @@ def divide_dataset(
     """Threshold posteriors per cluster and assemble the global partition.
 
     Thresholds are resolved independently per cluster over that cluster's
-    finite posteriors. Clusters without usable posteriors in a space send
-    all members to the uncertain set.
+    finite posteriors. A member with a NaN posterior, or of a cluster whose
+    cutoff is NaN in a space, stays uncertain, as does an id no cluster covers.
     """
-    pos_parts, neg_parts, unc_parts = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+    codes = np.full(table.n, Tag.U, dtype=np.int8)
     for cluster in clusters:
         ids = cluster.member_ids
         pp = table.posterior_loss[ids]
         ps = table.posterior_sim[ids]
-        finite_pp = pp[np.isfinite(pp)]
-        finite_ps = ps[np.isfinite(ps)]
-        if finite_pp.size == 0 or finite_ps.size == 0:
-            unc_parts.append(ids)
-            continue
-        t_loss = resolve_threshold(strategy_loss, finite_pp)
-        t_sim = resolve_threshold(strategy_feat, finite_ps)
-        pos, neg, unc = divide_cluster(pp, ps, t_loss, t_sim)
-        pos_parts.append(ids[pos])
-        neg_parts.append(ids[neg])
-        unc_parts.append(ids[unc])
-    return Partition.from_ids(table.n, np.concatenate(pos_parts), np.concatenate(neg_parts),
-                              np.concatenate(unc_parts))
+        pos, neg, _ = divide_cluster(pp, ps, resolve_threshold(strategy_loss, pp),
+                                     resolve_threshold(strategy_feat, ps))
+        codes[ids[pos]] = Tag.P
+        codes[ids[neg]] = Tag.N
+    return Partition(codes)
 
 
 _TAG_BYTES = np.array([tag.encode() for tag in PARTITION_TAGS], dtype=object)

@@ -124,12 +124,9 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     best = net.copy()
     best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
     stale = 0
-    inputs = np.empty_like(data.inputs, order="C")
-    labels = np.empty_like(data.labels)
     for _ in range(config.epochs):
         order = rng.permutation(data.n)
-        np.take(data.inputs, order, axis=0, out=inputs)
-        np.take(data.labels, order, out=labels)
+        inputs, labels = data.inputs[order], data.labels[order]
         for start in range(0, data.n, config.batch_size):
             stop = start + config.batch_size
             loss, grads = meta_loss_and_grads(net, inputs[start:stop], labels[start:stop])
@@ -182,8 +179,9 @@ def purify(table: ScoreTable, partition: Partition,
     Uncertain members with fused >= accept join the clean set, <= reject
     join the noisy set, and the open band in between is dropped (empty when
     the thresholds coincide). Members whose fused score is NaN cannot be
-    judged and fall to the noisy side. Certain assignments are never
-    overturned.
+    judged and fall to the noisy side at any thresholds; a population with
+    no finite fused score resolves to a NaN cutoff and goes there whole.
+    Certain assignments are never overturned.
     """
     if accept_threshold < reject_threshold:
         raise ValueError("accept threshold must be >= reject threshold")

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .classifier import ToyClassifier
 from .data import Dataset, partition_by_label
 from .division import (
@@ -81,13 +79,6 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
         table = replace(table, fused=weighted_average_baseline(
             table.posterior_loss, table.posterior_sim, FALLBACK_LAMBDA))
 
-    su = partition.uncertain_ids
-    fused_su = table.fused[su]
-    finite = fused_su[np.isfinite(fused_su)]
-    if finite.size:
-        cut = resolve_threshold(params.fuse_strategy, finite)
-    else:
-        # nothing to judge; purify only merges the certain sets
-        cut = 0.5
+    cut = resolve_threshold(params.fuse_strategy, table.fused[partition.uncertain_ids])
     partition = purify(table, partition, cut, cut)
     return DistillResult(partition, table, fallbacks)

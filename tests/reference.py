@@ -13,6 +13,9 @@ before pairwise sums; the package stays close to it, not equal.
 The training loops update each named parameter view on its own, from a dict
 of per-name gradients, so they check the package's flat-buffer step rather
 than reuse it.
+Division from per-cluster P/N/U id lists, with a branch for a cluster that
+has no finite posterior in a space, and the fused cutoff with its 0.5
+fallback are the bit oracles for the package's NaN-cutoff forms.
 """
 import warnings
 from dataclasses import replace
@@ -21,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from dualsift.classifier import ToyClassifier
-from dualsift.data import LOGIT_JITTER, Dataset, SyntheticSpec, _class_centroids, _expected_header
+from dualsift.data import (LOGIT_JITTER, Dataset, NoisyCluster, SyntheticSpec, _class_centroids,
+                           _expected_header)
+from dualsift.division import StrategyKind, Tag, ThresholdStrategy, divide_cluster
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
 from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid
@@ -426,3 +431,50 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
         if stale >= config.patience:
             break
     return best
+
+
+def resolve_threshold(strategy: ThresholdStrategy, values: np.ndarray) -> float:
+    """Nearest-rank cutoff over a population that must not be empty."""
+    if strategy.kind is StrategyKind.FIXED:
+        return strategy.value
+    vals = np.sort(np.asarray(values, dtype=np.float64).ravel())
+    if vals.size == 0:
+        raise ValueError("percentile strategy needs a non-empty posterior list")
+    rank = int(np.ceil(strategy.value * vals.size))
+    return float(vals[min(max(rank, 1), vals.size) - 1])
+
+
+def divide_dataset(table: ScoreTable, clusters: list[NoisyCluster],
+                   strategy_loss: ThresholdStrategy,
+                   strategy_feat: ThresholdStrategy) -> np.ndarray:
+    """Partition codes assembled from per-cluster P/N/U id lists, which must
+    cover 0..N-1 exactly once; a cluster with no finite posterior in a space
+    goes to U whole."""
+    parts = ([], [], [])
+    for cluster in clusters:
+        ids = cluster.member_ids
+        pp = table.posterior_loss[ids]
+        ps = table.posterior_sim[ids]
+        finite_pp = pp[np.isfinite(pp)]
+        finite_ps = ps[np.isfinite(ps)]
+        if finite_pp.size == 0 or finite_ps.size == 0:
+            parts[2].append(ids)
+            continue
+        split = divide_cluster(pp, ps, resolve_threshold(strategy_loss, finite_pp),
+                               resolve_threshold(strategy_feat, finite_ps))
+        for part, members in zip(parts, split):
+            part.append(ids[members])
+    id_sets = [np.concatenate([np.empty(0, dtype=np.int64), *part]) for part in parts]
+    if not np.array_equal(np.sort(np.concatenate(id_sets)), np.arange(table.n)):
+        raise ValueError("P/N/U must partition 0..N-1")
+    codes = np.empty(table.n, dtype=np.int8)
+    for tag, ids in zip((Tag.P, Tag.N, Tag.U), id_sets):
+        codes[ids] = tag
+    return codes
+
+
+def fuse_cutoff(strategy: ThresholdStrategy, fused_uncertain: np.ndarray) -> float:
+    """The purification cutoff over the uncertain set's finite fused scores;
+    0.5 when there is none, since purify then only merges the certain sets."""
+    finite = fused_uncertain[np.isfinite(fused_uncertain)]
+    return resolve_threshold(strategy, finite) if finite.size else 0.5

@@ -34,6 +34,7 @@ from dualsift import (
     weighted_average_baseline,
 )
 from dualsift.classifier import ToyClassifier, mixed_loss_and_grads, softmax_rows
+from dualsift.division import Tag
 from dualsift.cli import main as cli_main
 from dualsift.metanet import _mean_bce, meta_loss_and_grads, meta_scores
 from dualsift.scores import ScoreTable
@@ -294,8 +295,9 @@ def test_criterion_10_partition_algebra():
         combined = np.sort(np.concatenate([pos, neg, unc]))
         ok &= bool(np.array_equal(combined, np.arange(n)))
 
-        part = Partition.from_ids(n_total=n, positive_ids=pos, negative_ids=neg,
-                                  uncertain_ids=unc)
+        codes = np.full(n, Tag.U)
+        codes[pos], codes[neg] = Tag.P, Tag.N
+        part = Partition(codes)
         table = ScoreTable.empty(n)
         table.posterior_loss[:] = pp
         table.posterior_sim[:] = ps

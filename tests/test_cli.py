@@ -456,6 +456,30 @@ def test_evaluate_table_cell_with_underscore_or_non_ascii_digit_is_data_error(
     assert capsys.readouterr().err.startswith("error: line 3: numeric field holds")
 
 
+@pytest.mark.parametrize("argv, config, named", [
+    (["generate", "--n", "1_000"], None, "argument --n: numeric field holds '_'"),
+    (["generate", "--n", "\u0661\u0660\u0660"], None, "argument --n: numeric field holds"),
+    (["distill", "DATA", "--meta-lr", "0.1_0"], None, "argument --meta-lr:"),
+    (["generate"], "n = 2_000\n", "config key 'n': numeric field holds '_'"),
+    (["generate", "--noise", "sym:0.3_0"], None, "argument --noise:"),
+    (["distill", "DATA", "--fuse-strategy", "fixed:\u0660.\u0665"], None,
+     "argument --fuse-strategy:"),
+], ids=["n-underscore", "n-arabic-indic", "meta-lr-underscore", "config-n-underscore",
+        "noise-underscore", "fuse-strategy-arabic-indic"])
+def test_cli_number_with_underscore_or_non_ascii_digit_is_usage_error(
+        tmp_path, capsys, argv, config, named):
+    # int() and float() read each of these; they used to exit 0
+    data = small_benchmark(tmp_path, n=200)
+    argv = [data if arg == "DATA" else arg for arg in argv]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv += ["--config", tmp_path / "run.cfg"]
+    capsys.readouterr()
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    assert named in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
 def test_usage_error_exit_code():
     assert run(["nonsense"]) == 2
     assert run([]) == 2

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference
+
 from dualsift import (
     Dataset,
     NoiseKind,
@@ -30,9 +32,10 @@ from dualsift import (
     write_partition_file,
 )
 from dualsift import division
-from dualsift.data import ROW_BLOCK
+from dualsift.data import ROW_BLOCK, NoisyCluster
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
+from dualsift.metanet import MetaTrainConfig
 from dualsift.pipeline import DistillParams, run_distillation
 from dualsift.seeding import rng_from
 
@@ -58,9 +61,10 @@ def test_resolve_percentile_boundary():
     assert resolve_threshold(ThresholdStrategy.percentile(0.0), values) == 0.2
 
 
-def test_resolve_percentile_empty_errors():
-    with pytest.raises(ValueError):
-        resolve_threshold(ThresholdStrategy.percentile(0.4), np.array([]))
+def test_resolve_percentile_without_finite_is_nan():
+    # nothing to judge: a NaN cutoff, which every comparison fails
+    for values in ([], [np.nan, np.nan], [np.inf, np.nan, -np.inf]):
+        assert np.isnan(resolve_threshold(ThresholdStrategy.percentile(0.4), np.array(values)))
 
 
 def test_strategy_parse():
@@ -184,6 +188,73 @@ def test_divide_dataset_nan_class_routes_uncertain():
     assert set(part.uncertain_ids) == {4, 5, 6, 7}
 
 
+def random_strategy(rng):
+    # the ends of [0, 1] and ties at 0.5 as often as an interior value
+    value = float(rng.choice([0.0, 0.5, 1.0, rng.random()]))
+    return (ThresholdStrategy.fixed, ThresholdStrategy.percentile)[rng.integers(2)](value)
+
+
+def holed(rng, n):
+    """n posteriors on a coarse grid or uniform, with no, some or only NaN."""
+    values = rng.integers(0, 5, n) / 4 if rng.random() < 0.5 else rng.random(n)
+    values[rng.random(n) < rng.choice([0.0, 0.3, 1.0])] = np.nan
+    return values
+
+
+def test_division_and_cutoff_match_reference_on_posterior_tables():
+    rng = rng_from(0, "division-oracle")
+    for _ in range(400):
+        k, n = int(rng.integers(1, 5)), int(rng.integers(0, 30))
+        # labels below ``used`` only: classes from ``used`` up have empty clusters
+        labels = rng.integers(0, rng.integers(1, k + 1), n)
+        clusters = [NoisyCluster(c, np.flatnonzero(labels == c)) for c in range(k)]
+        table = posterior_table(holed(rng, n), holed(rng, n))
+        if rng.random() < 0.5:
+            table.posterior_sim[labels == rng.integers(k)] = np.nan
+        table.fused[:] = holed(rng, n)
+        strategy_loss, strategy_feat, strategy_fuse = (random_strategy(rng) for _ in range(3))
+
+        got = divide_dataset(table, clusters, strategy_loss, strategy_feat)
+        want = reference.divide_dataset(table, clusters, strategy_loss, strategy_feat)
+        np.testing.assert_array_equal(got.codes, want)
+        fused = table.fused[got.uncertain_ids]
+        cut = resolve_threshold(strategy_fuse, fused)
+        want_cut = reference.fuse_cutoff(strategy_fuse, fused)
+        if np.isfinite(fused).any():
+            assert cut == want_cut
+        elif strategy_fuse.kind is StrategyKind.PERCENTILE:
+            assert np.isnan(cut)
+        np.testing.assert_array_equal(purify(table, got, cut, cut).codes,
+                                      purify(table, Partition(want), want_cut, want_cut).codes)
+
+
+def test_distillation_matches_reference_division():
+    # K=1 (constant losses), empty clusters and constant features all give
+    # degenerate fits, whose NaN posteriors reach division and the cutoff
+    rng = rng_from(1, "division-oracle")
+    for _ in range(300):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(8, 50))
+        labels = rng.integers(0, rng.integers(1, k + 1), n)
+        features = rng.normal(size=(n, 3))
+        if rng.random() < 0.3:
+            features[labels == 0] = 1.0
+        dataset = Dataset(features, 3 * rng.normal(size=(n, k)), labels, np.full(n, -1))
+        params = DistillParams(loss_strategy=random_strategy(rng),
+                               sim_strategy=random_strategy(rng),
+                               fuse_strategy=random_strategy(rng),
+                               meta=MetaTrainConfig(epochs=2))
+        result = run_distillation(dataset, params)
+
+        want = reference.divide_dataset(result.table, partition_by_label(dataset),
+                                        params.loss_strategy, params.sim_strategy)
+        codes = result.partition.codes
+        np.testing.assert_array_equal(np.where(codes <= Tag.N, codes, Tag.U), want)
+        starved = not ((want == Tag.P).any() and (want == Tag.N).any())
+        assert any(note.startswith("meta_starved:") for note in result.fallbacks) == starved
+        cut = reference.fuse_cutoff(params.fuse_strategy, result.table.fused[want == Tag.U])
+        np.testing.assert_array_equal(purify(result.table, Partition(want), cut, cut).codes, codes)
+
+
 def test_compute_posteriors_fills_and_flags(benchmark40):
     clusters = partition_by_label(benchmark40)
     table = score_dataset(benchmark40, clusters)
@@ -272,12 +343,6 @@ def test_partition_rejects_codes_outside_the_tags(codes):
     # 256 and 259 used to wrap to P and C in the int8 cast
     with pytest.raises(ValueError, match="Tag values"):
         Partition(np.array(codes))
-
-
-def test_partition_validates_cover():
-    with pytest.raises(ValueError):
-        Partition.from_ids(n_total=3, positive_ids=np.array([0]), negative_ids=np.array([1]),
-                           uncertain_ids=np.array([]))
 
 
 def test_partition_file_roundtrip(tmp_path):

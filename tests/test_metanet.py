@@ -23,6 +23,7 @@ from dualsift import (
     weighted_average_baseline,
 )
 from dualsift import metanet
+from dualsift.division import Tag
 from dualsift.metanet import MAX_PAIRS, _mean_bce, _sigmoid
 from dualsift.pipeline import DistillParams
 from dualsift.scores import ScoreTable
@@ -42,9 +43,10 @@ def table_with(pp, ps, fused=None):
 
 
 def simple_partition(n, pos, neg):
-    pos, neg = np.array(pos), np.array(neg)
-    unc = np.setdiff1d(np.arange(n), np.union1d(pos, neg))
-    return Partition.from_ids(n_total=n, positive_ids=pos, negative_ids=neg, uncertain_ids=unc)
+    codes = np.full(n, Tag.U)
+    codes[np.array(pos, dtype=int)] = Tag.P
+    codes[np.array(neg, dtype=int)] = Tag.N
+    return Partition(codes)
 
 
 # -------------------------------------------------------------- meta dataset
