@@ -91,20 +91,43 @@ TRAIN_DEFAULTS = {
 }
 
 
-def _value_type(kind: type):
+def _parse_noise(text: str) -> NoiseSpec | None:
+    if text == "none":
+        return None
+    kind_txt, _, rate_txt = text.partition(":")
+    try:
+        kind = {"sym": NoiseKind.SYMMETRIC, "asym": NoiseKind.ASYMMETRIC}[kind_txt]
+        rate = float(rate_txt)
+    except (KeyError, ValueError):
+        raise ValueError(f"bad noise spec {text!r}; expected sym:R, asym:R, or none") from None
+    return NoiseSpec(kind=kind, rate=rate)
+
+
+def _value_type(kind: type, parse=None):
     """Read a flag or config value as ``kind``. Its number (a spec's, after
     the colon) must not hold ``_`` or a non-ASCII character: ``int`` and
-    ``float`` accept both, and no file parser does."""
+    ``float`` accept both, and no file parser does. A spec must also pass
+    ``parse``; the text is kept, and parsed again where it is used."""
     def read(text: str):
         try:
             check_number_text(text.partition(":")[2] if kind is str else text)
-        except ParseError as exc:
+            if parse is not None:
+                parse(text)
+        except (ParseError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         return kind(text)
     return read
 
 
-_VALUE_TYPES = {kind: _value_type(kind) for kind in (int, float, str)}
+# config key -> parser of its spec; the spec keys of one subcommand share a parser
+_SPEC_PARSERS = {"noise": _parse_noise,
+                 **dict.fromkeys(_STRATEGY_KEYS, ThresholdStrategy.parse)}
+
+
+def _value_types(defaults: dict) -> dict:
+    """One subcommand's value readers, by declared type."""
+    (parse,) = {_SPEC_PARSERS[key] for key, value in defaults.items() if type(value) is str}
+    return {int: _value_type(int), float: _value_type(float), str: _value_type(str, parse)}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -122,12 +145,13 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
     cfg = dict(defaults)
+    readers = _value_types(defaults)
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg[key] = _VALUE_TYPES[type(defaults[key])](raw)
+                cfg[key] = readers[type(defaults[key])](raw)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
     for key in defaults:
@@ -135,18 +159,6 @@ def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
         if value is not None:
             cfg[key] = value
     return cfg
-
-
-def _parse_noise(text: str) -> NoiseSpec | None:
-    if text == "none":
-        return None
-    try:
-        kind_txt, _, rate_txt = text.partition(":")
-        kind = {"sym": NoiseKind.SYMMETRIC, "asym": NoiseKind.ASYMMETRIC}[kind_txt]
-        rate = float(rate_txt)
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad noise spec {text!r}; expected sym:R, asym:R, or none") from exc
-    return NoiseSpec(kind=kind, rate=rate)
 
 
 def _distill_params(cfg: dict) -> DistillParams:
@@ -247,17 +259,23 @@ def cmd_train(args: argparse.Namespace) -> int:
     per_round = []
     fallbacks: list[str] = []
     last_partition = None
+    # each round's meta net starts from the previous round's; round 0 and a
+    # round after a starved one start from the seeded draw
+    meta_net = None
     for r in range(train_cfg.rounds):
-        result = distill_round(ensemble, train_set, train_cfg, params, round_index=r)
+        result = distill_round(ensemble, train_set, train_cfg, params, round_index=r,
+                               meta_init=meta_net)
         ensemble = result.ensemble
         last_partition = result.partition
         fallbacks.extend(f"round={r}:{note}" for note in result.fallbacks)
         per_round.append({
             "round": r,
+            "meta_init": "seeded" if meta_net is None else "previous_round",
             "sizes": _partition_sizes(result.partition),
             "selection": _selection_or_none(result.partition, train_set),
             "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None,
         })
+        meta_net = result.meta_net
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -307,7 +325,7 @@ _HELP = {
 
 def _add_config_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
     # a flag keeps its plain type; the parser converts it with that type's reader
-    for kind, read in _VALUE_TYPES.items():
+    for kind, read in _value_types(defaults).items():
         sub.register("type", kind, read)
     for key, default in defaults.items():
         sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),

@@ -65,12 +65,15 @@ class ThresholdStrategy:
         An estimated noise rate P is used as the cutoff itself, so 'noise:P'
         parses to the same strategy as 'fixed:P'.
         """
+        name, _, raw = text.partition(":")
+        name = name.strip()
         try:
-            name, raw = text.split(":", 1)
-            name = name.strip()
-            return cls(StrategyKind("fixed" if name == "noise" else name), float(raw))
-        except ValueError as exc:
-            raise ValueError(f"bad threshold strategy {text!r}: {exc}") from exc
+            kind = StrategyKind("fixed" if name == "noise" else name)
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"bad threshold strategy {text!r}; expected fixed:T, "
+                             "noise:P, or percentile:P") from None
+        return cls(kind, value)
 
     def __str__(self) -> str:
         return f"{self.kind.value}:{self.value}"

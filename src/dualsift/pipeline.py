@@ -54,15 +54,23 @@ class DistillResult:
     partition: Partition
     table: ScoreTable
     fallbacks: list[str]
+    # the trained meta net; None when the starved fallback fused the scores
+    meta_net: ToyClassifier | None
 
 
-def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
+def run_distillation(dataset: Dataset, params: DistillParams,
+                     meta_init: ToyClassifier | None = None) -> DistillResult:
     """Score, divide, and purify one dataset snapshot.
 
-    When the certain set lacks positives or negatives the meta classifier
-    cannot be trained; fusion falls back to the equal-weight average and
-    the report notes it.
+    The meta net trains from ``meta_init`` when one is given (a previous
+    pass's trained net, say) and from the seeded ``meta-init`` draw when
+    not. When the certain set lacks positives or negatives the meta
+    classifier cannot be trained; fusion falls back to the equal-weight
+    average, the report notes it, and the result carries no meta net.
     """
+    if meta_init is not None and meta_init.dims != (2, params.meta_hidden, 1):
+        raise ValueError(f"meta_init has dims {meta_init.dims}, "
+                         f"expected {(2, params.meta_hidden, 1)}")
     clusters = partition_by_label(dataset)
     table = score_dataset(dataset, clusters)
     table, fallbacks = compute_posteriors(table, clusters, params.loss_gmm, params.feat_gmm)
@@ -70,15 +78,17 @@ def run_distillation(dataset: Dataset, params: DistillParams) -> DistillResult:
 
     try:
         meta_data = build_meta_dataset(partition, table)
-        net0 = ToyClassifier.initialize(2, params.meta_hidden, 1,
-                                        seed=derive_seed(params.meta.seed, "meta-init"))
-        meta_net = train_meta(net0, meta_data, params.meta)
+        if meta_init is None:
+            meta_init = ToyClassifier.initialize(
+                2, params.meta_hidden, 1, seed=derive_seed(params.meta.seed, "meta-init"))
+        meta_net = train_meta(meta_init, meta_data, params.meta)
         table = fuse_scores(meta_net, table)
     except MetaStarved as exc:
+        meta_net = None
         fallbacks.append(f"meta_starved:weighted_average:lambda={FALLBACK_LAMBDA}:{exc}")
         table = replace(table, fused=weighted_average_baseline(
             table.posterior_loss, table.posterior_sim, FALLBACK_LAMBDA))
 
     cut = resolve_threshold(params.fuse_strategy, table.fused[partition.uncertain_ids])
     partition = purify(table, partition, cut, cut)
-    return DistillResult(partition, table, fallbacks)
+    return DistillResult(partition, table, fallbacks, meta_net)

@@ -149,6 +149,9 @@ class RoundResult:
     ensemble: ToyClassifier
     partition: Partition
     fallbacks: list[str]
+    # the round's trained meta net, for the next round to start from; None
+    # when the round fell back to the equal-weight fusion
+    meta_net: ToyClassifier | None
 
 
 def distill_round(
@@ -157,6 +160,7 @@ def distill_round(
     train_config: TrainConfig,
     params: DistillParams,
     round_index: int = 0,
+    meta_init: ToyClassifier | None = None,
 ) -> RoundResult:
     """One distillation iteration with a frozen scoring snapshot.
 
@@ -164,12 +168,14 @@ def distill_round(
     activations, runs division and purification on those scores, refines
     labels on the clean set with the fused score, co-guesses targets for
     the noisy set, and finally takes one SGD epoch per member on the
-    combined loss against the frozen targets. Raises NumericalError when a
+    combined loss against the frozen targets. The meta net trains from
+    ``meta_init`` (the previous round's ``meta_net``), or from the seeded
+    draw when that is None. Raises NumericalError when a
     member ends past ``MAX_ACTIVATION`` on ``dataset``.
     """
     mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
     derived = dataset.with_representation(embedding, mean_logits)
-    result: DistillResult = run_distillation(derived, params)
+    result: DistillResult = run_distillation(derived, params, meta_init)
     partition, table = result.partition, result.table
 
     clean_ids = partition.clean_ids
@@ -189,4 +195,4 @@ def distill_round(
         train_config.lambda_u, train_config.lambda_r,
         train_config.lr, train_config.batch_size, rngs)
     _check_alive(ensemble, dataset.features, f"round {round_index}")
-    return RoundResult(ensemble, partition, result.fallbacks)
+    return RoundResult(ensemble, partition, result.fallbacks, result.meta_net)

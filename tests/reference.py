@@ -16,6 +16,9 @@ than reuse it.
 Division from per-cluster P/N/U id lists, with a branch for a cluster that
 has no finite posterior in a space, and the fused cutoff with its 0.5
 fallback are the bit oracles for the package's NaN-cutoff forms.
+The multi-round trainer assembles each round from these oracles and hands
+its trained meta net to the next round by hand; it is the bit oracle for
+``train``'s warm-started rounds.
 """
 import warnings
 from dataclasses import replace
@@ -25,14 +28,15 @@ import numpy as np
 
 from dualsift.classifier import ToyClassifier
 from dualsift.data import (LOGIT_JITTER, Dataset, NoisyCluster, SyntheticSpec, _class_centroids,
-                           _expected_header)
-from dualsift.division import StrategyKind, Tag, ThresholdStrategy, divide_cluster
+                           _expected_header, partition_by_label)
+from dualsift.division import (Partition, StrategyKind, Tag, ThresholdStrategy, compute_posteriors,
+                               divide_cluster)
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
-from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid
-from dualsift.scores import ScoreTable
-from dualsift.semisup import _epoch_batches
-from dualsift.seeding import rng_from
+from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid, purify
+from dualsift.scores import ScoreTable, score_dataset
+from dualsift.semisup import _epoch_batches, ensemble_representation, make_ensemble, warmup
+from dualsift.seeding import derive_seed, rng_from
 
 _NORM_EPS = 1e-12
 _PROB_CLAMP = 1e-7
@@ -478,3 +482,51 @@ def fuse_cutoff(strategy: ThresholdStrategy, fused_uncertain: np.ndarray) -> flo
     0.5 when there is none, since purify then only merges the certain sets."""
     finite = fused_uncertain[np.isfinite(fused_uncertain)]
     return resolve_threshold(strategy, finite) if finite.size else 0.5
+
+
+def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: bool = True):
+    """Warm-up plus ``rounds`` distillation rounds, each assembled from the
+    oracles above. With ``carry`` each round's meta net starts from the
+    previous round's trained net, passed along here by hand; round 0, and a
+    round after one whose certain set could not train a meta net, start from
+    the seeded ``meta-init`` draw, as does every round without ``carry``.
+    Needs certain sets of at most ``MAX_PAIRS`` pairs. Returns the ensemble.
+    """
+    ensemble = warmup(make_ensemble(dataset.feature_dim, dataset.num_classes, train_config),
+                      dataset, train_config)
+    seeded = ToyClassifier.initialize(2, params.meta_hidden, 1,
+                                      seed=derive_seed(params.meta.seed, "meta-init"))
+    meta_net = None
+    for r in range(rounds):
+        logits, embedding, probs = ensemble_representation(ensemble, dataset.features)
+        derived = dataset.with_representation(embedding, logits)
+        clusters = partition_by_label(derived)
+        table, _ = compute_posteriors(score_dataset(derived, clusters), clusters,
+                                      params.loss_gmm, params.feat_gmm)
+        codes = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
+        ids = np.concatenate([np.flatnonzero(codes == Tag.P), np.flatnonzero(codes == Tag.N)])
+        labels = (codes[ids] == Tag.P).astype(np.float64)
+        if labels.all() or not labels.any():
+            meta_net = None
+            fused = 0.5 * table.posterior_loss + 0.5 * table.posterior_sim
+        else:
+            start = meta_net if carry and meta_net is not None else seeded
+            pairs = np.column_stack([table.posterior_loss[ids], table.posterior_sim[ids]])
+            meta_net = train_meta(start, MetaDataset(pairs, labels), params.meta)
+            fused = fuse_scores(meta_net, table).fused
+        table = replace(table, fused=fused)
+        cut = fuse_cutoff(params.fuse_strategy, fused[codes == Tag.U])
+        partition = purify(table, Partition(codes), cut, cut)
+
+        clean, noisy = partition.clean_ids, partition.noisy_ids
+        weight = np.clip(fused[clean], 0.0, 1.0)[:, None]
+        refined = weight * np.eye(dataset.num_classes)[dataset.noisy_labels[clean]] \
+            + (1.0 - weight) * probs[clean]
+        guessed = probs[noisy] / probs[noisy].sum(axis=1, keepdims=True)
+        rngs = [rng_from(train_config.seed, f"round-{r}-member-{m}")
+                for m in range(train_config.ensemble_size)]
+        ensemble = ensemble.copy()
+        train_epoch_mixed(ensemble, dataset.features[clean], refined, dataset.features[noisy],
+                          guessed, train_config.lambda_u, train_config.lambda_r,
+                          train_config.lr, train_config.batch_size, rngs)
+    return ensemble

@@ -6,7 +6,23 @@ import subprocess
 import numpy as np
 import pytest
 
-from dualsift import Dataset, ParseError, load_sample_table, read_partition_file, write_sample_table
+import reference
+from dualsift import (
+    Dataset,
+    DistillParams,
+    MetaStarved,
+    MetaTrainConfig,
+    ParseError,
+    ToyClassifier,
+    TrainConfig,
+    derive_seed,
+    load_classifier_checkpoint,
+    load_sample_table,
+    read_partition_file,
+    split_dataset,
+    write_sample_table,
+)
+from dualsift import pipeline
 from dualsift.cli import (
     DISTILL_DEFAULTS,
     GENERATE_DEFAULTS,
@@ -359,6 +375,63 @@ def test_train_unknown_config_key(tmp_path):
     assert run(["train", data, "-o", tmp_path / "out", "--config", cfg]) == 2
 
 
+def three_rounds_args(data, outdir):
+    return ["train", data, "-o", outdir, "--rounds", 3, "--warmup-epochs", 2,
+            "--seed", 5, "--test-fraction", 0.25]
+
+
+def test_train_rounds_chain_meta_nets_as_the_reference(tmp_path):
+    # each round's meta net starts from the previous round's trained net; the
+    # member checkpoints carry the bits of a trainer that passes it by hand
+    data = small_benchmark(tmp_path, n=600)
+    outdir = tmp_path / "out"
+    assert run(three_rounds_args(data, outdir)) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert [entry["meta_init"] for entry in report["per_round"]] == \
+        ["seeded", "previous_round", "previous_round"]
+    assert report["fallbacks"] == []
+    train_set = split_dataset(load_sample_table(data), 0.25, 5)[0]
+    cfg = TrainConfig(warmup_epochs=2, rounds=3, seed=5)
+    params = DistillParams(meta=MetaTrainConfig(seed=derive_seed(5, "meta")))
+    want = reference.train_rounds(train_set, cfg, params, 3)
+    cold = reference.train_rounds(train_set, cfg, params, 3, carry=False)
+    for m in range(cfg.ensemble_size):
+        got = load_classifier_checkpoint(outdir / f"member_{m}.txt")
+        assert np.array_equal(got.flat, want.member(m).flat)
+        assert not np.array_equal(got.flat, cold.member(m).flat)
+
+
+def test_train_round_after_a_starved_round_starts_from_the_seeded_draw(tmp_path, monkeypatch):
+    data = small_benchmark(tmp_path, n=600)
+    calls, starts = [], []
+    real_build, real_train = pipeline.build_meta_dataset, pipeline.train_meta
+
+    def build(partition, table):
+        calls.append(None)
+        if len(calls) == 2:
+            raise MetaStarved("forced in round 1")
+        return real_build(partition, table)
+
+    def train(net, meta_data, config):
+        starts.append(net.flat.copy())
+        return real_train(net, meta_data, config)
+
+    monkeypatch.setattr(pipeline, "build_meta_dataset", build)
+    monkeypatch.setattr(pipeline, "train_meta", train)
+    outdir = tmp_path / "out"
+    assert run(three_rounds_args(data, outdir)) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert [entry["meta_init"] for entry in report["per_round"]] == \
+        ["seeded", "previous_round", "seeded"]
+    assert [note.split(":")[:2] for note in report["fallbacks"]] == \
+        [["round=1", "meta_starved"]]
+    seeded = ToyClassifier.initialize(2, DISTILL_DEFAULTS["meta_hidden"], 1,
+                                      seed=derive_seed(derive_seed(5, "meta"), "meta-init"))
+    assert len(starts) == 2
+    for start in starts:
+        assert np.array_equal(start, seeded.flat)
+
+
 @pytest.mark.parametrize("extra", [[], ["--rounds", 2, "--warmup-epochs", 2]])
 def test_train_diverged_ensemble_is_numerical_error(tmp_path, capsys, extra):
     # lr 1000 blows the members up during warm-up; the run used to exit 0
@@ -477,6 +550,37 @@ def test_cli_number_with_underscore_or_non_ascii_digit_is_usage_error(
     capsys.readouterr()
     assert run([*argv, "-o", tmp_path / "out"]) == 2
     assert named in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["distill", "DATA", "--loss-strategy", "bogus"], None,
+     "argument --loss-strategy: bad threshold strategy 'bogus'; "
+     "expected fixed:T, noise:P, or percentile:P"),
+    (["distill", "DATA", "--sim-strategy", "percentile:x"], None,
+     "argument --sim-strategy: bad threshold strategy 'percentile:x'; "
+     "expected fixed:T, noise:P, or percentile:P"),
+    (["train", "DATA", "--fuse-strategy", "fixed:2"], None,
+     "argument --fuse-strategy: strategy parameter must lie in [0, 1], got 2.0"),
+    (["generate", "--noise", "sym:1.5"], None,
+     "argument --noise: noise rate must lie in [0, 1], got 1.5"),
+    (["generate", "--noise", "weird:0.2"], None,
+     "argument --noise: bad noise spec 'weird:0.2'; expected sym:R, asym:R, or none"),
+    (["train", "DATA"], "seed = 2\nloss_strategy = quantile:0.3\n",
+     "error: config key 'loss_strategy': bad threshold strategy 'quantile:0.3'; "
+     "expected fixed:T, noise:P, or percentile:P"),
+], ids=["loss-strategy", "sim-strategy", "fuse-strategy", "noise-rate", "noise-kind",
+        "config-loss-strategy"])
+def test_bad_spec_names_its_flag_or_config_key(tmp_path, capsys, argv, config, message):
+    # specs are read where the flag or config line is, so the error says which
+    data = small_benchmark(tmp_path, n=200)
+    argv = [data if arg == "DATA" else arg for arg in argv]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        argv += ["--config", tmp_path / "run.cfg"]
+    capsys.readouterr()
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
     assert not (tmp_path / "out").exists()
 
 

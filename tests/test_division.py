@@ -37,7 +37,7 @@ from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.metanet import MetaTrainConfig
 from dualsift.pipeline import DistillParams, run_distillation
-from dualsift.seeding import rng_from
+from dualsift.seeding import derive_seed, rng_from
 
 
 # ----------------------------------------------------------------- strategies
@@ -253,6 +253,56 @@ def test_distillation_matches_reference_division():
         assert any(note.startswith("meta_starved:") for note in result.fallbacks) == starved
         cut = reference.fuse_cutoff(params.fuse_strategy, result.table.fused[want == Tag.U])
         np.testing.assert_array_equal(purify(result.table, Partition(want), cut, cut).codes, codes)
+
+
+def same_distillation(a, b) -> bool:
+    """Equal partitions, fallbacks and meta nets, and every table column
+    bit for bit, NaNs included."""
+    columns = ("loss_score", "sim_score", "posterior_loss", "posterior_sim", "fused")
+    nets = (a.meta_net, b.meta_net)
+    return (np.array_equal(a.partition.codes, b.partition.codes)
+            and a.fallbacks == b.fallbacks
+            and all(np.array_equal(getattr(a.table, c).view(np.uint64),
+                                   getattr(b.table, c).view(np.uint64)) for c in columns)
+            and (nets == (None, None) or None not in nets
+                 and np.array_equal(nets[0].flat, nets[1].flat)))
+
+
+def test_distillation_without_meta_init_starts_from_the_seeded_draw():
+    # omitting meta_init, passing None and passing the seeded draw itself
+    # give the same bits; a meta net comes back exactly when no fallback
+    # fused the scores, and another start moves the fused scores
+    rng = rng_from(2, "division-oracle")
+    seen = set()
+    for _ in range(80):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(8, 50))
+        labels = rng.integers(0, rng.integers(1, k + 1), n)
+        dataset = Dataset(rng.normal(size=(n, 3)), 3 * rng.normal(size=(n, k)), labels,
+                          np.full(n, -1))
+        params = DistillParams(loss_strategy=random_strategy(rng),
+                               sim_strategy=random_strategy(rng),
+                               meta=MetaTrainConfig(epochs=3, seed=int(rng.integers(100))))
+        seeded = ToyClassifier.initialize(2, params.meta_hidden, 1,
+                                          seed=derive_seed(params.meta.seed, "meta-init"))
+        default = run_distillation(dataset, params)
+        assert same_distillation(default, run_distillation(dataset, params, meta_init=None))
+        assert same_distillation(default, run_distillation(dataset, params, meta_init=seeded))
+        starved = any(note.startswith("meta_starved:") for note in default.fallbacks)
+        assert (default.meta_net is None) == starved
+        seen.add(starved)
+        if not starved:
+            other = ToyClassifier.initialize(2, params.meta_hidden, 1, seed=7)
+            moved = run_distillation(dataset, params, meta_init=other)
+            assert not np.array_equal(moved.table.fused, default.table.fused,
+                                      equal_nan=True)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("dims", [(2, 9, 1), (3, 10, 1), (2, 10, 2)])
+def test_distillation_rejects_a_meta_init_of_other_dims(benchmark40, dims):
+    with pytest.raises(ValueError, match="meta_init has dims"):
+        run_distillation(benchmark40, DistillParams(),
+                         meta_init=ToyClassifier.initialize(*dims, seed=1))
 
 
 def test_compute_posteriors_fills_and_flags(benchmark40):
