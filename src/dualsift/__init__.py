@@ -30,7 +30,7 @@ from .division import (
     resolve_threshold,
     write_partition_file,
 )
-from .errors import DegenerateFit, MetaStarved, NoCenter, NumericalError, ParseError
+from .errors import DegenerateFit, FieldError, MetaStarved, NoCenter, NumericalError, ParseError
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .metanet import (
     MetaDataset,

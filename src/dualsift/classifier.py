@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoints import load_flat_params, save_flat_params
+from .data import ROW_BLOCK
 from .errors import ParseError
 from .seeding import rng_from
 
@@ -90,9 +91,21 @@ class ToyClassifier:
 
 
 def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
-    """Member-averaged (logits, hidden activations, softmax probabilities)."""
-    logits, hidden = ensemble.forward(x)
-    return logits.mean(axis=0), hidden.mean(axis=0), softmax_rows(logits).mean(axis=0)
+    """Member-averaged (logits, hidden activations, softmax probabilities).
+
+    The members forward ``ROW_BLOCK`` rows of ``x`` at a time into the
+    preallocated outputs, so no ``(M, N, ·)`` stack spans the whole input.
+    """
+    _, h, k = ensemble.dims
+    n = x.shape[0]
+    mean_logits, mean_hidden, mean_probs = np.empty((n, k)), np.empty((n, h)), np.empty((n, k))
+    for start in range(0, n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        logits, hidden = ensemble.forward(x[block])
+        logits.mean(axis=0, out=mean_logits[block])
+        hidden.mean(axis=0, out=mean_hidden[block])
+        softmax_rows(logits).mean(axis=0, out=mean_probs[block])
+    return mean_logits, mean_hidden, mean_probs
 
 
 def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> np.ndarray:

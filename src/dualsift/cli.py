@@ -28,7 +28,7 @@ from .data import (
     write_sample_table,
 )
 from .division import ThresholdStrategy, write_partition_file, read_partition_file
-from .errors import NumericalError, ParseError
+from .errors import FieldError, NumericalError, ParseError
 from .gmm import GmmConfig
 from .metanet import MetaTrainConfig
 from .metrics import selection_metrics
@@ -48,8 +48,9 @@ class UsageError(Exception):
 # Each config key is also the flag --<key with dashes>, typed as its default.
 
 # config key -> field of the config class it sets; each such key takes its
-# default from that field
-_SPEC_KEYS = {"cluster_spread": "cluster_spread", "logit_sharpness": "logit_sharpness"}
+# default from that field, and a range error in the field names the key
+_SPEC_KEYS = {"k": "k", "d": "d", "n": "n",
+              "cluster_spread": "cluster_spread", "logit_sharpness": "logit_sharpness"}
 _GMM_KEYS = {"gmm_max_iter": "max_iter", "gmm_tol": "tol",
              "variance_floor": "variance_floor", "min_fit_size": "min_fit_size"}
 _META_KEYS = {"meta_lr": "lr", "meta_epochs": "epochs", "meta_batch": "batch_size",
@@ -57,7 +58,10 @@ _META_KEYS = {"meta_lr": "lr", "meta_epochs": "epochs", "meta_batch": "batch_siz
 _TRAIN_KEYS = {"warmup_epochs": "warmup_epochs", "rounds": "rounds", "lr": "lr",
                "lambda_u": "lambda_u", "lambda_r": "lambda_r", "ensemble": "ensemble_size",
                "hidden": "hidden", "batch_size": "batch_size"}
+_PARAMS_KEYS = {"meta_hidden": "meta_hidden"}
 _STRATEGY_KEYS = ("loss_strategy", "sim_strategy", "fuse_strategy")
+_KEYS_OF = {SyntheticSpec: _SPEC_KEYS, GmmConfig: _GMM_KEYS, MetaTrainConfig: _META_KEYS,
+            TrainConfig: _TRAIN_KEYS, DistillParams: _PARAMS_KEYS}
 
 
 def _field_defaults(cls, keys: dict[str, str]) -> dict:
@@ -72,7 +76,6 @@ def _kwargs(cfg: dict, keys: dict[str, str]) -> dict:
 _PARAMS = DistillParams()
 
 GENERATE_DEFAULTS = {
-    "k": 10, "d": 16, "n": 5000,
     **_field_defaults(SyntheticSpec, _SPEC_KEYS),
     "noise": "sym:0.4", "seed": 0,
 }
@@ -81,7 +84,7 @@ DISTILL_DEFAULTS = {
     **{key: str(getattr(_PARAMS, key)) for key in _STRATEGY_KEYS},
     **_field_defaults(GmmConfig, _GMM_KEYS),
     **_field_defaults(MetaTrainConfig, _META_KEYS),
-    "meta_hidden": _PARAMS.meta_hidden, "seed": 0,
+    **_field_defaults(DistillParams, _PARAMS_KEYS), "seed": 0,
 }
 
 TRAIN_DEFAULTS = {
@@ -107,7 +110,9 @@ def _value_type(kind: type, parse=None):
     """Read a flag or config value as ``kind``. Its number (a spec's, after
     the colon) must not hold ``_`` or a non-ASCII character: ``int`` and
     ``float`` accept both, and no file parser does. A spec must also pass
-    ``parse``; the text is kept, and parsed again where it is used."""
+    ``parse``; the text is kept, and parsed again where it is used. A
+    number that does not parse gets argparse's own message, from a flag
+    and a config line alike: ``invalid int value: 'x'``."""
     def read(text: str):
         try:
             check_number_text(text.partition(":")[2] if kind is str else text)
@@ -115,7 +120,11 @@ def _value_type(kind: type, parse=None):
                 parse(text)
         except (ParseError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        return kind(text)
+        try:
+            return kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
     return read
 
 
@@ -144,21 +153,38 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
+    """Defaults, then the config file, then the flags. Sets
+    ``args.file_keys`` to the keys whose value the file gave."""
     cfg = dict(defaults)
     readers = _value_types(defaults)
+    args.file_keys = set()
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
             try:
                 cfg[key] = readers[type(defaults[key])](raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
+            args.file_keys.add(key)
     for key in defaults:
         value = getattr(args, key)
         if value is not None:
             cfg[key] = value
+            args.file_keys.discard(key)
     return cfg
+
+
+def _field_error_text(exc: FieldError, args: argparse.Namespace) -> str:
+    """A config class's range error under the config key or flag that set
+    the field; under the field's own name when no key sets it."""
+    key = next((key for key, name in _KEYS_OF.get(exc.owner, {}).items()
+                if name == exc.field), None)
+    if key is None:
+        return str(exc)
+    if key in args.file_keys:
+        return f"config key {key!r}: {exc.detail}"
+    return f"argument --{key.replace('_', '-')}: {exc.detail}"
 
 
 def _distill_params(cfg: dict) -> DistillParams:
@@ -168,7 +194,7 @@ def _distill_params(cfg: dict) -> DistillParams:
         feat_gmm=replace(_PARAMS.feat_gmm, **gmm_kwargs),
         **{key: ThresholdStrategy.parse(cfg[key]) for key in _STRATEGY_KEYS},
         meta=MetaTrainConfig(**_kwargs(cfg, _META_KEYS), seed=derive_seed(cfg["seed"], "meta")),
-        meta_hidden=cfg["meta_hidden"],
+        **_kwargs(cfg, _PARAMS_KEYS),
     )
 
 
@@ -201,8 +227,7 @@ def _selection_or_none(partition, dataset: Dataset):
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _effective_config(GENERATE_DEFAULTS, args)
     noise = _parse_noise(cfg["noise"])
-    spec = SyntheticSpec(k=cfg["k"], d=cfg["d"], n=cfg["n"], **_kwargs(cfg, _SPEC_KEYS),
-                         seed=derive_seed(cfg["seed"], "synthetic"))
+    spec = SyntheticSpec(**_kwargs(cfg, _SPEC_KEYS), seed=derive_seed(cfg["seed"], "synthetic"))
     dataset = generate_synthetic(spec)
     if noise is not None:
         noise = replace(noise, seed=derive_seed(cfg["seed"], "noise"))
@@ -245,11 +270,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _effective_config(TRAIN_DEFAULTS, args)
     params = _distill_params(cfg)
     train_cfg = TrainConfig(**_kwargs(cfg, _TRAIN_KEYS), seed=cfg["seed"])
-    dataset = load_sample_table(args.input)
-    train_set, test_set, _, _ = split_dataset(dataset, cfg["test_fraction"], cfg["seed"])
+    # the split holds every row of the table, which is not kept beside it
+    train_set, test_set, _, _ = split_dataset(load_sample_table(args.input),
+                                              cfg["test_fraction"], cfg["seed"])
     if train_set.n == 0:
         raise UsageError(f"test_fraction {cfg['test_fraction']} leaves no training "
-                         f"samples out of {dataset.n}")
+                         f"samples out of {test_set.n}")
     can_score = test_set.n > 0 and test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)
@@ -371,6 +397,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except FieldError as exc:
+        print(f"error: {_field_error_text(exc, args)}", file=sys.stderr)
+        return 2
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,12 +28,13 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import ParseError
+from .errors import ParseError, check_fields
 from .seeding import rng_from
 
 # Rows per block of every pass over a whole table outside per-cluster
-# scoring (generate, table and partition writes, fusion, the trainer's
-# activation check); larger blocks raise peak memory.
+# scoring (generate, table and partition writes, fusion, and in the trainer
+# the ensemble's forward passes and its epoch gathers); larger blocks raise
+# peak memory.
 ROW_BLOCK = 1024
 
 # Absolute stddev of the Gaussian jitter added to synthetic oracle logits.
@@ -145,22 +146,20 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    k: int
-    d: int
-    n: int
+    k: int = 10
+    d: int = 16
+    n: int = 5000
     cluster_spread: float = 0.32
     logit_sharpness: float = 3.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.d < 1 or self.n < 0:
-            raise ValueError("k, d must be positive and n non-negative")
-        if self.n < self.k:
-            raise ValueError(f"need n >= k, got n={self.n}, k={self.k}")
-        if self.cluster_spread <= 0:
-            raise ValueError("cluster_spread must be positive")
-        if self.logit_sharpness <= 0:
-            raise ValueError("logit_sharpness must be positive")
+        check_fields(self, ("k", "d"), lambda v: v >= 1, "must be >= 1")
+        check_fields(self, ("n",), lambda v: v >= self.k, f"must be >= k ({self.k})")
+        check_fields(self, ("cluster_spread", "logit_sharpness"), math.isfinite,
+                     "must be finite")
+        check_fields(self, ("cluster_spread", "logit_sharpness"), lambda v: v > 0,
+                     "must be positive")
 
 
 def _class_centroids(k: int, d: int, rng: np.random.Generator) -> np.ndarray:

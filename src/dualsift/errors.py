@@ -26,3 +26,24 @@ class MetaStarved(Exception):
 
 class NumericalError(Exception):
     """A training loop produced a non-finite loss or diverged activations."""
+
+
+class FieldError(ValueError):
+    """A config object's field lies outside its range.
+
+    ``owner`` is the config class, ``field`` the field's name and ``detail``
+    the requirement plus the value given; the message reads
+    ``<field> <detail>``.
+    """
+
+    def __init__(self, owner: type, field: str, detail: str):
+        self.owner, self.field, self.detail = owner, field, detail
+        super().__init__(f"{field} {detail}")
+
+
+def check_fields(obj, names: tuple[str, ...], ok, requirement: str) -> None:
+    """Raise FieldError for the first of ``names`` whose value fails ``ok``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise FieldError(type(obj), name, f"{requirement}, got {value}")

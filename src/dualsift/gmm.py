@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateFit
+from .errors import DegenerateFit, check_fields
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOWEST = float(np.finfo(np.float64).min)
@@ -32,17 +32,9 @@ class GmmConfig:
     min_fit_size: int = 8
 
     def __post_init__(self):
-        for name in ("tol", "variance_floor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be positive")
-        if self.min_fit_size < 1:
-            raise ValueError("min_fit_size must be >= 1")
+        check_fields(self, ("tol", "variance_floor"), math.isfinite, "must be finite")
+        check_fields(self, ("max_iter", "min_fit_size"), lambda v: v >= 1, "must be >= 1")
+        check_fields(self, ("tol", "variance_floor"), lambda v: v > 0, "must be positive")
 
 
 @dataclass(frozen=True)

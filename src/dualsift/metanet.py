@@ -15,7 +15,7 @@ import numpy as np
 from .classifier import PROB_CLAMP, ToyClassifier, _backward, apply_sgd_step
 from .data import ROW_BLOCK
 from .division import Partition, Tag
-from .errors import MetaStarved, NumericalError
+from .errors import MetaStarved, NumericalError, check_fields
 from .scores import ScoreTable
 from .seeding import rng_from
 
@@ -61,16 +61,9 @@ class MetaTrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if not math.isfinite(self.lr):
-            raise ValueError("lr must be finite")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self, ("lr",), math.isfinite, "must be finite")
+        check_fields(self, ("lr",), lambda v: v > 0, "must be positive")
+        check_fields(self, ("epochs", "patience", "batch_size"), lambda v: v >= 1, "must be >= 1")
 
 
 def build_meta_dataset(partition: Partition, table: ScoreTable) -> MetaDataset:

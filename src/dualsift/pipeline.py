@@ -16,7 +16,7 @@ from .division import (
     divide_dataset,
     resolve_threshold,
 )
-from .errors import MetaStarved
+from .errors import MetaStarved, check_fields
 from .gmm import GmmConfig
 from .metanet import (
     MetaTrainConfig,
@@ -45,8 +45,7 @@ class DistillParams:
     meta_hidden: int = 10
 
     def __post_init__(self):
-        if self.meta_hidden < 1:
-            raise ValueError("meta_hidden must be >= 1")
+        check_fields(self, ("meta_hidden",), lambda v: v >= 1, "must be >= 1")
 
 
 @dataclass

@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_loss_and_grads
 from .data import ROW_BLOCK, Dataset, one_hot
 from .division import Partition
-from .errors import NumericalError
+from .errors import NumericalError, check_fields
 from .pipeline import DistillParams, DistillResult, run_distillation
 from .seeding import derive_seed, rng_from
 
@@ -42,19 +42,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("lr", "lambda_u", "lambda_r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.warmup_epochs < 0 or self.rounds < 0:
-            raise ValueError("epoch and round counts must be non-negative")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.lambda_u < 0 or self.lambda_r < 0:
-            raise ValueError("lambda_u and lambda_r must be non-negative")
-        if self.ensemble_size < 1:
-            raise ValueError("need at least one ensemble member")
-        if self.hidden < 1 or self.batch_size < 1:
-            raise ValueError("hidden and batch_size must be >= 1")
+        check_fields(self, ("lr", "lambda_u", "lambda_r"), math.isfinite, "must be finite")
+        check_fields(self, ("lr",), lambda v: v > 0, "must be positive")
+        check_fields(self, ("warmup_epochs", "rounds", "lambda_u", "lambda_r"),
+                     lambda v: v >= 0, "must be non-negative")
+        check_fields(self, ("ensemble_size", "hidden", "batch_size"),
+                     lambda v: v >= 1, "must be >= 1")
 
 
 def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> ToyClassifier:
@@ -72,10 +65,11 @@ def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray):
     The rectifier keeps raw activations in the positive orthant, which
     compresses all cosine similarities toward 1 and leaves the two mixture
     components barely separated; centering on the batch mean restores the
-    spread.
+    spread. The embedding is centered in place.
     """
     logits, hidden, probs = ensemble_outputs(ensemble, x)
-    return logits, hidden - hidden.mean(axis=0), probs
+    hidden -= hidden.mean(axis=0)
+    return logits, hidden, probs
 
 
 def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
@@ -102,26 +96,32 @@ def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
                 f"exceeds {MAX_ACTIVATION:g}")
 
 
-def _train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
-                       lr, batch_size, rngs) -> None:
+def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
+                       lambda_u, lambda_r, lr, batch_size, rngs) -> None:
     # one epoch covers the union; labeled and unlabeled batches are drawn in
     # parallel each step, cycling the smaller group, so the update count
     # matches a plain epoch over the whole dataset; each member draws its
     # batches from its own generator, and one stacked step moves all members.
-    # The epoch's batches are gathered up front, so each step reads views.
-    # An empty group draws nothing and gathers (steps, members, 0, ·) stacks.
-    nc, nu = x_lab.shape[0], x_unl.shape[0]
+    # A group is its rows of ``features``, ``lab_ids`` or ``unl_ids``, with
+    # one target or guess row per id. The batches are gathered from
+    # ``features`` through the ids ROW_BLOCK // batch_size steps at a time,
+    # so each step reads views and no copy spans the epoch. An empty group
+    # draws nothing and gathers (steps, members, 0, ·) stacks.
+    nc, nu = lab_ids.shape[0], unl_ids.shape[0]
     steps = -(-(nc + nu) // batch_size)
     lab_idx = _epoch_batches(nc, batch_size, rngs, steps)
     unl_idx = _epoch_batches(nu, batch_size, rngs, steps)
-    xl_all, tl_all = x_lab[lab_idx], targets[lab_idx]
-    xu_all, qu_all = x_unl[unl_idx], guesses[unl_idx]
-    for s in range(steps):
-        loss, grads = mixed_loss_and_grads(ensemble, xl_all[s], tl_all[s], xu_all[s], qu_all[s],
-                                           lambda_u, lambda_r)
-        if not all(map(math.isfinite, loss.tolist())):
-            raise NumericalError(f"training produced non-finite loss {loss}")
-        apply_sgd_step(ensemble, grads, lr)
+    chunk = max(1, ROW_BLOCK // batch_size)
+    for first in range(0, steps, chunk):
+        lab, unl = lab_idx[first:first + chunk], unl_idx[first:first + chunk]
+        xl_all, tl_all = features[lab_ids[lab]], targets[lab]
+        xu_all, qu_all = features[unl_ids[unl]], guesses[unl]
+        for s in range(lab.shape[0]):
+            loss, grads = mixed_loss_and_grads(ensemble, xl_all[s], tl_all[s], xu_all[s],
+                                               qu_all[s], lambda_u, lambda_r)
+            if not all(map(math.isfinite, loss.tolist())):
+                raise NumericalError(f"training produced non-finite loss {loss}")
+            apply_sgd_step(ensemble, grads, lr)
 
 
 def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> ToyClassifier:
@@ -135,10 +135,11 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     seed = derive_seed(config.seed, "warmup")
     rngs = [rng_from(seed, f"warmup-member-{m}") for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
+    all_ids, no_ids = np.arange(dataset.n), np.zeros(0, dtype=np.int64)
     for _ in range(config.warmup_epochs):
         _train_epoch_mixed(
-            ensemble, dataset.features, targets,
-            np.zeros((0, dataset.feature_dim)), np.zeros((0, dataset.num_classes)),
+            ensemble, dataset.features, all_ids, targets,
+            no_ids, np.zeros((0, dataset.num_classes)),
             0.0, 0.0, config.lr, config.batch_size, rngs)
     _check_alive(ensemble, dataset.features, "warm-up")
     return ensemble
@@ -190,8 +191,7 @@ def distill_round(
             for m in range(len(ensemble.flat))]
     ensemble = ensemble.copy()
     _train_epoch_mixed(
-        ensemble, dataset.features[clean_ids], refined,
-        dataset.features[noisy_ids], guessed,
+        ensemble, dataset.features, clean_ids, refined, noisy_ids, guessed,
         train_config.lambda_u, train_config.lambda_r,
         train_config.lr, train_config.batch_size, rngs)
     _check_alive(ensemble, dataset.features, f"round {round_index}")

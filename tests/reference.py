@@ -358,9 +358,10 @@ def mixed_loss_and_grads(clf, x_labeled, targets, x_unlabeled, guesses, lambda_u
     return loss, _backward(clf, x, h, dlogits)
 
 
-def train_epoch_mixed(ensemble, x_lab, targets, x_unl, guesses, lambda_u, lambda_r,
+def train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses, lambda_u, lambda_r,
                       lr, batch_size, rngs) -> None:
     """One stacked SGD epoch that gathers every step's batches from the index arrays."""
+    x_lab, x_unl = features[lab_ids], features[unl_ids]
     nc, nu = x_lab.shape[0], x_unl.shape[0]
     steps = -(-(nc + nu) // batch_size) if nc + nu else 0
     lab_idx = _epoch_batches(nc, batch_size, rngs, steps) if nc else None
@@ -526,7 +527,7 @@ def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: boo
         rngs = [rng_from(train_config.seed, f"round-{r}-member-{m}")
                 for m in range(train_config.ensemble_size)]
         ensemble = ensemble.copy()
-        train_epoch_mixed(ensemble, dataset.features[clean], refined, dataset.features[noisy],
-                          guessed, train_config.lambda_u, train_config.lambda_r,
+        train_epoch_mixed(ensemble, dataset.features, clean, refined, noisy, guessed,
+                          train_config.lambda_u, train_config.lambda_r,
                           train_config.lr, train_config.batch_size, rngs)
     return ensemble

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from dualsift.classifier import (
 )
 from dualsift import semisup
 from dualsift.checkpoints import save_flat_params
+from dualsift.data import ROW_BLOCK
 from dualsift.errors import NumericalError
 from dualsift.pipeline import DistillParams
 from dualsift.seeding import rng_from
@@ -309,6 +311,45 @@ def test_stacked_members_match_unstacked():
     np.testing.assert_array_equal(mean_probs, sum(softmax_rows(lg) for lg, _ in outputs) / 3)
 
 
+def test_ensemble_outputs_fill_one_row_block_at_a_time():
+    # each block's rows are that block's own forward, bit for bit; against
+    # one whole-array forward only the logits kernel's last bits may move
+    rng = np.random.default_rng(11)
+    stack = ToyClassifier.stack([ToyClassifier.initialize(16, 64, 10, seed=m) for m in range(2)])
+    x = rng.normal(size=(2 * ROW_BLOCK + 7, 16))
+    mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
+    for start in range(0, x.shape[0], ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        logits, hidden = stack.forward(x[block])
+        assert same_bits(mean_logits[block], logits.mean(axis=0))
+        assert same_bits(mean_hidden[block], hidden.mean(axis=0))
+        assert same_bits(mean_probs[block], softmax_rows(logits).mean(axis=0))
+    # a logit that cancels to near zero keeps the kernel's absolute error,
+    # so the floor is 1e-12 of the largest entry
+    logits, hidden = stack.forward(x)
+    for got, want in ((mean_logits, logits.mean(axis=0)), (mean_hidden, hidden.mean(axis=0)),
+                      (mean_probs, softmax_rows(logits).mean(axis=0))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_representation_peak_memory_is_its_outputs_plus_a_few_blocks():
+    # numpy reports its buffers to tracemalloc; a whole-split (M, N, H)
+    # hidden stack alone would exceed the bound
+    members, d, h, k, n = 2, 16, 64, 10, 16 * ROW_BLOCK
+    stack = ToyClassifier.stack([ToyClassifier.initialize(d, h, k, seed=m)
+                                 for m in range(members)])
+    x = np.random.default_rng(12).normal(size=(n, d))
+    outputs = n * (h + 2 * k) * 8
+    block = members * ROW_BLOCK * (h + 2 * k) * 8
+    tracemalloc.start()
+    try:
+        semisup.ensemble_representation(stack, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < outputs + 4 * block
+
+
 # ---------------------------------------------- lean steps against the oracle
 
 def same_bits(a, b) -> bool:
@@ -399,31 +440,44 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
         assert np.array_equal(got.codes, want.codes)
 
 
-@pytest.mark.parametrize("empty", ["labeled", "unlabeled"])
-def test_epoch_with_an_empty_group_matches_per_step_gather_oracle(empty):
-    # the empty group draws nothing from the members' generators and adds
-    # no rows to any step; the other group's batches cycle as usual
+def check_epoch_against_per_step_gather_oracle(n_lab, n_unl):
+    """One epoch of 23 labeled and 17 unlabeled rows, cut to the first
+    ``n_lab`` and ``n_unl``, must move the nets and the generators exactly
+    as the oracle does."""
     rng = np.random.default_rng(7)
     d, k, members = 5, 4, 2
-    x_lab, x_unl = rng.normal(size=(23, d)), rng.normal(size=(17, d))
-    targets = rng.dirichlet(np.ones(k), 23)
-    guesses = rng.dirichlet(np.ones(k), 17)
-    if empty == "labeled":
-        x_lab, targets = x_lab[:0], targets[:0]
-    else:
-        x_unl, guesses = x_unl[:0], guesses[:0]
+    features = rng.normal(size=(40, d))
+    order = rng.permutation(40)
+    lab_ids, unl_ids = order[:23][:n_lab], order[23:][:n_unl]
+    targets = rng.dirichlet(np.ones(k), 23)[:n_lab]
+    guesses = rng.dirichlet(np.ones(k), 17)[:n_unl]
     start = ToyClassifier.stack([ToyClassifier.initialize(d, 6, k, seed=m)
                                  for m in range(members)])
     nets, states = [], []
     for epoch in (semisup._train_epoch_mixed, reference.train_epoch_mixed):
         net = start.copy()
         rngs = [rng_from(3, f"m{m}") for m in range(members)]
-        epoch(net, x_lab, targets, x_unl, guesses, 3.0, 1.0, 0.05, 6, rngs)
+        epoch(net, features, lab_ids, targets, unl_ids, guesses, 3.0, 1.0, 0.05, 6, rngs)
         nets.append(net)
         states.append([r.bit_generator.state for r in rngs])
     assert same_bits(nets[0].flat, nets[1].flat)
     assert not same_bits(nets[0].flat, start.flat)
     assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("empty", ["labeled", "unlabeled"])
+def test_epoch_with_an_empty_group_matches_per_step_gather_oracle(empty):
+    # the empty group draws nothing from the members' generators and adds
+    # no rows to any step; the other group's batches cycle as usual
+    check_epoch_against_per_step_gather_oracle(*((0, 17) if empty == "labeled" else (23, 0)))
+
+
+@pytest.mark.parametrize("row_block", [16, 4])
+def test_epoch_across_gather_chunks_matches_per_step_gather_oracle(monkeypatch, row_block):
+    # ROW_BLOCK // batch_size steps are gathered at a time: 16 rows give
+    # chunks of two steps and a short last one, 4 (below the batch) one step
+    monkeypatch.setattr(semisup, "ROW_BLOCK", row_block)
+    check_epoch_against_per_step_gather_oracle(23, 17)
 
 
 # --------------------------------------------------------------------- warmup
