@@ -285,12 +285,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     per_round = []
     fallbacks: list[str] = []
     last_partition = None
-    # each round's meta net starts from the previous round's; round 0 and a
-    # round after a starved one start from the seeded draw
-    meta_net = None
+    # each round's meta net and mixtures start from the previous round's. The
+    # meta net of round 0 and of a round after a starved one starts from the
+    # seeded draw; a fit the previous round did not pass on, from the percentiles
+    meta_net, mixtures = None, None
     for r in range(train_cfg.rounds):
         result = distill_round(ensemble, train_set, train_cfg, params, round_index=r,
-                               meta_init=meta_net)
+                               meta_init=meta_net, gmm_init=mixtures)
         ensemble = result.ensemble
         last_partition = result.partition
         fallbacks.extend(f"round={r}:{note}" for note in result.fallbacks)
@@ -301,7 +302,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "selection": _selection_or_none(result.partition, train_set),
             "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None,
         })
-        meta_net = result.meta_net
+        meta_net, mixtures = result.meta_net, result.mixtures
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .data import (ROW_BLOCK, NoisyCluster, check_number_text, id_order, loadtxt_rows,
                    read_text_lines, repr_rows)
 from .errors import DegenerateFit, ParseError
-from .gmm import GmmConfig, Orientation, fit_gmm1d, posteriors
+from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import SCORE_RANGE, ScoreTable, in_range
 
 # A fitted component lighter than this has collapsed onto a few outliers;
@@ -158,13 +158,17 @@ class Partition:
         return np.array(PARTITION_TAGS, dtype=object)[self.codes].tolist()
 
 
-def _checked_fit(values: np.ndarray, config: GmmConfig):
+def _checked_fit(values: np.ndarray, config: GmmConfig, init: Gmm1d | None):
     """``fit_gmm1d``, with a collapsed component raised as :class:`DegenerateFit`."""
-    g = fit_gmm1d(values, config)
+    g = fit_gmm1d(values, config, init=init)
     weight = float(g.weights.min())
     if weight < MIN_COMPONENT_WEIGHT:
         raise DegenerateFit(f"component weight {weight:.3g} below {MIN_COMPONENT_WEIGHT}")
     return g
+
+
+# A cluster's fit in one space, keyed by (class_id, space), space "loss" or "feature".
+Mixtures = dict[tuple[int, str], Gmm1d]
 
 
 def compute_posteriors(
@@ -172,7 +176,8 @@ def compute_posteriors(
     clusters: list[NoisyCluster],
     loss_config: GmmConfig = LOSS_GMM,
     feat_config: GmmConfig = FEAT_GMM,
-) -> tuple[ScoreTable, list[str]]:
+    init: Mixtures | None = None,
+) -> tuple[ScoreTable, list[str], Mixtures]:
     """Fit per-cluster mixtures in both spaces and fill the posteriors.
 
     A cluster's scores beyond ``SCORE_RANGE`` are fit divided by a power of
@@ -180,23 +185,38 @@ def compute_posteriors(
     ``MIN_COMPONENT_WEIGHT``, leave that cluster's posteriors NaN in the
     affected space (routing its members to the uncertain set) and are
     reported in the returned notes.
+
+    Each fit starts from ``init``'s mixture for its cluster and space when
+    there is one (a previous pass's fits, say), and from the percentiles
+    when not. The returned mixtures hold every accepted fit of unscaled
+    scores: a divided cluster's fit is in other units than its next
+    scores, so it neither starts from a mixture nor passes one on.
     """
+    init = init or {}
     out = replace(table, posterior_loss=table.posterior_loss.copy(),
                   posterior_sim=table.posterior_sim.copy())
     spaces = (("loss", loss_config, out.loss_score, out.posterior_loss),
               ("feature", feat_config, out.sim_score, out.posterior_sim))
     notes: list[str] = []
+    fits: Mixtures = {}
     for cluster in clusters:
         ids = cluster.member_ids
         if ids.size == 0:
             continue
         for space, config, scores, posterior in spaces:
-            values = in_range(scores[ids], SCORE_RANGE)
+            key = (cluster.class_id, space)
+            raw = scores[ids]
+            values = in_range(raw, SCORE_RANGE)
+            scaled = values is not raw  # in_range returns what it does not divide
             try:
-                posterior[ids] = posteriors(_checked_fit(values, config), values)
+                g = _checked_fit(values, config, None if scaled else init.get(key))
             except DegenerateFit as exc:
                 notes.append(f"gmm_degenerate:class={cluster.class_id}:space={space}:{exc}")
-    return out, notes
+                continue
+            posterior[ids] = posteriors(g, values)
+            if not scaled:
+                fits[key] = g
+    return out, notes, fits
 
 
 def divide_dataset(

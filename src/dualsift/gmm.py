@@ -74,15 +74,35 @@ def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarra
     return np.add(out, np.log1p(np.exp(lo, out=lo), out=lo), out=out)
 
 
-def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
-    """EM fit with deterministic percentile initialization.
+def _start(init: Gmm1d, config: GmmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``init``'s (weights, means, variances), checked as a start for EM."""
+    start = tuple(np.asarray(a, dtype=np.float64)
+                  for a in (init.weights, init.means, init.variances))
+    if any(a.shape != (2,) or not np.isfinite(a).all() for a in start):
+        raise ValueError("init must hold two finite weights, means and variances")
+    weights, _, variances = start
+    if not (weights > 0).all():
+        raise ValueError(f"init weights must be positive, got {weights}")
+    if not (variances >= config.variance_floor).all():
+        raise ValueError(f"init variances must be >= variance_floor "
+                         f"{config.variance_floor}, got {variances}")
+    return start
 
-    Component means start at the 10th and 90th percentiles, weights equal,
-    both variances at the sample variance. Iterates until the relative
-    log-likelihood change drops below ``tol`` or ``max_iter`` is reached.
+
+def fit_gmm1d(values: np.ndarray, config: GmmConfig, init: Gmm1d | None = None) -> Gmm1d:
+    """EM fit from ``init``'s mixture, or from a deterministic percentile start.
+
+    Without ``init`` the component means start at the 10th and 90th
+    percentiles, the weights equal and both variances at the sample
+    variance. With it, EM starts from its weights, means and variances,
+    which it reads and never writes; a fit that converged on the same
+    values repeats its last log-likelihood as its first. Iterates until
+    ``|ll - ll_prev| <= tol * max(1, |ll_prev|)`` or ``max_iter`` is reached.
 
     Raises DegenerateFit when fewer than ``min_fit_size`` values or all
     values identical; callers route the whole cluster to the uncertain set.
+    Raises ValueError for an ``init`` with a non-finite parameter, a weight
+    at or below zero or a variance below ``variance_floor``.
     """
     x = np.asarray(values, dtype=np.float64).ravel()
     if not np.all(np.isfinite(x)):
@@ -92,11 +112,14 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
     if np.ptp(x) == 0.0:
         raise DegenerateFit("all values identical")
 
-    means = np.quantile(x, [0.1, 0.9])
-    if means[0] == means[1]:
-        means = np.array([x.min(), x.max()])
-    variances = np.full(2, max(float(np.var(x)), config.variance_floor))
-    weights = np.full(2, 0.5)
+    if init is not None:
+        weights, means, variances = _start(init, config)
+    else:
+        means = np.quantile(x, [0.1, 0.9])
+        if means[0] == means[1]:
+            means = np.array([x.min(), x.max()])
+        variances = np.full(2, max(float(np.var(x)), config.variance_floor))
+        weights = np.full(2, 0.5)
 
     # (2, n) work buffers reused by every iteration; resp is E-step scratch till written
     log_joint = np.empty((2, x.size))

@@ -10,6 +10,7 @@ from .data import Dataset, partition_by_label
 from .division import (
     FEAT_GMM,
     LOSS_GMM,
+    Mixtures,
     Partition,
     ThresholdStrategy,
     compute_posteriors,
@@ -55,24 +56,31 @@ class DistillResult:
     fallbacks: list[str]
     # the trained meta net; None when the starved fallback fused the scores
     meta_net: ToyClassifier | None
+    # the accepted fits of unscaled scores, by (class_id, space)
+    mixtures: Mixtures
 
 
 def run_distillation(dataset: Dataset, params: DistillParams,
-                     meta_init: ToyClassifier | None = None) -> DistillResult:
+                     meta_init: ToyClassifier | None = None,
+                     gmm_init: Mixtures | None = None) -> DistillResult:
     """Score, divide, and purify one dataset snapshot.
 
     The meta net trains from ``meta_init`` when one is given (a previous
     pass's trained net, say) and from the seeded ``meta-init`` draw when
-    not. When the certain set lacks positives or negatives the meta
-    classifier cannot be trained; fusion falls back to the equal-weight
-    average, the report notes it, and the result carries no meta net.
+    not. Each cluster's fit in a space starts from ``gmm_init``'s mixture
+    for it (a previous pass's ``mixtures``), as ``compute_posteriors``
+    describes, and from the percentiles when there is none. When the
+    certain set lacks positives or negatives the meta classifier cannot be
+    trained; fusion falls back to the equal-weight average, the report
+    notes it, and the result carries no meta net.
     """
     if meta_init is not None and meta_init.dims != (2, params.meta_hidden, 1):
         raise ValueError(f"meta_init has dims {meta_init.dims}, "
                          f"expected {(2, params.meta_hidden, 1)}")
     clusters = partition_by_label(dataset)
     table = score_dataset(dataset, clusters)
-    table, fallbacks = compute_posteriors(table, clusters, params.loss_gmm, params.feat_gmm)
+    table, fallbacks, mixtures = compute_posteriors(table, clusters, params.loss_gmm,
+                                                    params.feat_gmm, gmm_init)
     partition = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
 
     try:
@@ -90,4 +98,4 @@ def run_distillation(dataset: Dataset, params: DistillParams,
 
     cut = resolve_threshold(params.fuse_strategy, table.fused[partition.uncertain_ids])
     partition = purify(table, partition, cut, cut)
-    return DistillResult(partition, table, fallbacks, meta_net)
+    return DistillResult(partition, table, fallbacks, meta_net, mixtures)

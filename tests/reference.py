@@ -17,8 +17,8 @@ Division from per-cluster P/N/U id lists, with a branch for a cluster that
 has no finite posterior in a space, and the fused cutoff with its 0.5
 fallback are the bit oracles for the package's NaN-cutoff forms.
 The multi-round trainer assembles each round from these oracles and hands
-its trained meta net to the next round by hand; it is the bit oracle for
-``train``'s warm-started rounds.
+its trained meta net and its mixture fits to the next round by hand; it is
+the bit oracle for ``train``'s warm-started rounds.
 """
 import warnings
 from dataclasses import replace
@@ -29,12 +29,12 @@ import numpy as np
 from dualsift.classifier import ToyClassifier
 from dualsift.data import (LOGIT_JITTER, Dataset, NoisyCluster, SyntheticSpec, _class_centroids,
                            _expected_header, partition_by_label)
-from dualsift.division import (Partition, StrategyKind, Tag, ThresholdStrategy, compute_posteriors,
-                               divide_cluster)
+from dualsift.division import (MIN_COMPONENT_WEIGHT, Partition, StrategyKind, Tag,
+                               ThresholdStrategy, divide_cluster)
 from dualsift.errors import DegenerateFit, NumericalError
 from dualsift.gmm import _LOG_2PI, Gmm1d, GmmConfig, Orientation
 from dualsift.metanet import MIN_DELTA, MetaDataset, MetaTrainConfig, _sigmoid, purify
-from dualsift.scores import ScoreTable, score_dataset
+from dualsift.scores import SCORE_RANGE, ScoreTable, in_range, score_dataset
 from dualsift.semisup import _epoch_batches, ensemble_representation, make_ensemble, warmup
 from dualsift.seeding import derive_seed, rng_from
 
@@ -154,13 +154,14 @@ def logaddexp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(a, b) + np.log1p(np.exp(-np.abs(a - b)))
 
 
-def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
-    """EM fit with deterministic percentile initialization, one 1-D array
-    per component.
+def fit_gmm1d(values: np.ndarray, config: GmmConfig, init: Gmm1d | None = None) -> Gmm1d:
+    """EM fit, one 1-D array per component, from ``init``'s mixture or a
+    deterministic percentile start.
 
-    Component means start at the 10th and 90th percentiles, weights equal,
-    both variances at the sample variance. Iterates until the relative
-    log-likelihood change drops below ``tol`` or ``max_iter`` is reached.
+    Without ``init`` component means start at the 10th and 90th
+    percentiles, weights equal, both variances at the sample variance.
+    Iterates until ``|ll - ll_prev| <= tol * max(1, |ll_prev|)`` or
+    ``max_iter`` is reached.
 
     Raises DegenerateFit when fewer than ``min_fit_size`` values or all
     values identical; callers route the whole cluster to the uncertain set.
@@ -173,11 +174,14 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig) -> Gmm1d:
     if np.ptp(x) == 0.0:
         raise DegenerateFit("all values identical")
 
-    means = np.quantile(x, [0.1, 0.9])
-    if means[0] == means[1]:
-        means = np.array([x.min(), x.max()])
-    variances = np.full(2, max(float(np.var(x)), config.variance_floor))
-    weights = np.full(2, 0.5)
+    if init is not None:
+        weights, means, variances = init.weights, init.means, init.variances
+    else:
+        means = np.quantile(x, [0.1, 0.9])
+        if means[0] == means[1]:
+            means = np.array([x.min(), x.max()])
+        variances = np.full(2, max(float(np.var(x)), config.variance_floor))
+        weights = np.full(2, 0.5)
 
     lls: list[float] = []
     converged = False
@@ -485,25 +489,64 @@ def fuse_cutoff(strategy: ThresholdStrategy, fused_uncertain: np.ndarray) -> flo
     return resolve_threshold(strategy, finite) if finite.size else 0.5
 
 
+def warm_posteriors(table: ScoreTable, clusters: list[NoisyCluster], params, previous: dict):
+    """Posteriors from per-cluster fits by the EM and posterior oracles above.
+
+    ``previous`` maps (class_id, space) to the (fit, scaled) pair this
+    returns for the same key: the accepted fit or None (too few or identical
+    values, or a component under ``MIN_COMPONENT_WEIGHT``), and whether the
+    scores lay beyond ``SCORE_RANGE``. A fit starts from the previous fit
+    when there is one and neither pass's scores lay beyond the range; from
+    the percentiles otherwise.
+    """
+    filled = replace(table, posterior_loss=np.full(table.n, np.nan),
+                     posterior_sim=np.full(table.n, np.nan))
+    fits = {}
+    for cluster in clusters:
+        ids = cluster.member_ids
+        if ids.size == 0:
+            continue
+        for space, config, scores, out in (
+                ("loss", params.loss_gmm, table.loss_score, filled.posterior_loss),
+                ("feature", params.feat_gmm, table.sim_score, filled.posterior_sim)):
+            key = (cluster.class_id, space)
+            scaled = bool(np.abs(scores[ids]).max() > SCORE_RANGE[1])
+            values = in_range(scores[ids], SCORE_RANGE)
+            before, scaled_before = previous.get(key, (None, False))
+            try:
+                g = fit_gmm1d(values, config,
+                              None if scaled or scaled_before else before)
+            except DegenerateFit:
+                g = None
+            if g is not None and g.weights.min() < MIN_COMPONENT_WEIGHT:
+                g = None
+            if g is not None:
+                out[ids] = posteriors(g, values)
+            fits[key] = (g, scaled)
+    return filled, fits
+
+
 def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: bool = True):
     """Warm-up plus ``rounds`` distillation rounds, each assembled from the
     oracles above. With ``carry`` each round's meta net starts from the
-    previous round's trained net, passed along here by hand; round 0, and a
+    previous round's trained net, and each round's mixtures from the
+    previous round's fits, both passed along here by hand; round 0, and a
     round after one whose certain set could not train a meta net, start from
-    the seeded ``meta-init`` draw, as does every round without ``carry``.
+    the seeded ``meta-init`` draw, as does every round without ``carry``,
+    whose mixtures all start from the percentiles.
     Needs certain sets of at most ``MAX_PAIRS`` pairs. Returns the ensemble.
     """
     ensemble = warmup(make_ensemble(dataset.feature_dim, dataset.num_classes, train_config),
                       dataset, train_config)
     seeded = ToyClassifier.initialize(2, params.meta_hidden, 1,
                                       seed=derive_seed(params.meta.seed, "meta-init"))
-    meta_net = None
+    meta_net, fits = None, {}
     for r in range(rounds):
         logits, embedding, probs = ensemble_representation(ensemble, dataset.features)
         derived = dataset.with_representation(embedding, logits)
         clusters = partition_by_label(derived)
-        table, _ = compute_posteriors(score_dataset(derived, clusters), clusters,
-                                      params.loss_gmm, params.feat_gmm)
+        table, fits = warm_posteriors(score_dataset(derived, clusters), clusters, params,
+                                      fits if carry else {})
         codes = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
         ids = np.concatenate([np.flatnonzero(codes == Tag.P), np.flatnonzero(codes == Tag.N)])
         labels = (codes[ids] == Tag.P).astype(np.float64)

@@ -22,7 +22,7 @@ from dualsift import (
     split_dataset,
     write_sample_table,
 )
-from dualsift import pipeline
+from dualsift import division, pipeline
 from dualsift.cli import (
     DISTILL_DEFAULTS,
     GENERATE_DEFAULTS,
@@ -430,6 +430,27 @@ def test_train_round_after_a_starved_round_starts_from_the_seeded_draw(tmp_path,
     assert len(starts) == 2
     for start in starts:
         assert np.array_equal(start, seeded.flat)
+
+
+def test_distill_fits_from_the_percentiles_and_train_rounds_from_the_last_fits(
+        tmp_path, monkeypatch):
+    # 5 classes x 2 spaces fits per pass, none rejected; only train's rounds
+    # after the first start from a previous fit
+    data = small_benchmark(tmp_path, n=600)
+    starts = []
+    real = division.fit_gmm1d
+
+    def spy(values, config, init=None):
+        starts.append(init)
+        return real(values, config, init=init)
+
+    monkeypatch.setattr(division, "fit_gmm1d", spy)
+    assert run(["distill", data, "-o", tmp_path / "out"]) == 0
+    assert starts == [None] * 10
+    starts.clear()
+    assert run(three_rounds_args(data, tmp_path / "run")) == 0
+    assert len(starts) == 30
+    assert starts[:10] == [None] * 10 and None not in starts[10:]
 
 
 @pytest.mark.parametrize("extra", [[], ["--rounds", 2, "--warmup-epochs", 2]])

@@ -308,7 +308,7 @@ def test_distillation_rejects_a_meta_init_of_other_dims(benchmark40, dims):
 def test_compute_posteriors_fills_and_flags(benchmark40):
     clusters = partition_by_label(benchmark40)
     table = score_dataset(benchmark40, clusters)
-    filled, notes = compute_posteriors(table, clusters)
+    filled, notes, _ = compute_posteriors(table, clusters)
     assert notes == []
     assert np.isfinite(filled.posterior_loss).all()
     assert np.isfinite(filled.posterior_sim).all()
@@ -325,7 +325,7 @@ def test_compute_posteriors_degenerate_class():
     table.sim_score[:10] = np.concatenate([rng.normal(0.9, 0.02, 5), rng.normal(0.2, 0.05, 5)])
     table.loss_score[10:] = 1.0
     table.sim_score[10:] = 0.5
-    filled, notes = compute_posteriors(table, partition_by_label(ds))
+    filled, notes, _ = compute_posteriors(table, partition_by_label(ds))
     assert len(notes) == 2 and all("class=1" in n for n in notes)
     assert np.isnan(filled.posterior_loss[10:]).all()
     assert np.isfinite(filled.posterior_loss[:10]).all()
@@ -346,7 +346,7 @@ def test_compute_posteriors_reports_collapsed_component():
     table.loss_score[:] = loss
     table.sim_score[:] = np.concatenate([rng.normal(0.9, 0.02, 250), rng.normal(0.2, 0.05, 250)])
     clusters = partition_by_label(two_class_dataset([0] * 500))
-    filled, notes = compute_posteriors(table, clusters)
+    filled, notes, _ = compute_posteriors(table, clusters)
     assert notes == ["gmm_degenerate:class=0:space=loss:component weight 0.002 below 0.01"]
     assert np.isnan(filled.posterior_loss).all()
     assert np.isfinite(filled.posterior_sim).all()
@@ -362,12 +362,131 @@ def test_compute_posteriors_and_fuse_scores_leave_input_intact(benchmark40):
     clusters = partition_by_label(benchmark40)
     scored = score_dataset(benchmark40, clusters)
     scored_bits = bits(scored)
-    filled, _ = compute_posteriors(scored, clusters)
+    filled, _, _ = compute_posteriors(scored, clusters)
     filled_bits = bits(filled)
     fused = fuse_scores(ToyClassifier.initialize(2, 10, 1, seed=0), filled)
     assert bits(scored) == scored_bits
     assert bits(filled) == filled_bits
     assert np.isfinite(fused.fused).all() and np.isnan(filled.fused).all()
+
+
+# ------------------------------------------------------------ warm-started fits
+
+def spy_starts(monkeypatch):
+    """The ``init`` of each fit ``compute_posteriors`` runs, in call order."""
+    starts = []
+    real = division.fit_gmm1d
+
+    def spy(values, config, init=None):
+        starts.append(init)
+        return real(values, config, init=init)
+    monkeypatch.setattr(division, "fit_gmm1d", spy)
+    return starts
+
+
+def two_mixture_scores(rng, n):
+    """``n`` loss scores and ``n`` similarity scores, each from two separated components."""
+    half = n // 2
+    loss = np.concatenate([rng.normal(0.1, 0.05, half), rng.normal(2.0, 0.3, n - half)])
+    sim = np.concatenate([rng.normal(0.9, 0.02, half), rng.normal(0.2, 0.05, n - half)])
+    return loss, sim
+
+
+def mixture_table(rng, sizes):
+    from dualsift.scores import ScoreTable
+    table = ScoreTable.empty(sum(sizes))
+    parts = [two_mixture_scores(rng, size) for size in sizes]
+    table.loss_score[:] = np.concatenate([loss for loss, _ in parts])
+    table.sim_score[:] = np.concatenate([sim for _, sim in parts])
+    return table
+
+
+KEYS = [(0, "loss"), (0, "feature"), (1, "loss"), (1, "feature")]
+
+
+def test_compute_posteriors_starts_each_fit_from_the_given_mixture(monkeypatch):
+    # every accepted fit is returned under its key, and a later pass starts
+    # that cluster and space from it; omitting init, or passing None, is the
+    # percentile start
+    clusters = partition_by_label(two_class_dataset([0] * 300 + [1] * 200))
+    rng = np.random.default_rng(3)
+    first, second = mixture_table(rng, [300, 200]), mixture_table(rng, [300, 200])
+    starts = spy_starts(monkeypatch)
+    cold, _, fits = compute_posteriors(first, clusters)
+    assert sorted(fits) == sorted(KEYS) and starts == [None] * 4
+    warm, notes, warm_fits = compute_posteriors(second, clusters, init=fits)
+    assert notes == [] and sorted(warm_fits) == sorted(KEYS)
+    assert all(got is fits[key] for got, key in zip(starts[4:], KEYS))
+    again, _, again_fits = compute_posteriors(second, clusters, init=None)
+    assert starts[8:] == [None] * 4
+    assert not np.array_equal(warm.posterior_loss, again.posterior_loss)
+    assert sum(g.iterations for g in warm_fits.values()) < \
+        sum(g.iterations for g in again_fits.values())
+
+
+def test_rescaled_cluster_fits_from_the_percentiles(monkeypatch):
+    # class 1's loss scores lie beyond SCORE_RANGE in the second pass and
+    # are fit divided by a power of two: a fit in the undivided units must
+    # not start it, and its own fit must not start the third pass
+    clusters = partition_by_label(two_class_dataset([0] * 300 + [1] * 200))
+    rng = np.random.default_rng(4)
+    tables = [mixture_table(rng, [300, 200]) for _ in range(3)]
+    tables[1].loss_score[300:] *= 2.0 ** 600
+    starts = spy_starts(monkeypatch)
+    _, _, first = compute_posteriors(tables[0], clusters)
+    scaled, notes, second = compute_posteriors(tables[1], clusters, init=first)
+    assert notes == [] and sorted(second) == sorted(KEYS[:2] + KEYS[3:])
+    _, _, third = compute_posteriors(tables[2], clusters, init=second)
+    assert sorted(third) == sorted(KEYS)
+    assert [s is None for s in starts] == [True] * 4 + [False, False, True, False] \
+        + [False, False, True, False]
+    cold, _, _ = compute_posteriors(tables[1], clusters)
+    assert np.array_equal(scaled.posterior_loss[300:], cold.posterior_loss[300:])
+    assert np.isfinite(scaled.posterior_loss).all()
+
+
+def test_cluster_after_a_degenerate_fit_fits_from_the_percentiles(monkeypatch):
+    # the first pass rejects class 0's loss fit (a component holds one
+    # outlier) and cannot fit class 1's identical similarities; the second
+    # pass starts those two from the percentiles, the others from the first's fits
+    clusters = partition_by_label(two_class_dataset([0] * 300 + [1] * 200))
+    rng = np.random.default_rng(5)
+    first, second = mixture_table(rng, [300, 200]), mixture_table(rng, [300, 200])
+    first.loss_score[:300] = np.append(rng.normal(size=299), 1e6)
+    first.sim_score[300:] = 0.5
+    starts = spy_starts(monkeypatch)
+    _, notes, fits = compute_posteriors(first, clusters)
+    assert [note.split(":")[:3] for note in notes] == \
+        [["gmm_degenerate", "class=0", "space=loss"], ["gmm_degenerate", "class=1", "space=feature"]]
+    assert sorted(fits) == sorted([(0, "feature"), (1, "loss")])
+    warm, _, _ = compute_posteriors(second, clusters, init=fits)
+    assert [s is None for s in starts[4:]] == [True, False, False, True]
+    cold, _, _ = compute_posteriors(second, clusters)
+    assert np.array_equal(warm.posterior_loss[:300], cold.posterior_loss[:300])
+    assert np.array_equal(warm.posterior_sim[300:], cold.posterior_sim[300:])
+
+
+def test_distillation_passes_its_accepted_fits_on():
+    # run_distillation returns every fit it accepted; without gmm_init, with
+    # None and with an empty mapping every fit starts from the percentiles
+    rng = rng_from(3, "division-oracle")
+    for _ in range(40):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(8, 50))
+        labels = rng.integers(0, rng.integers(1, k + 1), n)
+        dataset = Dataset(rng.normal(size=(n, 3)), 3 * rng.normal(size=(n, k)), labels,
+                          np.full(n, -1))
+        params = DistillParams(meta=MetaTrainConfig(epochs=2))
+        default = run_distillation(dataset, params)
+        for gmm_init in (None, {}):
+            assert same_distillation(default, run_distillation(dataset, params,
+                                                                 gmm_init=gmm_init))
+        rejected = {(int(note.split(":")[1][6:]), note.split(":")[2][6:])
+                    for note in default.fallbacks if note.startswith("gmm_degenerate:")}
+        fitted = {(c.class_id, space) for c in partition_by_label(dataset)
+                  if c.member_ids.size for space in ("loss", "feature")}
+        assert set(default.mixtures) == fitted - rejected
+        warm = run_distillation(dataset, params, gmm_init=default.mixtures)
+        assert sorted(warm.mixtures) == sorted(default.mixtures)
 
 
 def test_huge_logits_select_as_in_range_ones():

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import reference
 from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, gmm, posteriors
@@ -179,16 +179,87 @@ def oracle_values(n, seed, outlier):
     return values
 
 
-@oracle_grid
-def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
-    values = oracle_values(n, seed, outlier)
-    cfg = GmmConfig(orientation, max_iter=max_iter)
-    got, want = fit_gmm1d(values, cfg), reference.fit_gmm1d(values, cfg)
+def assert_same_fit(got, want, values):
     for name in ("weights", "means", "variances", "log_likelihoods"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert (got.iterations, got.converged, got.clean_component) == \
         (want.iterations, want.converged, want.clean_component)
     assert np.array_equal(posteriors(got, values), reference.posteriors(want, values))
+
+
+@oracle_grid
+def test_fit_and_posteriors_match_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
+    values = oracle_values(n, seed, outlier)
+    cfg = GmmConfig(orientation, max_iter=max_iter)
+    assert_same_fit(fit_gmm1d(values, cfg), reference.fit_gmm1d(values, cfg), values)
+
+
+def start(weights, means, variances):
+    """A mixture to start EM from; only its three parameter arrays count."""
+    return Gmm1d(np.array(weights, dtype=np.float64), np.array(means, dtype=np.float64),
+                 np.array(variances, dtype=np.float64), clean_component=0, converged=True,
+                 iterations=1, log_likelihoods=np.zeros(1))
+
+
+@oracle_grid
+def test_warm_fit_matches_reference_bit_for_bit(n, seed, outlier, max_iter, orientation):
+    # a start drawn anywhere near the values: unequal weights, two of the
+    # values as means, variances around the sample variance
+    values = oracle_values(n, seed, outlier)
+    cfg = GmmConfig(orientation, max_iter=max_iter)
+    rng = np.random.default_rng([seed, 2])
+    weight = rng.uniform(0.05, 0.95)
+    init = start([weight, 1.0 - weight], np.sort(rng.choice(values, 2)),
+                 np.maximum(np.var(values) * rng.uniform(0.1, 2.0, 2), cfg.variance_floor))
+    assert_same_fit(fit_gmm1d(values, cfg, init=init),
+                    reference.fit_gmm1d(values, cfg, init=init), values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(MIN_FIT_SIZE, 5000), seed=st.integers(0, 2**32 - 1),
+       outlier=st.booleans(), orientation=st.sampled_from(list(Orientation)))
+def test_refit_from_a_converged_fit_starts_at_its_last_log_likelihood(n, seed, outlier,
+                                                                       orientation):
+    # a converged fit's parameters are the ones its last E step ran with, so
+    # a refit that starts from them exactly repeats that log-likelihood
+    values = oracle_values(n, seed, outlier)
+    cfg = GmmConfig(orientation)
+    g = fit_gmm1d(values, cfg)
+    assume(g.converged)
+    again = fit_gmm1d(values, cfg, init=g)
+    assert again.log_likelihoods[0].tobytes() == g.log_likelihoods[-1].tobytes()
+
+
+@pytest.mark.parametrize("weights, means, variances, match", [
+    ([np.nan, 0.5], [0.0, 2.0], [1.0, 1.0], "finite"),
+    ([0.5, 0.5], [0.0, np.inf], [1.0, 1.0], "finite"),
+    ([0.5, 0.5], [0.0, 2.0], [1.0, -np.inf], "finite"),
+    ([0.5, 0.5, 0.0], [0.0, 2.0], [1.0, 1.0], "two finite"),
+    ([0.0, 1.0], [0.0, 2.0], [1.0, 1.0], "weights must be positive"),
+    ([-0.5, 1.5], [0.0, 2.0], [1.0, 1.0], "weights must be positive"),
+    ([0.5, 0.5], [0.0, 2.0], [1.0, 0.0], "variance_floor"),
+    ([0.5, 0.5], [0.0, 2.0], [1e-7, 1.0], "variance_floor"),
+])
+def test_fit_rejects_a_start_it_cannot_use(weights, means, variances, match):
+    with pytest.raises(ValueError, match=match):
+        fit_gmm1d(mixture_sample(), GmmConfig(Orientation.SMALLER_MEAN_CLEAN),
+                  init=start(weights, means, variances))
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 100])
+def test_warm_fit_never_writes_into_its_start(max_iter):
+    # the previous round's fit is shared with the next round's; a write into
+    # a read-only array raises, and the result shares no memory with the start
+    cfg = GmmConfig(Orientation.SMALLER_MEAN_CLEAN, max_iter=max_iter)
+    g = fit_gmm1d(mixture_sample(seed=13), cfg)
+    arrays = (g.weights, g.means, g.variances)
+    before = [a.tobytes() for a in arrays]
+    for a in arrays:
+        a.setflags(write=False)
+    warm = fit_gmm1d(mixture_sample(seed=14), cfg, init=g)
+    assert [a.tobytes() for a in arrays] == before
+    for got in (warm.weights, warm.means, warm.variances):
+        assert not any(np.shares_memory(got, a) for a in arrays)
 
 
 @oracle_grid
