@@ -24,6 +24,7 @@ from .data import (
     generate_synthetic,
     inject_noise,
     load_sample_table,
+    read_text_lines,
     split_dataset,
     write_sample_table,
 )
@@ -61,7 +62,8 @@ _TRAIN_KEYS = {"warmup_epochs": "warmup_epochs", "rounds": "rounds", "lr": "lr",
 _PARAMS_KEYS = {"meta_hidden": "meta_hidden"}
 _STRATEGY_KEYS = ("loss_strategy", "sim_strategy", "fuse_strategy")
 _KEYS_OF = {SyntheticSpec: _SPEC_KEYS, GmmConfig: _GMM_KEYS, MetaTrainConfig: _META_KEYS,
-            TrainConfig: _TRAIN_KEYS, DistillParams: _PARAMS_KEYS}
+            TrainConfig: _TRAIN_KEYS, DistillParams: _PARAMS_KEYS,
+            split_dataset: {"test_fraction": "test_fraction"}}
 
 
 def _field_defaults(cls, keys: dict[str, str]) -> dict:
@@ -140,15 +142,24 @@ def _value_types(defaults: dict) -> dict:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
+    try:
+        lines = read_text_lines(path)
+    except ParseError as exc:
+        raise UsageError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}:{lineno}: expected key = value")
+            raise UsageError(f"{path}: line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in values:
+            raise UsageError(f"{path}: line {lineno}: key {key!r} already set "
+                             f"on line {first_line[key]}")
+        values[key], first_line[key] = raw.strip(), lineno
     return values
 
 
@@ -284,25 +295,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     per_round = []
     fallbacks: list[str] = []
-    last_partition = None
-    # each round's meta net and mixtures start from the previous round's. The
-    # meta net of round 0 and of a round after a starved one starts from the
-    # seeded draw; a fit the previous round did not pass on, from the percentiles
-    meta_net, mixtures = None, None
+    # each round's pass starts from the previous round's; the meta net of
+    # round 0 and of a round after a starved one starts from the seeded draw
+    distilled = None
     for r in range(train_cfg.rounds):
+        start = "seeded" if getattr(distilled, "meta_net", None) is None else "previous_round"
         result = distill_round(ensemble, train_set, train_cfg, params, round_index=r,
-                               meta_init=meta_net, gmm_init=mixtures)
-        ensemble = result.ensemble
-        last_partition = result.partition
-        fallbacks.extend(f"round={r}:{note}" for note in result.fallbacks)
+                               previous=distilled)
+        ensemble, distilled = result.ensemble, result.distilled
+        fallbacks.extend(f"round={r}:{note}" for note in distilled.fallbacks)
         per_round.append({
             "round": r,
-            "meta_init": "seeded" if meta_net is None else "previous_round",
-            "sizes": _partition_sizes(result.partition),
-            "selection": _selection_or_none(result.partition, train_set),
+            "meta_init": start,
+            "sizes": _partition_sizes(distilled.partition),
+            "selection": _selection_or_none(distilled.partition, train_set),
             "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None,
         })
-        meta_net, mixtures = result.meta_net, result.mixtures
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -310,7 +318,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         save_classifier_checkpoint(ensemble.member(m), outdir / f"member_{m}.txt")
     report = {
         "config": {**cfg, "input": str(args.input)},
-        "sizes": _partition_sizes(last_partition) if last_partition is not None else None,
+        "sizes": _partition_sizes(distilled.partition) if distilled is not None else None,
         "selection": per_round[-1]["selection"] if per_round else None,
         "per_round": per_round,
         "accuracy": per_round[-1]["accuracy"] if per_round else warmup_acc,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import ParseError, check_fields
+from .errors import FieldError, ParseError, check_fields
 from .seeding import rng_from
 
 # Rows per block of every pass over a whole table outside per-cluster
@@ -236,7 +236,8 @@ def partition_by_label(dataset: Dataset) -> list[NoisyCluster]:
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:
     """Deterministic train/test split; returns (train, test, train_ids, test_ids)."""
     if not 0.0 <= test_fraction < 1.0:
-        raise ValueError("test_fraction must lie in [0, 1)")
+        raise FieldError(split_dataset, "test_fraction",
+                         f"must lie in [0, 1), got {test_fraction}")
     rng = rng_from(seed, "test-split")
     perm = rng.permutation(dataset.n)
     n_test = int(round(test_fraction * dataset.n))

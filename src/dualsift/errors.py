@@ -29,14 +29,14 @@ class NumericalError(Exception):
 
 
 class FieldError(ValueError):
-    """A config object's field lies outside its range.
+    """A config object's field or a function's argument lies out of range.
 
-    ``owner`` is the config class, ``field`` the field's name and ``detail``
-    the requirement plus the value given; the message reads
-    ``<field> <detail>``.
+    ``owner`` is the config class or the function, ``field`` the field's or
+    argument's name and ``detail`` the requirement plus the value given; the
+    message reads ``<field> <detail>``.
     """
 
-    def __init__(self, owner: type, field: str, detail: str):
+    def __init__(self, owner, field: str, detail: str):
         self.owner, self.field, self.detail = owner, field, detail
         super().__init__(f"{field} {detail}")
 

@@ -10,7 +10,6 @@ from .data import Dataset, partition_by_label
 from .division import (
     FEAT_GMM,
     LOSS_GMM,
-    Mixtures,
     Partition,
     ThresholdStrategy,
     compute_posteriors,
@@ -57,37 +56,35 @@ class DistillResult:
     # the trained meta net; None when the starved fallback fused the scores
     meta_net: ToyClassifier | None
     # the accepted fits of unscaled scores, by (class_id, space)
-    mixtures: Mixtures
+    mixtures: dict
 
 
 def run_distillation(dataset: Dataset, params: DistillParams,
-                     meta_init: ToyClassifier | None = None,
-                     gmm_init: Mixtures | None = None) -> DistillResult:
+                     previous: DistillResult | None = None) -> DistillResult:
     """Score, divide, and purify one dataset snapshot.
 
-    The meta net trains from ``meta_init`` when one is given (a previous
-    pass's trained net, say) and from the seeded ``meta-init`` draw when
-    not. Each cluster's fit in a space starts from ``gmm_init``'s mixture
-    for it (a previous pass's ``mixtures``), as ``compute_posteriors``
-    describes, and from the percentiles when there is none. When the
-    certain set lacks positives or negatives the meta classifier cannot be
-    trained; fusion falls back to the equal-weight average, the report
-    notes it, and the result carries no meta net.
+    A pass warm-starts from ``previous``, an earlier pass's result: the meta
+    net trains from its ``meta_net`` and each cluster's fit in a space
+    starts from its ``mixtures``, as ``compute_posteriors`` describes.
+    Where it holds no net the net trains from the seeded ``meta-init`` draw,
+    and where no fit the fit starts from the percentiles. When the certain
+    set lacks positives or negatives the meta classifier cannot be trained;
+    fusion falls back to the equal-weight average, the report notes it, and
+    the result carries no meta net.
     """
-    if meta_init is not None and meta_init.dims != (2, params.meta_hidden, 1):
+    meta_init = getattr(previous, "meta_net", None) or ToyClassifier.initialize(
+        2, params.meta_hidden, 1, seed=derive_seed(params.meta.seed, "meta-init"))
+    if meta_init.dims != (2, params.meta_hidden, 1):
         raise ValueError(f"meta_init has dims {meta_init.dims}, "
                          f"expected {(2, params.meta_hidden, 1)}")
     clusters = partition_by_label(dataset)
     table = score_dataset(dataset, clusters)
-    table, fallbacks, mixtures = compute_posteriors(table, clusters, params.loss_gmm,
-                                                    params.feat_gmm, gmm_init)
+    table, fallbacks, mixtures = compute_posteriors(
+        table, clusters, params.loss_gmm, params.feat_gmm, getattr(previous, "mixtures", None))
     partition = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
 
     try:
         meta_data = build_meta_dataset(partition, table)
-        if meta_init is None:
-            meta_init = ToyClassifier.initialize(
-                2, params.meta_hidden, 1, seed=derive_seed(params.meta.seed, "meta-init"))
         meta_net = train_meta(meta_init, meta_data, params.meta)
         table = fuse_scores(meta_net, table)
     except MetaStarved as exc:

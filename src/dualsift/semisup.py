@@ -15,7 +15,6 @@ import numpy as np
 
 from .classifier import ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_loss_and_grads
 from .data import ROW_BLOCK, Dataset, one_hot
-from .division import Mixtures, Partition
 from .errors import NumericalError, check_fields
 from .pipeline import DistillParams, DistillResult, run_distillation
 from .seeding import derive_seed, rng_from
@@ -148,13 +147,8 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
 @dataclass
 class RoundResult:
     ensemble: ToyClassifier
-    partition: Partition
-    fallbacks: list[str]
-    # the round's trained meta net, for the next round to start from; None
-    # when the round fell back to the equal-weight fusion
-    meta_net: ToyClassifier | None
-    # the round's accepted mixture fits, for the next round to start from
-    mixtures: Mixtures
+    # the round's distillation pass, for the next round to start from
+    distilled: DistillResult
 
 
 def distill_round(
@@ -163,8 +157,7 @@ def distill_round(
     train_config: TrainConfig,
     params: DistillParams,
     round_index: int = 0,
-    meta_init: ToyClassifier | None = None,
-    gmm_init: Mixtures | None = None,
+    previous: DistillResult | None = None,
 ) -> RoundResult:
     """One distillation iteration with a frozen scoring snapshot.
 
@@ -172,15 +165,14 @@ def distill_round(
     activations, runs division and purification on those scores, refines
     labels on the clean set with the fused score, co-guesses targets for
     the noisy set, and finally takes one SGD epoch per member on the
-    combined loss against the frozen targets. The meta net trains from
-    ``meta_init`` (the previous round's ``meta_net``), or from the seeded
-    draw when that is None; the mixtures start from ``gmm_init`` (the
-    previous round's ``mixtures``) where it holds a fit. Raises
-    NumericalError when a member ends past ``MAX_ACTIVATION`` on ``dataset``.
+    combined loss against the frozen targets. The pass warm-starts from
+    ``previous`` (the previous round's ``distilled``), as ``run_distillation``
+    describes. Raises NumericalError when a member ends past
+    ``MAX_ACTIVATION`` on ``dataset``.
     """
     mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
     derived = dataset.with_representation(embedding, mean_logits)
-    result: DistillResult = run_distillation(derived, params, meta_init, gmm_init)
+    result = run_distillation(derived, params, previous)
     partition, table = result.partition, result.table
 
     clean_ids = partition.clean_ids
@@ -199,4 +191,4 @@ def distill_round(
         train_config.lambda_u, train_config.lambda_r,
         train_config.lr, train_config.batch_size, rngs)
     _check_alive(ensemble, dataset.features, f"round {round_index}")
-    return RoundResult(ensemble, partition, result.fallbacks, result.meta_net, result.mixtures)
+    return RoundResult(ensemble, result)

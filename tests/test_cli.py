@@ -375,6 +375,21 @@ def test_train_unknown_config_key(tmp_path):
     assert run(["train", data, "-o", tmp_path / "out", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"n = 50\n# again\nn = 40\n", "line 3: key 'n' already set on line 1"),
+    (b"n = 50\n\nk = 4\xff\n", "line 3: 'utf-8' codec can't decode byte 0xff"),
+    (b"n = 50\nk 4\n", "line 2: expected key = value"),
+], ids=["key-twice", "non-utf8", "no-equals"])
+def test_config_file_error_names_the_file_and_line(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(text)
+    capsys.readouterr()
+    assert run(["generate", "--config", cfg, "-o", tmp_path / "g.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: {message}"), err
+    assert not (tmp_path / "g.csv").exists()
+
+
 def three_rounds_args(data, outdir):
     return ["train", data, "-o", outdir, "--rounds", 3, "--warmup-epochs", 2,
             "--seed", 5, "--test-fraction", 0.25]
@@ -615,7 +630,12 @@ def test_bad_spec_names_its_flag_or_config_key(tmp_path, capsys, argv, config, m
      "error: argument --meta-hidden: must be >= 1, got 0"),
     (["train", "DATA"], "ensemble = 0\nlr = 0.1\n",
      "error: config key 'ensemble': must be >= 1, got 0"),
-], ids=["train-lr", "meta-lr", "config-gmm-tol", "spec-n", "meta-hidden", "config-ensemble"])
+    (["train", "DATA", "--test-fraction", "1.5"], None,
+     "error: argument --test-fraction: must lie in [0, 1), got 1.5"),
+    (["train", "DATA"], "test_fraction = -0.1\n",
+     "error: config key 'test_fraction': must lie in [0, 1), got -0.1"),
+], ids=["train-lr", "meta-lr", "config-gmm-tol", "spec-n", "meta-hidden", "config-ensemble",
+        "test-fraction", "config-test-fraction"])
 def test_range_error_names_its_flag_or_config_key(tmp_path, capsys, argv, config, message):
     # TrainConfig and MetaTrainConfig both call their field lr; the message
     # names the key that set the field

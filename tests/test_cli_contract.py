@@ -70,7 +70,8 @@ def hostile(draw, text: bytes) -> bytes:
 @st.composite
 def settings_for(draw, command: str) -> tuple[list[str], list[str]]:
     """(flags, config-file lines) with keys of ``command``, or now and then
-    an unknown key or a line that is no ``key = value``."""
+    an unknown key, a line that is no ``key = value`` or a byte that is no
+    UTF-8."""
     defaults = DEFAULTS[command]
     keys = st.sampled_from(sorted(defaults) * 4 + ["bogus"]) if defaults else st.just("bogus")
 
@@ -88,7 +89,8 @@ def settings_for(draw, command: str) -> tuple[list[str], list[str]]:
         return flags + draw(st.sampled_from([[]] * 9 + [["--bogus"]])), []
     lines = [f"{key} = {value}" for key, value in (pair() for _ in range(draw(st.integers(0, 2))))]
     lines += draw(st.sampled_from([[]] * 9 + [["="], ["no equals sign"], ["[section]"],
-                                              ["# note"], ["n = 1 = 2"], [" = 3"]]))
+                                              ["# note"], ["n = 1 = 2"], [" = 3"],
+                                              ["n = 5\udcff"]]))
     return flags, lines
 
 
@@ -99,7 +101,8 @@ def runs(draw) -> tuple[list[str], dict[str, bytes]]:
     flags, lines = draw(settings_for(command))
     files = {"table.csv": draw(hostile(TABLE)), "partition.csv": draw(hostile(PARTITION))}
     if lines:
-        files["run.cfg"] = "\n".join(lines).encode()
+        # a lone surrogate escape writes a byte that is no UTF-8
+        files["run.cfg"] = "\n".join(lines).encode(errors="surrogateescape")
         flags += ["--config", "run.cfg"]
     argv = {
         "generate": ["generate", "-o", "out.csv"],

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,9 +270,10 @@ def same_distillation(a, b) -> bool:
 
 
 def test_distillation_without_meta_init_starts_from_the_seeded_draw():
-    # omitting meta_init, passing None and passing the seeded draw itself
-    # give the same bits; a meta net comes back exactly when no fallback
-    # fused the scores, and another start moves the fused scores
+    # omitting previous, passing None and passing a previous pass that holds
+    # the seeded draw itself and no fits give the same bits; a meta net
+    # comes back exactly when no fallback fused the scores, and another
+    # start moves the fused scores
     rng = rng_from(2, "division-oracle")
     seen = set()
     for _ in range(80):
@@ -285,24 +287,26 @@ def test_distillation_without_meta_init_starts_from_the_seeded_draw():
         seeded = ToyClassifier.initialize(2, params.meta_hidden, 1,
                                           seed=derive_seed(params.meta.seed, "meta-init"))
         default = run_distillation(dataset, params)
-        assert same_distillation(default, run_distillation(dataset, params, meta_init=None))
-        assert same_distillation(default, run_distillation(dataset, params, meta_init=seeded))
+        assert same_distillation(default, run_distillation(dataset, params, previous=None))
+        assert same_distillation(default, run_distillation(
+            dataset, params, previous=replace(default, meta_net=seeded, mixtures={})))
         starved = any(note.startswith("meta_starved:") for note in default.fallbacks)
         assert (default.meta_net is None) == starved
         seen.add(starved)
         if not starved:
             other = ToyClassifier.initialize(2, params.meta_hidden, 1, seed=7)
-            moved = run_distillation(dataset, params, meta_init=other)
+            moved = run_distillation(dataset, params,
+                                     previous=replace(default, meta_net=other, mixtures={}))
             assert not np.array_equal(moved.table.fused, default.table.fused,
                                       equal_nan=True)
     assert seen == {False, True}
 
 
 @pytest.mark.parametrize("dims", [(2, 9, 1), (3, 10, 1), (2, 10, 2)])
-def test_distillation_rejects_a_meta_init_of_other_dims(benchmark40, dims):
+def test_distillation_rejects_a_meta_init_of_other_dims(benchmark40, benchmark40_result, dims):
     with pytest.raises(ValueError, match="meta_init has dims"):
-        run_distillation(benchmark40, DistillParams(),
-                         meta_init=ToyClassifier.initialize(*dims, seed=1))
+        run_distillation(benchmark40, DistillParams(), previous=replace(
+            benchmark40_result, meta_net=ToyClassifier.initialize(*dims, seed=1)))
 
 
 def test_compute_posteriors_fills_and_flags(benchmark40):
@@ -467,8 +471,9 @@ def test_cluster_after_a_degenerate_fit_fits_from_the_percentiles(monkeypatch):
 
 
 def test_distillation_passes_its_accepted_fits_on():
-    # run_distillation returns every fit it accepted; without gmm_init, with
-    # None and with an empty mapping every fit starts from the percentiles
+    # run_distillation returns every fit it accepted; without previous, with
+    # None and with a previous pass that holds no meta net and no fits every
+    # fit starts from the percentiles
     rng = rng_from(3, "division-oracle")
     for _ in range(40):
         k, n = int(rng.integers(1, 4)), int(rng.integers(8, 50))
@@ -477,15 +482,15 @@ def test_distillation_passes_its_accepted_fits_on():
                           np.full(n, -1))
         params = DistillParams(meta=MetaTrainConfig(epochs=2))
         default = run_distillation(dataset, params)
-        for gmm_init in (None, {}):
+        for previous in (None, replace(default, meta_net=None, mixtures={})):
             assert same_distillation(default, run_distillation(dataset, params,
-                                                                 gmm_init=gmm_init))
+                                                                 previous=previous))
         rejected = {(int(note.split(":")[1][6:]), note.split(":")[2][6:])
                     for note in default.fallbacks if note.startswith("gmm_degenerate:")}
         fitted = {(c.class_id, space) for c in partition_by_label(dataset)
                   if c.member_ids.size for space in ("loss", "feature")}
         assert set(default.mixtures) == fitted - rejected
-        warm = run_distillation(dataset, params, gmm_init=default.mixtures)
+        warm = run_distillation(dataset, params, previous=default)
         assert sorted(warm.mixtures) == sorted(default.mixtures)
 
 

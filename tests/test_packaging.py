@@ -52,3 +52,13 @@ def test_unused_import_scan_sees_one():
 def test_module_imports_are_used(module):
     # __init__.py is skipped: its imports are the package's re-exports
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_readme_python_blocks_run(capsys):
+    # each ```python block of the README runs as written, in a fresh namespace
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {})
+    assert capsys.readouterr().out

@@ -429,7 +429,8 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
         ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
         first = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
         second = distill_round(first.ensemble, ds, no_reg, DistillParams(), round_index=1)
-        return [ens, first.ensemble, second.ensemble], [first.partition, second.partition]
+        return [ens, first.ensemble, second.ensemble], [first.distilled.partition,
+                                                          second.distilled.partition]
 
     got_nets, got_parts = run()
     monkeypatch.setattr(semisup, "_train_epoch_mixed", reference.train_epoch_mixed)
@@ -537,7 +538,7 @@ def test_distill_round_zero_noise_keeps_almost_everything():
     cfg = TrainConfig(seed=5)
     ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
     result = distill_round(ens, ds, cfg, rate_matched_params(0.0), round_index=0)
-    assert result.partition.clean_ids.size >= 0.95 * ds.n
+    assert result.distilled.partition.clean_ids.size >= 0.95 * ds.n
 
 
 def test_distill_round_f1_does_not_degrade(benchmark40):
@@ -549,7 +550,7 @@ def test_distill_round_f1_does_not_degrade(benchmark40):
     for r in range(3):
         result = distill_round(ens, train, cfg, rate_matched_params(rate), round_index=r)
         ens = result.ensemble
-        f1s.append(selection_metrics(result.partition.clean_ids, train.clean_mask).f1)
+        f1s.append(selection_metrics(result.distilled.partition.clean_ids, train.clean_mask).f1)
     assert f1s[2] >= f1s[0] - 0.02
 
 
@@ -562,8 +563,9 @@ def test_distill_round_deterministic():
         ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
         result = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
         runs.append(result)
-    np.testing.assert_array_equal(runs[0].partition.clean_ids, runs[1].partition.clean_ids)
-    np.testing.assert_array_equal(runs[0].partition.positive_ids, runs[1].partition.positive_ids)
+    parts = [run.distilled.partition for run in runs]
+    np.testing.assert_array_equal(parts[0].clean_ids, parts[1].clean_ids)
+    np.testing.assert_array_equal(parts[0].positive_ids, parts[1].positive_ids)
     for m in range(cfg.ensemble_size):
         np.testing.assert_array_equal(runs[0].ensemble.w1[m], runs[1].ensemble.w1[m])
 
