@@ -37,7 +37,7 @@ from .metanet import (
     MetaTrainConfig,
     build_meta_dataset,
     fuse_scores,
-    meta_loss_and_grads,
+    meta_grads,
     meta_scores,
     purify,
     train_meta,

@@ -13,17 +13,18 @@ gains the same leading axis.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoints import load_flat_params, save_flat_params
 from .data import ROW_BLOCK
-from .errors import ParseError
+from .errors import NumericalError, ParseError
 from .seeding import rng_from
 
 _CHECKPOINT_TAG = "toyclassifier"
-# Floor on a probability before its log, in every loss here and in metanet's.
+# Floor on a probability before its log (metanet's BCE) or the log's derivative.
 PROB_CLAMP = 1e-7
 
 
@@ -120,18 +121,18 @@ def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndar
     ], axis=-1)
 
 
-def mixed_loss_and_grads(
+def mixed_grads(
     clf: ToyClassifier,
     x_labeled: np.ndarray, targets: np.ndarray,
     x_unlabeled: np.ndarray, guesses: np.ndarray,
     lambda_u: float, lambda_r: float,
-):
-    """Total loss and analytic gradients for one mixed batch.
+) -> np.ndarray:
+    """Analytic parameter gradients of the mixed loss on one batch.
 
     Loss = cross-entropy on the labeled group + lambda_u * mean squared
     error on the unlabeled group + lambda_r * KL(uniform || mean batch
     prediction). Either group may be empty. For a stacked model the batches
-    are ``(M, n, ·)`` stacks and the loss is one value per member. A plain
+    are ``(M, n, ·)`` stacks and the gradients gain the member axis. A plain
     cross-entropy batch (no unlabeled group, lambda_r = 0) skips the
     probability-space terms, which are exactly zero there.
     """
@@ -142,15 +143,8 @@ def mixed_loss_and_grads(
     x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64, copy=False)
     logits, h = clf.forward(x)
     p = softmax_rows(logits)
-    k = clf.num_classes
-    rows = (-2, -1)
-
-    loss = 0.0
-    if nc:
-        pc = np.maximum(p[..., :nc, :], PROB_CLAMP)
-        loss += -(targets * np.log(pc)).sum(axis=rows) / nc
-        if not nu and not lambda_r:
-            return loss, _backward(clf, x, h, (p - targets) / nc)
+    if nc and not nu and not lambda_r:
+        return _backward(clf, x, h, (p - targets) / nc)
 
     dlogits = np.zeros_like(p)
     # gradient of terms that act through the probabilities
@@ -158,23 +152,29 @@ def mixed_loss_and_grads(
     if nc:
         dlogits[..., :nc, :] += (p[..., :nc, :] - targets) / nc
     if nu:
-        diff = p[..., nc:, :] - guesses
-        loss += lambda_u * ((diff * diff).sum(axis=rows) / nu)
-        gp[..., nc:, :] += lambda_u * 2.0 * diff / nu
+        gp[..., nc:, :] += lambda_u * 2.0 * (p[..., nc:, :] - guesses) / nu
     if lambda_r:
         mean_pred = p.sum(axis=-2, keepdims=True) / n_all
-        clipped = np.maximum(mean_pred, PROB_CLAMP)
-        uniform = 1.0 / k
-        loss += lambda_r * (uniform * (np.log(uniform) - np.log(clipped))).sum(axis=rows)
-        gp += lambda_r * (-uniform / clipped) / n_all
+        gp += lambda_r * (-(1.0 / clf.num_classes) / np.maximum(mean_pred, PROB_CLAMP)) / n_all
 
     # softmax Jacobian-vector product, per row
     dlogits += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-    return loss, _backward(clf, x, h, dlogits)
+    return _backward(clf, x, h, dlogits)
 
 
 def apply_sgd_step(clf: ToyClassifier, grads: np.ndarray, lr: float) -> None:
     clf.flat -= lr * grads
+
+
+@contextmanager
+def trap_divergence(stage: str):
+    """Raise NumericalError naming ``stage`` when a float op in the block overflows,
+    divides by zero or turns invalid."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalError(f"training diverged during {stage}: {exc}") from None
 
 
 def save_classifier_checkpoint(clf: ToyClassifier, path: str | Path) -> None:

@@ -285,8 +285,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_set, test_set, _, _ = split_dataset(load_sample_table(args.input),
                                               cfg["test_fraction"], cfg["seed"])
     if train_set.n == 0:
-        raise UsageError(f"test_fraction {cfg['test_fraction']} leaves no training "
-                         f"samples out of {test_set.n}")
+        raise FieldError(split_dataset, "test_fraction", f"leaves no training samples out of "
+                         f"{test_set.n}, got {cfg['test_fraction']}")
     can_score = test_set.n > 0 and test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)

@@ -25,7 +25,7 @@ class MetaStarved(Exception):
 
 
 class NumericalError(Exception):
-    """A training loop produced a non-finite loss or diverged activations."""
+    """A training loop overflowed, turned invalid or diverged activations."""
 
 
 class FieldError(ValueError):

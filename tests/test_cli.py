@@ -309,7 +309,7 @@ def test_train_empty_train_split_usage_error(tmp_path, capsys):
     write_sample_table(Dataset(np.eye(2), np.eye(2), [0, 1], [0, 1]), path)
     assert run(["train", path, "-o", tmp_path / "o", "--test-fraction", 0.9]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: test_fraction 0.9 leaves no training samples out of 2"]
+    assert err == ["error: argument --test-fraction: leaves no training samples out of 2, got 0.9"]
     assert not (tmp_path / "o").exists()
 
 
@@ -480,6 +480,24 @@ def test_train_diverged_ensemble_is_numerical_error(tmp_path, capsys, extra):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lr", "1e6", "error: training diverged during warm-up: overflow encountered in "),
+    ("--meta-lr", "1e100", "error: training diverged during meta training: overflow "),
+], ids=["ensemble", "meta"])
+def test_train_overflowing_step_is_numerical_error(tmp_path, capsys, flag, value, message):
+    # a step that overflows stops the run with exit 4 and no RuntimeWarning;
+    # both runs used to warn "overflow encountered in matmul", and the meta
+    # run went on to exit 0
+    data = tmp_path / "g.csv"
+    assert run(["generate", "--k", 4, "--d", 8, "--n", 300, "--noise", "asym:0.3",
+                "--seed", 9, "-o", data]) == 0
+    capsys.readouterr()
+    assert run(["train", data, "-o", tmp_path / "out", flag, value, "--seed", 9]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- evaluate
 
 def write_truth(tmp_path, clean_flags):
@@ -634,8 +652,10 @@ def test_bad_spec_names_its_flag_or_config_key(tmp_path, capsys, argv, config, m
      "error: argument --test-fraction: must lie in [0, 1), got 1.5"),
     (["train", "DATA"], "test_fraction = -0.1\n",
      "error: config key 'test_fraction': must lie in [0, 1), got -0.1"),
+    (["train", "DATA"], "test_fraction = 0.998\n",
+     "error: config key 'test_fraction': leaves no training samples out of 200, got 0.998"),
 ], ids=["train-lr", "meta-lr", "config-gmm-tol", "spec-n", "meta-hidden", "config-ensemble",
-        "test-fraction", "config-test-fraction"])
+        "test-fraction", "config-test-fraction", "config-empty-train-split"])
 def test_range_error_names_its_flag_or_config_key(tmp_path, capsys, argv, config, message):
     # TrainConfig and MetaTrainConfig both call their field lr; the message
     # names the key that set the field
