@@ -5,11 +5,18 @@ role of the feature embedding when scoring with a live model. A network is
 one float64 buffer ``flat`` of ``P = D*H + H + H*K + K`` values plus its
 dimensions ``(D, H, K)``. ``w1 (D, H)``, ``b1 (H,)``, ``w2 (H, K)`` and
 ``b2 (K,)`` are views of it, laid out row-major one after another, the
-order a checkpoint stores them in. Gradients come back as one array in the
-same layout, so an SGD step is one subtraction. A stacked model's buffer
-has a leading member axis, ``flat (M, P)``; its inputs are ``(M, n, D)``
-stacks (or one ``(n, D)`` batch shared by every member) and every output
-gains the same leading axis.
+order a checkpoint stores them in. Row-major, ``w1`` followed by ``b1`` is
+the augmented matrix ``W1 = [w1; b1] (D+1, H)`` and ``w2`` followed by
+``b2`` is ``W2 = [w2; b2] (H+1, K)``; both are views too, with ``b1`` and
+``b2`` their last rows. The network computes with them on inputs that end
+in a ones column (``x1 = [x | 1]``), so each bias rides inside its matmul:
+``h = relu(x1 @ W1)`` fills the first H columns of an ``[h | 1]`` array and
+``logits = [h | 1] @ W2``; the gradients are ``x1ᵀ·dz1`` and
+``[h | 1]ᵀ·dlogits``, written straight into the two blocks of one array laid
+out as ``flat``, so an SGD step is one subtraction. A stacked model's
+buffer has a leading member axis, ``flat (M, P)``; its inputs are
+``(M, n, ·)`` stacks (or one ``(n, ·)`` batch shared by every member) and
+every output gains the same leading axis.
 """
 from __future__ import annotations
 
@@ -39,22 +46,41 @@ def _block_sizes(dims: tuple[int, int, int]) -> tuple[int, int, int, int]:
     return d * h, h, h * k, k
 
 
+def _layers(flat: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented matrices ``W1 ([M,] D+1, H)`` and ``W2 ([M,] H+1, K)``
+    as views of a buffer laid out as ``flat``."""
+    d, h, k = dims
+    cut, lead = (d + 1) * h, flat.shape[:-1]
+    return flat[..., :cut].reshape(*lead, d + 1, h), flat[..., cut:].reshape(*lead, h + 1, k)
+
+
+def ones_column_buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array of ``shape`` whose last column holds ones."""
+    buf = np.empty(shape)
+    buf[..., -1] = 1.0
+    return buf
+
+
+def with_ones(x: np.ndarray) -> np.ndarray:
+    """``[x | 1]``: a ``(..., n, D)`` batch with a ones column appended, as float64."""
+    x1 = ones_column_buffer(x.shape[:-1] + (x.shape[-1] + 1,))
+    x1[..., :-1] = x
+    return x1
+
+
 class ToyClassifier:
-    """``flat`` ([M,] P) with views ``w1``, ``b1``, ``w2``, ``b2`` into it."""
+    """``flat`` ([M,] P) with views ``W1``, ``W2`` and ``w1``, ``b1``, ``w2``, ``b2`` into it."""
 
     def __init__(self, flat: np.ndarray, dims: tuple[int, int, int]):
-        d, h, k = self.dims = tuple(dims)
-        sizes = _block_sizes(self.dims)
-        if flat.shape[-1:] != (sum(sizes),):
-            raise ValueError(f"dimensions {self.dims} need {sum(sizes)} parameters, "
+        self.dims = tuple(dims)
+        size = sum(_block_sizes(self.dims))
+        if flat.shape[-1:] != (size,):
+            raise ValueError(f"dimensions {self.dims} need {size} parameters, "
                              f"got shape {flat.shape}")
         self.flat = flat
-        lead = flat.shape[:-1]
-        ends = np.cumsum(sizes).tolist()
-        self.w1 = flat[..., :ends[0]].reshape(*lead, d, h)
-        self.b1 = flat[..., ends[0]:ends[1]]
-        self.w2 = flat[..., ends[1]:ends[2]].reshape(*lead, h, k)
-        self.b2 = flat[..., ends[2]:]
+        self.W1, self.W2 = _layers(flat, self.dims)
+        self.w1, self.b1 = self.W1[..., :-1, :], self.W1[..., -1, :]
+        self.w2, self.b2 = self.W2[..., :-1, :], self.W2[..., -1, :]
 
     @classmethod
     def initialize(cls, input_dim: int, hidden: int, num_classes: int, seed: int = 0) -> "ToyClassifier":
@@ -83,12 +109,23 @@ class ToyClassifier:
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Returns (logits, hidden activations) for a ([M,] n, D) batch."""
-        h = np.asarray(x, dtype=np.float64) @ self.w1
-        h += self.b1[..., None, :]
-        np.maximum(h, 0.0, out=h)
-        logits = h @ self.w2
-        logits += self.b2[..., None, :]
-        return logits, h
+        logits, h1 = self.forward_folded(with_ones(x))
+        return logits, h1[..., :-1]
+
+    def forward_folded(self, x1: np.ndarray, h1: np.ndarray | None = None):
+        """Returns (logits, ``[h | 1]``) for a ([M,] n, D+1) float64 batch
+        whose last column is ones.
+
+        ``h1`` is the ``([M,] n, H+1)`` array whose first H columns receive
+        the hidden activations; its last column must hold ones. Without it
+        one is allocated.
+        """
+        if h1 is None:
+            h1 = ones_column_buffer(self.flat.shape[:-1] + (x1.shape[-2], self.dims[1] + 1))
+        np.matmul(x1, self.W1, out=h1[..., :-1])
+        # the rectifier keeps the ones column, and runs on the contiguous buffer
+        np.maximum(h1, 0.0, out=h1)
+        return h1 @ self.W2, h1
 
 
 def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
@@ -109,42 +146,45 @@ def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
     return mean_logits, mean_hidden, mean_probs
 
 
-def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-    """Parameter gradients given the loss gradient at the logits, laid out as ``net.flat``."""
-    dz1 = (dlogits @ net.w2.swapaxes(-1, -2)) * (h > 0)
-    lead = net.flat.shape[:-1]
-    return np.concatenate([
-        (x.swapaxes(-1, -2) @ dz1).reshape(*lead, -1),
-        dz1.sum(axis=-2),
-        (h.swapaxes(-1, -2) @ dlogits).reshape(*lead, -1),
-        dlogits.sum(axis=-2),
-    ], axis=-1)
+def backward_folded(net: ToyClassifier, x1: np.ndarray, h1: np.ndarray,
+                    dlogits: np.ndarray) -> np.ndarray:
+    """Parameter gradients, laid out as ``net.flat``, given the loss gradient
+    at the logits of ``net.forward_folded(x1)``, whose ``[h | 1]`` is ``h1``."""
+    grads = np.empty(net.flat.shape)
+    g1, g2 = _layers(grads, net.dims)
+    np.matmul(h1.swapaxes(-1, -2), dlogits, out=g2)
+    dz1 = dlogits @ net.w2.swapaxes(-1, -2)
+    dz1 *= (h1 > 0)[..., :-1]
+    np.matmul(x1.swapaxes(-1, -2), dz1, out=g1)
+    return grads
 
 
 def mixed_grads(
-    clf: ToyClassifier,
-    x_labeled: np.ndarray, targets: np.ndarray,
-    x_unlabeled: np.ndarray, guesses: np.ndarray,
-    lambda_u: float, lambda_r: float,
+    clf: ToyClassifier, x1: np.ndarray, nc: int,
+    targets: np.ndarray, guesses: np.ndarray,
+    lambda_u: float, lambda_r: float, h1: np.ndarray | None = None,
 ) -> np.ndarray:
     """Analytic parameter gradients of the mixed loss on one batch.
 
-    Loss = cross-entropy on the labeled group + lambda_u * mean squared
-    error on the unlabeled group + lambda_r * KL(uniform || mean batch
-    prediction). Either group may be empty. For a stacked model the batches
-    are ``(M, n, ·)`` stacks and the gradients gain the member axis. A plain
-    cross-entropy batch (no unlabeled group, lambda_r = 0) skips the
-    probability-space terms, which are exactly zero there.
+    ``x1`` is the joint ([M,] n, D+1) batch, ending in a ones column: its
+    first ``nc`` rows are the labeled group, with ``targets``, and the rest
+    the unlabeled group, with ``guesses``. ``h1`` is the optional ``[h | 1]``
+    workspace of :meth:`ToyClassifier.forward_folded`. Loss = cross-entropy
+    on the labeled group + lambda_u * mean squared error on the unlabeled
+    group + lambda_r * KL(uniform || mean batch prediction). Either group may
+    be empty. For a stacked model the batches are ``(M, n, ·)`` stacks and
+    the gradients gain the member axis. A plain cross-entropy batch (no
+    unlabeled group, lambda_r = 0) skips the probability-space terms, which
+    are exactly zero there.
     """
-    nc, nu = x_labeled.shape[-2], x_unlabeled.shape[-2]
-    n_all = nc + nu
+    n_all = x1.shape[-2]
+    nu = n_all - nc
     if n_all == 0:
         raise ValueError("both batch groups are empty")
-    x = np.concatenate([x_labeled, x_unlabeled], axis=-2).astype(np.float64, copy=False)
-    logits, h = clf.forward(x)
+    logits, h1 = clf.forward_folded(x1, h1)
     p = softmax_rows(logits)
     if nc and not nu and not lambda_r:
-        return _backward(clf, x, h, (p - targets) / nc)
+        return backward_folded(clf, x1, h1, (p - targets) / nc)
 
     dlogits = np.zeros_like(p)
     # gradient of terms that act through the probabilities
@@ -159,7 +199,7 @@ def mixed_grads(
 
     # softmax Jacobian-vector product, per row
     dlogits += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-    return _backward(clf, x, h, dlogits)
+    return backward_folded(clf, x1, h1, dlogits)
 
 
 def apply_sgd_step(clf: ToyClassifier, grads: np.ndarray, lr: float) -> None:

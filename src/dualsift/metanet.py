@@ -12,7 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifier import PROB_CLAMP, ToyClassifier, _backward, apply_sgd_step, trap_divergence
+from .classifier import (PROB_CLAMP, ToyClassifier, apply_sgd_step, backward_folded,
+                         ones_column_buffer, trap_divergence, with_ones)
 from .data import ROW_BLOCK
 from .division import Partition, Tag
 from .errors import MetaStarved, check_fields
@@ -90,13 +91,17 @@ def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
     return float(-(terms.sum() / terms.size))
 
 
-def meta_grads(net: ToyClassifier, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Analytic parameter gradients of the mean BCE over the batch."""
-    x = np.asarray(inputs, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    logits, h = net.forward(x)
+def meta_grads(net: ToyClassifier, x1: np.ndarray, labels: np.ndarray,
+               h1: np.ndarray | None = None) -> np.ndarray:
+    """Analytic parameter gradients of the mean BCE over the batch.
+
+    ``x1`` is the (n, 3) batch of posterior pairs ending in a ones column,
+    ``labels`` its (n,) float64 labels, and ``h1`` the optional ``[h | 1]``
+    workspace of :meth:`ToyClassifier.forward_folded`.
+    """
+    logits, h1 = net.forward_folded(x1, h1)
     p = _sigmoid(logits[:, 0])
-    return _backward(net, x, h, ((p - y) / x.shape[0])[:, None])
+    return backward_folded(net, x1, h1, ((p - labels) / x1.shape[0])[:, None])
 
 
 # bench/tracing.py counts meta steps at this name
@@ -108,8 +113,9 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
 
     A dataset of more than ``MAX_PAIRS`` pairs is first replaced by a seeded
     uniform subsample of ``MAX_PAIRS`` of them, drawn without replacement;
-    a smaller one is used whole. Early-stops after ``patience`` epochs
-    without an improvement of at least ``MIN_DELTA`` in the training BCE.
+    a smaller one is used whole. The ones column is appended to the pairs
+    once. Early-stops after ``patience`` epochs without an improvement of at
+    least ``MIN_DELTA`` in the training BCE.
     Raises NumericalError when a step overflows or turns invalid.
     """
     if data.n == 0:
@@ -118,6 +124,8 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
         keep = rng_from(config.seed, "meta-sample").choice(data.n, MAX_PAIRS, replace=False)
         data = MetaDataset(inputs=data.inputs[keep], labels=data.labels[keep])
     rng = rng_from(config.seed, "meta-shuffle")
+    pairs1 = with_ones(data.inputs)
+    h1 = ones_column_buffer((min(config.batch_size, data.n), net.dims[1] + 1))
     net = net.copy()
     best = net.copy()
     best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
@@ -125,10 +133,11 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     with trap_divergence("meta training"):
         for _ in range(config.epochs):
             order = rng.permutation(data.n)
-            inputs, labels = data.inputs[order], data.labels[order]
+            inputs, labels = pairs1[order], data.labels[order]
             for start in range(0, data.n, config.batch_size):
-                stop = start + config.batch_size
-                grads = meta_loss_and_grads(net, inputs[start:stop], labels[start:stop])
+                batch = slice(start, start + config.batch_size)
+                x1 = inputs[batch]
+                grads = meta_loss_and_grads(net, x1, labels[batch], h1[:x1.shape[0]])
                 apply_sgd_step(net, grads, config.lr)
             epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
             if epoch_loss < best_loss - MIN_DELTA:

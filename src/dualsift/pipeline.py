@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .classifier import ToyClassifier
 from .data import Dataset, partition_by_label
 from .division import (
@@ -68,12 +70,17 @@ def run_distillation(dataset: Dataset, params: DistillParams,
     starts from its ``mixtures``, as ``compute_posteriors`` describes.
     Where it holds no net the net trains from the seeded ``meta-init`` draw,
     and where no fit the fit starts from the percentiles. When the certain
-    set lacks positives or negatives the meta classifier cannot be trained;
-    fusion falls back to the equal-weight average, the report notes it, and
-    the result carries no meta net.
+    set lacks positives or negatives the meta classifier cannot be trained
+    (``meta_starved``), and when no epoch improves on the seeded draw it is
+    left untrained (``meta_untrained``); either way fusion falls back to the
+    equal-weight average, the report notes it, and the result carries no
+    meta net.
     """
-    meta_init = getattr(previous, "meta_net", None) or ToyClassifier.initialize(
-        2, params.meta_hidden, 1, seed=derive_seed(params.meta.seed, "meta-init"))
+    meta_init = getattr(previous, "meta_net", None)
+    seeded = meta_init is None
+    if seeded:
+        meta_init = ToyClassifier.initialize(
+            2, params.meta_hidden, 1, seed=derive_seed(params.meta.seed, "meta-init"))
     if meta_init.dims != (2, params.meta_hidden, 1):
         raise ValueError(f"meta_init has dims {meta_init.dims}, "
                          f"expected {(2, params.meta_hidden, 1)}")
@@ -83,13 +90,21 @@ def run_distillation(dataset: Dataset, params: DistillParams,
         table, clusters, params.loss_gmm, params.feat_gmm, getattr(previous, "mixtures", None))
     partition = divide_dataset(table, clusters, params.loss_strategy, params.sim_strategy)
 
+    kind = meta_net = None
     try:
         meta_data = build_meta_dataset(partition, table)
-        meta_net = train_meta(meta_init, meta_data, params.meta)
-        table = fuse_scores(meta_net, table)
     except MetaStarved as exc:
+        kind, detail = "meta_starved", exc
+    else:
+        meta_net = train_meta(meta_init, meta_data, params.meta)
+        # a previous pass's net kept as it was is still a trained net
+        if seeded and np.array_equal(meta_net.flat, meta_init.flat):
+            kind, detail = "meta_untrained", "no epoch lowered the training BCE of the seeded start"
+    if kind is None:
+        table = fuse_scores(meta_net, table)
+    else:
         meta_net = None
-        fallbacks.append(f"meta_starved:weighted_average:lambda={FALLBACK_LAMBDA}:{exc}")
+        fallbacks.append(f"{kind}:weighted_average:lambda={FALLBACK_LAMBDA}:{detail}")
         table = replace(table, fused=weighted_average_baseline(
             table.posterior_loss, table.posterior_sim, FALLBACK_LAMBDA))
 

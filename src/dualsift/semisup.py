@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import (ToyClassifier, apply_sgd_step, ensemble_outputs, mixed_grads,
-                         trap_divergence)
+                         ones_column_buffer, trap_divergence)
 from .data import ROW_BLOCK, Dataset, one_hot
 from .errors import NumericalError, check_fields
 from .pipeline import DistillParams, DistillResult, run_distillation
@@ -106,22 +106,30 @@ def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
     # matches a plain epoch over the whole dataset; each member draws its
     # batches from its own generator, and one stacked step moves all members.
     # A group is its rows of ``features``, ``lab_ids`` or ``unl_ids``, with
-    # one target or guess row per id. The batches are gathered from
-    # ``features`` through the ids ROW_BLOCK // batch_size steps at a time,
-    # so each step reads views and no copy spans the epoch. An empty group
-    # draws nothing and gathers (steps, members, 0, ·) stacks.
+    # one target or guess row per id. ROW_BLOCK // batch_size steps at a time,
+    # each step's labeled then unlabeled rows are gathered from ``features``
+    # through the ids into one joint batch of a ones-column buffer, so each
+    # step reads views and no copy spans the epoch. The buffer and the
+    # steps' [h | 1] workspace are allocated once per epoch. An empty group
+    # draws nothing and adds no rows.
     nc, nu = lab_ids.shape[0], unl_ids.shape[0]
     steps = -(-(nc + nu) // batch_size)
     lab_idx = _epoch_batches(nc, batch_size, rngs, steps)
     unl_idx = _epoch_batches(nu, batch_size, rngs, steps)
+    members, nbl, nbu = lab_idx.shape[1:] + unl_idx.shape[2:]
+    d = features.shape[1]
     chunk = max(1, ROW_BLOCK // batch_size)
+    x1 = ones_column_buffer((min(chunk, steps), members, nbl + nbu, d + 1))
+    h1 = ones_column_buffer((members, nbl + nbu, ensemble.dims[1] + 1))
     for first in range(0, steps, chunk):
         lab, unl = lab_idx[first:first + chunk], unl_idx[first:first + chunk]
-        xl_all, tl_all = features[lab_ids[lab]], targets[lab]
-        xu_all, qu_all = features[unl_ids[unl]], guesses[unl]
+        x1_all = x1[:lab.shape[0]]
+        x1_all[..., :nbl, :d] = features[lab_ids[lab]]
+        x1_all[..., nbl:, :d] = features[unl_ids[unl]]
+        tl_all, qu_all = targets[lab], guesses[unl]
         for s in range(lab.shape[0]):
-            grads = mixed_loss_and_grads(ensemble, xl_all[s], tl_all[s], xu_all[s], qu_all[s],
-                                         lambda_u, lambda_r)
+            grads = mixed_loss_and_grads(ensemble, x1_all[s], nbl, tl_all[s], qu_all[s],
+                                         lambda_u, lambda_r, h1)
             apply_sgd_step(ensemble, grads, lr)
 
 

@@ -10,6 +10,10 @@ per-batch-gather meta training loop, and the zero-buffer mixed loss with its
 per-step-gather epoch are the bit oracles for the package's buffered forms.
 The (n, 2) EM with left-to-right sums and ``np.logaddexp`` is the fit as it was
 before pairwise sums; the package stays close to it, not equal.
+The out-of-place forward and backward fold each bias into its layer's matmul
+through ones columns that they concatenate, and slice the per-name gradients
+out of the two augmented products; they are the bit oracles for the
+package's forms that write into preallocated ``[h | 1]`` and gradient arrays.
 The training loops update each named parameter view on its own, from a dict
 of per-name gradients, so they check the package's flat-buffer step rather
 than reuse it.
@@ -296,11 +300,15 @@ def sgd_step(net: ToyClassifier, grads: dict, lr: float) -> None:
         param -= lr * grad
 
 
+def _ones_appended(a: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, np.ones(a.shape[:-1] + (1,))], axis=-1)
+
+
 def forward(net: ToyClassifier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(logits, hidden activations) of a ([M,] n, D) batch, out of place."""
-    z1 = np.asarray(x, dtype=np.float64) @ net.w1 + net.b1[..., None, :]
-    h = np.maximum(z1, 0.0)
-    return h @ net.w2 + net.b2[..., None, :], h
+    """(logits, hidden activations) of a ([M,] n, D) batch, out of place,
+    with each bias folded into its layer's matmul through a ones column."""
+    h = np.maximum(_ones_appended(np.asarray(x, dtype=np.float64)) @ net.W1, 0.0)
+    return _ones_appended(h) @ net.W2, h
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -311,12 +319,9 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 def _backward(net: ToyClassifier, x: np.ndarray, h: np.ndarray, dlogits: np.ndarray) -> dict:
     dz1 = (dlogits @ net.w2.swapaxes(-1, -2)) * (h > 0)
-    return {
-        "w2": h.swapaxes(-1, -2) @ dlogits,
-        "b2": dlogits.sum(axis=-2),
-        "w1": x.swapaxes(-1, -2) @ dz1,
-        "b1": dz1.sum(axis=-2),
-    }
+    g1 = _ones_appended(x).swapaxes(-1, -2) @ dz1
+    g2 = _ones_appended(h).swapaxes(-1, -2) @ dlogits
+    return {"w2": g2[..., :-1, :], "b2": g2[..., -1, :], "w1": g1[..., :-1, :], "b1": g1[..., -1, :]}
 
 
 def mixed_loss_and_grads(clf, x_labeled, targets, x_unlabeled, guesses, lambda_u, lambda_r):

@@ -33,7 +33,7 @@ from dualsift import (
     warmup,
     weighted_average_baseline,
 )
-from dualsift.classifier import ToyClassifier, mixed_grads, softmax_rows
+from dualsift.classifier import ToyClassifier, mixed_grads, softmax_rows, with_ones
 from dualsift.division import Tag
 from dualsift.cli import main as cli_main
 from dualsift.metanet import _mean_bce, meta_grads, meta_scores
@@ -183,7 +183,7 @@ def test_criterion_8_numerical_contracts():
     mx = rng.random((12, 2))
     my = (rng.random(12) > 0.5).astype(float)
     # losses from the oracle's loss forms; the package computes gradients only
-    mg = ToyClassifier(meta_grads(net, mx, my), net.dims)
+    mg = ToyClassifier(meta_grads(net, with_ones(mx), my), net.dims)
     worst = 0.0
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
@@ -207,7 +207,8 @@ def test_criterion_8_numerical_contracts():
     xu = rng.normal(size=(4, 3))
     qu = rng.random((4, 3))
     qu /= qu.sum(axis=1, keepdims=True)
-    cg = ToyClassifier(mixed_grads(clf, xc, tc, xu, qu, 3.0, 1.0), clf.dims)
+    cg = ToyClassifier(mixed_grads(clf, with_ones(np.concatenate([xc, xu])), 5, tc, qu, 3.0, 1.0),
+                        clf.dims)
     worst_c = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)

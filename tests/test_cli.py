@@ -177,6 +177,17 @@ def test_distill_noiseless_small_uncertain(tmp_path, capsys):
     assert any("meta_starved" in note for note in report["fallbacks"])
 
 
+def test_distill_untrained_meta_net_is_a_reported_fallback(tmp_path):
+    data = tmp_path / "data.csv"
+    assert run(["generate", "--k", 4, "--d", 8, "--n", 300, "--noise", "asym:0.3",
+                "--seed", 9, "-o", data]) == 0
+    outdir = tmp_path / "out"
+    assert run(["distill", data, "-o", outdir, "--meta-lr", "1e100"]) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert report["fallbacks"] == ["meta_untrained:weighted_average:lambda=0.5:"
+                                   "no epoch lowered the training BCE of the seeded start"]
+
+
 def test_distill_selection_only_with_truth(tmp_path):
     data = small_benchmark(tmp_path)
     ds = load_sample_table(data)

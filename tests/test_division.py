@@ -24,15 +24,17 @@ from dualsift import (
     fuse_scores,
     generate_synthetic,
     inject_noise,
+    load_sample_table,
     partition_by_label,
     purify,
     read_partition_file,
     resolve_threshold,
     score_dataset,
     selection_metrics,
+    weighted_average_baseline,
     write_partition_file,
 )
-from dualsift import division
+from dualsift import cli, division
 from dualsift.data import ROW_BLOCK, NoisyCluster
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
@@ -300,6 +302,35 @@ def test_distillation_without_meta_init_starts_from_the_seeded_draw():
             assert not np.array_equal(moved.table.fused, default.table.fused,
                                       equal_nan=True)
     assert seen == {False, True}
+
+
+UNTRAINED = ("meta_untrained:weighted_average:lambda=0.5:"
+             "no epoch lowered the training BCE of the seeded start")
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_seeded_meta_net_that_no_epoch_improves_falls_back_to_the_average(tmp_path, seed):
+    # at lr 1e100 the first step kills every hidden rectifier and no epoch
+    # lowers the seeded draw's BCE; that draw must not fuse the scores (F1
+    # 0.827 and 0.875 here, against 0.903 for the average)
+    table = tmp_path / "table.csv"
+    assert cli.main(["generate", "--k", "4", "--d", "8", "--n", "300", "--noise", "asym:0.3",
+                     "--seed", "9", "-o", str(table)]) == 0
+    dataset = load_sample_table(table)
+    params = DistillParams(meta=MetaTrainConfig(lr=1e100, seed=seed))
+    result = run_distillation(dataset, params)
+    assert result.meta_net is None
+    assert result.fallbacks == [UNTRAINED]
+    average = weighted_average_baseline(result.table.posterior_loss, result.table.posterior_sim,
+                                        0.5)
+    assert np.array_equal(result.table.fused, average, equal_nan=True)
+    assert selection_metrics(result.partition.clean_ids, dataset.clean_mask).f1 > 0.9
+    # the same draw carried in from a previous pass is a trained net kept
+    seeded = ToyClassifier.initialize(2, params.meta_hidden, 1,
+                                      seed=derive_seed(seed, "meta-init"))
+    kept = run_distillation(dataset, params, previous=replace(result, meta_net=seeded))
+    assert kept.fallbacks == []
+    assert np.array_equal(kept.meta_net.flat, seeded.flat)
 
 
 @pytest.mark.parametrize("dims", [(2, 9, 1), (3, 10, 1), (2, 10, 2)])

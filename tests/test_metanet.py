@@ -23,6 +23,7 @@ from dualsift import (
     weighted_average_baseline,
 )
 from dualsift import metanet
+from dualsift.classifier import with_ones
 from dualsift.division import Tag
 from dualsift.metanet import MAX_PAIRS, _mean_bce, _sigmoid
 from dualsift.pipeline import DistillParams
@@ -195,7 +196,7 @@ def test_meta_gradient_matches_finite_differences():
     x = rng.random((16, 2))
     y = (rng.random(16) > 0.5).astype(float)
     # the loss comes from the oracle's loss form; the package computes none
-    grads = ToyClassifier(meta_grads(net, x, y), net.dims)
+    grads = ToyClassifier(meta_grads(net, with_ones(x), y), net.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(net, name)

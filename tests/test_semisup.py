@@ -28,6 +28,7 @@ from dualsift.classifier import (
     mixed_grads,
     save_classifier_checkpoint,
     softmax_rows,
+    with_ones,
 )
 from dualsift import semisup
 from dualsift.checkpoints import save_flat_params
@@ -133,7 +134,8 @@ def test_classifier_gradient_matches_finite_differences():
     qu = rng.random((4, 4))
     qu /= qu.sum(axis=1, keepdims=True)
     # the loss comes from the oracle's loss form; the package computes none
-    grads = ToyClassifier(mixed_grads(clf, xc, tc, xu, qu, 3.0, 1.0), clf.dims)
+    grads = ToyClassifier(mixed_grads(clf, with_ones(np.concatenate([xc, xu])), 6, tc, qu,
+                                      3.0, 1.0), clf.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)
@@ -239,15 +241,26 @@ def test_checkpoint_writes_each_value_as_its_repr(tmp_path):
 PARAM_NAMES = ("w1", "b1", "w2", "b2")
 
 
+def same_view(a, b) -> bool:
+    """Both arrays read the same bytes the same way."""
+    return (a.__array_interface__["data"] == b.__array_interface__["data"]
+            and a.shape == b.shape and a.strides == b.strides)
+
+
 def test_sgd_step_moves_every_view():
     single = ToyClassifier.initialize(3, 4, 2, seed=1)
     stacked = ToyClassifier.stack([ToyClassifier.initialize(3, 4, 2, seed=s) for s in (1, 2)])
     for clf in (single, stacked):
+        lead = clf.flat.shape[:-1]
+        assert clf.W1.shape == lead + (4, 4) and clf.W2.shape == lead + (5, 2)
+        # each bias is its augmented matrix's last row, each weight the rows above
+        assert same_view(clf.w1, clf.W1[..., :-1, :]) and same_view(clf.b1, clf.W1[..., -1, :])
+        assert same_view(clf.w2, clf.W2[..., :-1, :]) and same_view(clf.b2, clf.W2[..., -1, :])
         before = clf.copy()
         grads = rng_from(3).normal(size=clf.flat.shape)
         apply_sgd_step(clf, grads, 0.5)
         step = ToyClassifier(grads, clf.dims)
-        for name in PARAM_NAMES:
+        for name in ("W1", "W2", *PARAM_NAMES):
             assert np.shares_memory(getattr(clf, name), clf.flat)
             np.testing.assert_array_equal(
                 getattr(clf, name), getattr(before, name) - 0.5 * getattr(step, name))
@@ -261,9 +274,13 @@ def test_member_is_a_view_and_copy_shares_nothing():
         assert np.shares_memory(member.flat, stack.flat[m])
         member.w2[1, 0] = 7.0 + m
         assert stack.w2[m, 1, 0] == 7.0 + m
+        member.b1[2] = -3.0 - m
+        assert stack.W1[m, -1, 2] == -3.0 - m
+        for name in ("W1", "W2"):
+            assert same_view(getattr(member, name), getattr(stack, name)[m])
     copy = stack.copy()
     np.testing.assert_array_equal(copy.flat, stack.flat)
-    for name in ("flat", *PARAM_NAMES):
+    for name in ("flat", "W1", "W2", *PARAM_NAMES):
         assert not np.shares_memory(getattr(copy, name), stack.flat)
 
 
@@ -289,17 +306,18 @@ def test_stacked_members_match_unstacked():
     xu = rng.normal(size=(3, 8, 16))
     qu = rng.random((3, 8, 10))
     qu /= qu.sum(axis=-1, keepdims=True)
-    empty_x, empty_t = np.zeros((3, 0, 16)), np.zeros((3, 0, 10))
+    empty_t = np.zeros((3, 0, 10))
     logits, hidden = stack.forward(xc)
-    mixed = mixed_grads(stack, xc, tc, xu, qu, 3.0, 1.0)
-    plain = mixed_grads(stack, xc, tc, empty_x, empty_t, 0.0, 0.0)
+    x1 = with_ones(np.concatenate([xc, xu], axis=-2))
+    mixed = mixed_grads(stack, x1, 8, tc, qu, 3.0, 1.0)
+    plain = mixed_grads(stack, x1[:, :8], 8, tc, empty_t, 0.0, 0.0)
     for m, clf in enumerate(members):
         logits_m, hidden_m = clf.forward(xc[m])
         np.testing.assert_array_equal(logits[m], logits_m)
         np.testing.assert_array_equal(hidden[m], hidden_m)
-        np.testing.assert_array_equal(mixed[m], mixed_grads(clf, xc[m], tc[m], xu[m], qu[m],
+        np.testing.assert_array_equal(mixed[m], mixed_grads(clf, x1[m], 8, tc[m], qu[m],
                                                             3.0, 1.0))
-        np.testing.assert_array_equal(plain[m], mixed_grads(clf, xc[m], tc[m], empty_x[m],
+        np.testing.assert_array_equal(plain[m], mixed_grads(clf, x1[m, :8], 8, tc[m],
                                                             empty_t[m], 0.0, 0.0))
 
     x = rng.normal(size=(20, 16))
@@ -347,6 +365,35 @@ def test_representation_peak_memory_is_its_outputs_plus_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak < outputs + 4 * block
+
+
+def test_epoch_peak_memory_is_its_batch_plan_plus_a_gather_chunk_and_a_few_steps():
+    # the ones-column gathers and the [h | 1] workspace must not scale with
+    # the epoch: a whole-epoch gather, a ones-column copy of the features or
+    # an [h | 1] buffer per step of a gather chunk would each exceed the bound.
+    # The batch plan is the epoch's (steps, members, rows) index arrays.
+    members, d, h, k, batch = 2, 16, 64, 10, 8
+    n = 16 * ROW_BLOCK
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(n, d))
+    order = rng.permutation(n)
+    targets = rng.dirichlet(np.ones(k), n // 2)
+    guesses = rng.dirichlet(np.ones(k), n - n // 2)
+    stack = ToyClassifier.stack([ToyClassifier.initialize(d, h, k, seed=m)
+                                 for m in range(members)])
+    rngs = [rng_from(1, f"m{m}") for m in range(members)]
+    rows = members * 2 * batch
+    plan = (n // batch) * rows * 8
+    gather = (ROW_BLOCK // batch) * rows * (d + 1 + k) * 8
+    step = rows * (d + 1 + h + 1) * 8 + stack.flat.nbytes
+    tracemalloc.start()
+    try:
+        semisup._train_epoch_mixed(stack, features, order[:n // 2], targets, order[n // 2:],
+                                   guesses, 3.0, 1.0, 0.04, batch, rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < plan + 2 * gather + 4 * step
 
 
 # ---------------------------------------------- lean steps against the oracle
@@ -406,7 +453,8 @@ def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, see
             if arr.size:
                 arr.reshape(-1)[rng.integers(arr.size)] = np.nan
     with np.errstate(all="ignore"):
-        grads = mixed_grads(clf, xl, targets, xu, guesses, lambda_u, lambda_r)
+        grads = mixed_grads(clf, with_ones(np.concatenate([xl, xu], axis=-2)), nc, targets,
+                            guesses, lambda_u, lambda_r)
         _, want_grads = reference.mixed_loss_and_grads(
             clf, xl, targets, xu, guesses, lambda_u, lambda_r)
     grads = ToyClassifier(grads, clf.dims)
