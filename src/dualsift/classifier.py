@@ -5,11 +5,12 @@ role of the feature embedding when scoring with a live model. A network is
 one float64 buffer ``flat`` of ``P = D*H + H + H*K + K`` values plus its
 dimensions ``(D, H, K)``. ``w1 (D, H)``, ``b1 (H,)``, ``w2 (H, K)`` and
 ``b2 (K,)`` are views of it, laid out row-major one after another, the
-order a checkpoint stores them in. Row-major, ``w1`` followed by ``b1`` is
-the augmented matrix ``W1 = [w1; b1] (D+1, H)`` and ``w2`` followed by
-``b2`` is ``W2 = [w2; b2] (H+1, K)``; both are views too, with ``b1`` and
-``b2`` their last rows. The network computes with them on inputs that end
-in a ones column (``x1 = [x | 1]``), so each bias rides inside its matmul:
+order a checkpoint stores them in: after a ``toyclassifier D H K`` header
+line, one full-precision float per line. Row-major, ``w1`` followed by
+``b1`` is the augmented matrix ``W1 = [w1; b1] (D+1, H)`` and ``w2``
+followed by ``b2`` is ``W2 = [w2; b2] (H+1, K)``, views too, with ``b1``
+and ``b2`` their last rows. The network computes with them on inputs that
+end in a ones column (``x1 = [x | 1]``), so each bias rides inside its matmul:
 ``h = relu(x1 @ W1)`` fills the first H columns of an ``[h | 1]`` array and
 ``logits = [h | 1] @ W2``; the gradients are ``x1ᵀ·dz1`` and
 ``[h | 1]ᵀ·dlogits``, written straight into the two blocks of one array laid
@@ -20,13 +21,13 @@ every output gains the same leading axis.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoints import load_flat_params, save_flat_params
-from .data import ROW_BLOCK
+from .data import ROW_BLOCK, check_number_text, read_text_lines, repr_rows
 from .errors import NumericalError, ParseError
 from .seeding import rng_from
 
@@ -46,12 +47,12 @@ def _block_sizes(dims: tuple[int, int, int]) -> tuple[int, int, int, int]:
     return d * h, h, h * k, k
 
 
-def _layers(flat: np.ndarray, dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented matrices ``W1 ([M,] D+1, H)`` and ``W2 ([M,] H+1, K)``
-    as views of a buffer laid out as ``flat``."""
-    d, h, k = dims
-    cut, lead = (d + 1) * h, flat.shape[:-1]
-    return flat[..., :cut].reshape(*lead, d + 1, h), flat[..., cut:].reshape(*lead, h + 1, k)
+def _layers(buf: np.ndarray, shape1: tuple[int, ...],
+            shape2: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The augmented matrices of shapes ``W1 ([M,] D+1, H)`` and ``W2 ([M,]
+    H+1, K)`` as views of a buffer laid out as ``flat``."""
+    cut = shape1[-2] * shape1[-1]
+    return buf[..., :cut].reshape(shape1), buf[..., cut:].reshape(shape2)
 
 
 def ones_column_buffer(shape: tuple[int, ...]) -> np.ndarray:
@@ -78,7 +79,8 @@ class ToyClassifier:
             raise ValueError(f"dimensions {self.dims} need {size} parameters, "
                              f"got shape {flat.shape}")
         self.flat = flat
-        self.W1, self.W2 = _layers(flat, self.dims)
+        (d, h, k), lead = self.dims, flat.shape[:-1]
+        self.W1, self.W2 = _layers(flat, lead + (d + 1, h), lead + (h + 1, k))
         self.w1, self.b1 = self.W1[..., :-1, :], self.W1[..., -1, :]
         self.w2, self.b2 = self.W2[..., :-1, :], self.W2[..., -1, :]
 
@@ -127,22 +129,34 @@ class ToyClassifier:
         np.maximum(h1, 0.0, out=h1)
         return h1 @ self.W2, h1
 
+    def forward_blocks(self, x: np.ndarray):
+        """Yields ``(rows, logits, [h | 1])``, the bits of ``forward(x[rows])``,
+        for each ``ROW_BLOCK``-row block of a (n, D) batch. One ones-column
+        input buffer and one ``[h | 1]`` workspace serve every block."""
+        n, d = x.shape
+        x1 = ones_column_buffer((min(n, ROW_BLOCK), d + 1))
+        h1 = ones_column_buffer(self.flat.shape[:-1] + (x1.shape[0], self.dims[1] + 1))
+        for start in range(0, n, ROW_BLOCK):
+            rows = slice(start, min(n, start + ROW_BLOCK))
+            size = rows.stop - start
+            x1[:size, :-1] = x[rows]
+            yield (rows, *self.forward_folded(x1[:size], h1[..., :size, :]))
+
 
 def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
     """Member-averaged (logits, hidden activations, softmax probabilities).
 
-    The members forward ``ROW_BLOCK`` rows of ``x`` at a time into the
-    preallocated outputs, so no ``(M, N, ·)`` stack spans the whole input.
+    The members forward ``x`` through :meth:`ToyClassifier.forward_blocks`
+    into the preallocated outputs, so no ``(M, N, ·)`` stack spans the
+    whole input.
     """
     _, h, k = ensemble.dims
     n = x.shape[0]
     mean_logits, mean_hidden, mean_probs = np.empty((n, k)), np.empty((n, h)), np.empty((n, k))
-    for start in range(0, n, ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        logits, hidden = ensemble.forward(x[block])
-        logits.mean(axis=0, out=mean_logits[block])
-        hidden.mean(axis=0, out=mean_hidden[block])
-        softmax_rows(logits).mean(axis=0, out=mean_probs[block])
+    for rows, logits, h1 in ensemble.forward_blocks(x):
+        logits.mean(axis=0, out=mean_logits[rows])
+        h1[..., :-1].mean(axis=0, out=mean_hidden[rows])
+        softmax_rows(logits).mean(axis=0, out=mean_probs[rows])
     return mean_logits, mean_hidden, mean_probs
 
 
@@ -151,7 +165,7 @@ def backward_folded(net: ToyClassifier, x1: np.ndarray, h1: np.ndarray,
     """Parameter gradients, laid out as ``net.flat``, given the loss gradient
     at the logits of ``net.forward_folded(x1)``, whose ``[h | 1]`` is ``h1``."""
     grads = np.empty(net.flat.shape)
-    g1, g2 = _layers(grads, net.dims)
+    g1, g2 = _layers(grads, net.W1.shape, net.W2.shape)
     np.matmul(h1.swapaxes(-1, -2), dlogits, out=g2)
     dz1 = dlogits @ net.w2.swapaxes(-1, -2)
     dz1 *= (h1 > 0)[..., :-1]
@@ -217,6 +231,14 @@ def trap_divergence(stage: str):
         raise NumericalError(f"training diverged during {stage}: {exc}") from None
 
 
+def save_flat_params(path: str | Path, tag: str, dims: tuple[int, ...],
+                     flat: np.ndarray) -> None:
+    """Write the header ``tag dims...``, then each value's repr on a line."""
+    lines = [" ".join([tag] + [str(d) for d in dims]).encode(),
+             *repr_rows(np.asarray(flat, dtype=np.float64).reshape(-1, 1))]
+    Path(path).write_bytes(b"\n".join(lines) + b"\n")
+
+
 def save_classifier_checkpoint(clf: ToyClassifier, path: str | Path) -> None:
     if clf.flat.ndim != 1:
         raise ValueError("a checkpoint holds one network; save stacked members one at a time")
@@ -224,10 +246,34 @@ def save_classifier_checkpoint(clf: ToyClassifier, path: str | Path) -> None:
 
 
 def load_classifier_checkpoint(path: str | Path) -> ToyClassifier:
-    dims, flat = load_flat_params(path, _CHECKPOINT_TAG)
+    """Read a checkpoint; every parameter must be finite."""
+    lines = read_text_lines(path)
+    if not lines:
+        raise ParseError("empty checkpoint")
+    header = lines[0].split()
+    if not header or header[0] != _CHECKPOINT_TAG:
+        raise ParseError(f"expected {_CHECKPOINT_TAG!r} checkpoint", line=1)
+    check_number_text(lines[0], line=1)
+    try:
+        dims = tuple(int(v) for v in header[1:])
+    except ValueError as exc:
+        raise ParseError(str(exc), line=1) from exc
+    if any(d < 1 for d in dims):
+        raise ParseError(f"checkpoint dimensions must be >= 1, got {dims}", line=1)
+    values = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        check_number_text(line, line=lineno)
+        try:
+            values.append(float(line))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        if not math.isfinite(values[-1]):
+            raise ParseError("non-finite float value", line=lineno)
     if len(dims) != 3:
         raise ParseError(f"expected dimensions D H K, got {dims}", line=1)
     expected = sum(_block_sizes(dims))
-    if flat.size != expected:
-        raise ParseError(f"expected {expected} parameters, got {flat.size}")
-    return ToyClassifier(flat, dims)
+    if len(values) != expected:
+        raise ParseError(f"expected {expected} parameters, got {len(values)}")
+    return ToyClassifier(np.asarray(values, dtype=np.float64), dims)

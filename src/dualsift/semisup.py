@@ -87,10 +87,10 @@ def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
     """Raise NumericalError when a member's activations on ``x`` left the
     safe range (or stopped being finite)."""
     peaks = np.zeros(len(ensemble.flat))
-    for start in range(0, x.shape[0], ROW_BLOCK):
-        logits, hidden = ensemble.forward(x[start:start + ROW_BLOCK])
+    for _, logits, h1 in ensemble.forward_blocks(x):
+        # [h | 1] is rectified, and its ones column stays below the bound;
         # np.maximum keeps a NaN, which then fails the bound below
-        peaks = np.maximum(peaks, np.maximum(np.abs(hidden).max(axis=(1, 2)),
+        peaks = np.maximum(peaks, np.maximum(h1.max(axis=(1, 2)),
                                              np.abs(logits).max(axis=(1, 2))))
     for m, peak in enumerate(peaks):
         if not peak <= MAX_ACTIVATION:

@@ -536,9 +536,10 @@ def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: boo
     oracles above. With ``carry`` each round's meta net starts from the
     previous round's trained net, and each round's mixtures from the
     previous round's fits, both passed along here by hand; round 0, and a
-    round after one whose certain set could not train a meta net, start from
-    the seeded ``meta-init`` draw, as does every round without ``carry``,
-    whose mixtures all start from the percentiles.
+    round after one whose certain set could not train a meta net or whose
+    seeded draw no epoch improved, start from the seeded ``meta-init`` draw,
+    as does every round without ``carry``, whose mixtures all start from the
+    percentiles. A round without a trained net fuses with the 0.5 average.
     Needs certain sets of at most ``MAX_PAIRS`` pairs. Returns the ensemble.
     """
     ensemble = warmup(make_ensemble(dataset.feature_dim, dataset.num_classes, train_config),
@@ -557,11 +558,15 @@ def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: boo
         labels = (codes[ids] == Tag.P).astype(np.float64)
         if labels.all() or not labels.any():
             meta_net = None
-            fused = 0.5 * table.posterior_loss + 0.5 * table.posterior_sim
         else:
             start = meta_net if carry and meta_net is not None else seeded
             pairs = np.column_stack([table.posterior_loss[ids], table.posterior_sim[ids]])
             meta_net = train_meta(start, MetaDataset(pairs, labels), params.meta)
+            if start is seeded and np.array_equal(meta_net.flat, seeded.flat):
+                meta_net = None
+        if meta_net is None:
+            fused = 0.5 * table.posterior_loss + 0.5 * table.posterior_sim
+        else:
             fused = fuse_scores(meta_net, table).fused
         table = replace(table, fused=fused)
         cut = fuse_cutoff(params.fuse_strategy, fused[codes == Tag.U])

@@ -427,6 +427,28 @@ def test_train_rounds_chain_meta_nets_as_the_reference(tmp_path):
         assert not np.array_equal(got.flat, cold.member(m).flat)
 
 
+def test_train_rounds_with_an_untrained_meta_net_fuse_as_the_reference(tmp_path):
+    # no epoch lowers the BCE at this meta lr: each round fuses with the
+    # average and hands no net on, so the next round trains the seeded draw
+    data = tmp_path / "data.csv"
+    assert run(["generate", "--k", 4, "--d", 8, "--n", 300, "--noise", "asym:0.3",
+                "--seed", 9, "-o", data]) == 0
+    outdir = tmp_path / "out"
+    assert run(["train", data, "-o", outdir, "--rounds", 3, "--seed", 0,
+                "--meta-lr", "1e100"]) == 0
+    report = json.loads((outdir / "report.json").read_text())
+    assert [entry["meta_init"] for entry in report["per_round"]] == ["seeded"] * 3
+    assert [note.split(":")[:2] for note in report["fallbacks"]] == \
+        [[f"round={r}", "meta_untrained"] for r in range(3)]
+    train_set = split_dataset(load_sample_table(data), 0.2, 0)[0]
+    cfg = TrainConfig(rounds=3, seed=0)
+    params = DistillParams(meta=MetaTrainConfig(lr=1e100, seed=derive_seed(0, "meta")))
+    want = reference.train_rounds(train_set, cfg, params, 3)
+    for m in range(cfg.ensemble_size):
+        got = load_classifier_checkpoint(outdir / f"member_{m}.txt")
+        assert np.array_equal(got.flat, want.member(m).flat)
+
+
 def test_train_round_after_a_starved_round_starts_from_the_seeded_draw(tmp_path, monkeypatch):
     data = small_benchmark(tmp_path, n=600)
     calls, starts = [], []

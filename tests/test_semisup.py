@@ -27,11 +27,11 @@ from dualsift.classifier import (
     load_classifier_checkpoint,
     mixed_grads,
     save_classifier_checkpoint,
+    save_flat_params,
     softmax_rows,
     with_ones,
 )
 from dualsift import semisup
-from dualsift.checkpoints import save_flat_params
 from dualsift.data import ROW_BLOCK
 from dualsift.errors import NumericalError
 from dualsift.pipeline import DistillParams
@@ -328,12 +328,17 @@ def test_stacked_members_match_unstacked():
     np.testing.assert_array_equal(mean_probs, sum(softmax_rows(lg) for lg, _ in outputs) / 3)
 
 
-def test_ensemble_outputs_fill_one_row_block_at_a_time():
-    # each block's rows are that block's own forward, bit for bit; against
-    # one whole-array forward only the logits kernel's last bits may move
+@pytest.mark.parametrize("members", [1, 2])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+def test_ensemble_outputs_fill_one_row_block_at_a_time(n, members):
+    # each block's rows are that block's own forward, bit for bit: the reused
+    # buffers' first block, an exact multiple of ROW_BLOCK and a partial last
+    # block; against one whole-array forward only the logits kernel's last
+    # bits may move
     rng = np.random.default_rng(11)
-    stack = ToyClassifier.stack([ToyClassifier.initialize(16, 64, 10, seed=m) for m in range(2)])
-    x = rng.normal(size=(2 * ROW_BLOCK + 7, 16))
+    stack = ToyClassifier.stack([ToyClassifier.initialize(16, 64, 10, seed=m)
+                                 for m in range(members)])
+    x = rng.normal(size=(n, 16))
     mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
     for start in range(0, x.shape[0], ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
@@ -627,6 +632,13 @@ def test_check_alive_names_the_member_past_the_limit():
     with pytest.raises(NumericalError, match="member 1 .* nan exceeds"):
         semisup._check_alive(ens, x, "round 0")
     semisup._check_alive(ens, x[:0], "warm-up")  # no rows, nothing to check
+    # the only diverged row lies in a partial last block
+    ens = make_ensemble(4, 3, TrainConfig(seed=1))
+    split = rng_from(3).standard_normal((ROW_BLOCK + 5, 4))
+    split[-2] *= 1e8
+    semisup._check_alive(ens, split[:ROW_BLOCK], "round 2")
+    with pytest.raises(NumericalError, match="member 0 diverged after round 2"):
+        semisup._check_alive(ens, split, "round 2")
 
 
 def test_distill_round_raises_when_members_diverge():
