@@ -109,11 +109,6 @@ class ToyClassifier:
     def copy(self) -> "ToyClassifier":
         return ToyClassifier(self.flat.copy(), self.dims)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (logits, hidden activations) for a ([M,] n, D) batch."""
-        logits, h1 = self.forward_folded(with_ones(x))
-        return logits, h1[..., :-1]
-
     def forward_folded(self, x1: np.ndarray, h1: np.ndarray | None = None):
         """Returns (logits, ``[h | 1]``) for a ([M,] n, D+1) float64 batch
         whose last column is ones.
@@ -130,8 +125,8 @@ class ToyClassifier:
         return h1 @ self.W2, h1
 
     def forward_blocks(self, x: np.ndarray):
-        """Yields ``(rows, logits, [h | 1])``, the bits of ``forward(x[rows])``,
-        for each ``ROW_BLOCK``-row block of a (n, D) batch. One ones-column
+        """Yields ``(rows, logits, [h | 1])`` of ``forward_folded([x[rows] | 1])``
+        for each ``ROW_BLOCK``-row block of a (n, D) table. One ones-column
         input buffer and one ``[h | 1]`` workspace serve every block."""
         n, d = x.shape
         x1 = ones_column_buffer((min(n, ROW_BLOCK), d + 1))

@@ -193,8 +193,7 @@ def compute_posteriors(
     scores, so it neither starts from a mixture nor passes one on.
     """
     init = init or {}
-    out = replace(table, posterior_loss=table.posterior_loss.copy(),
-                  posterior_sim=table.posterior_sim.copy())
+    out = replace(table, posteriors=table.posteriors.copy())
     spaces = (("loss", loss_config, out.loss_score, out.posterior_loss),
               ("feature", feat_config, out.sim_score, out.posterior_sim))
     notes: list[str] = []
@@ -234,8 +233,7 @@ def divide_dataset(
     codes = np.full(table.n, Tag.U, dtype=np.int8)
     for cluster in clusters:
         ids = cluster.member_ids
-        pp = table.posterior_loss[ids]
-        ps = table.posterior_sim[ids]
+        pp, ps = table.posteriors[ids].T
         pos, neg, _ = divide_cluster(pp, ps, resolve_threshold(strategy_loss, pp),
                                      resolve_threshold(strategy_feat, ps))
         codes[ids[pos]] = Tag.P

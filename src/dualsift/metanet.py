@@ -14,7 +14,6 @@ import numpy as np
 
 from .classifier import (PROB_CLAMP, ToyClassifier, apply_sgd_step, backward_folded,
                          ones_column_buffer, trap_divergence, with_ones)
-from .data import ROW_BLOCK
 from .division import Partition, Tag
 from .errors import MetaStarved, check_fields
 from .scores import ScoreTable
@@ -37,8 +36,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
     """Fused scores for a (n, 2) batch of posterior pairs."""
-    logits, _ = net.forward(pairs)
-    return _sigmoid(logits[:, 0])
+    return _sigmoid(net.forward_folded(with_ones(pairs))[0][:, 0])
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ def build_meta_dataset(partition: Partition, table: ScoreTable) -> MetaDataset:
             f"certain set has {partition.positive_ids.size} positives and "
             f"{partition.negative_ids.size} negatives")
     ids = np.concatenate([partition.positive_ids, partition.negative_ids])
-    inputs = np.column_stack([table.posterior_loss[ids], table.posterior_sim[ids]])
+    inputs = table.posteriors[ids]
     labels = np.concatenate([
         np.ones(partition.positive_ids.size),
         np.zeros(partition.negative_ids.size),
@@ -164,15 +162,13 @@ def fuse_scores(net: ToyClassifier, table: ScoreTable) -> ScoreTable:
     """Fused score for every sample, certain-set members included.
 
     Samples with a missing posterior in either space fuse to NaN and are
-    later routed to the noisy side by :func:`purify`. Pairs go through the
-    net ``ROW_BLOCK`` rows at a time, so the hidden layer never spans the
-    table; each row's score is the bits of a whole-array call.
+    later routed to the noisy side by :func:`purify`. The posterior pairs go
+    through :meth:`ToyClassifier.forward_blocks`, so the hidden layer never
+    spans the table; each row's score is the bits of a whole-array call.
     """
     fused = np.empty(table.n)
-    for start in range(0, table.n, ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        fused[block] = meta_scores(
-            net, np.column_stack([table.posterior_loss[block], table.posterior_sim[block]]))
+    for rows, logits, _ in net.forward_blocks(table.posteriors):
+        fused[rows] = _sigmoid(logits[:, 0])
     return replace(table, fused=fused)
 
 

@@ -5,7 +5,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classifier import ToyClassifier, ensemble_outputs
+from .classifier import ToyClassifier, softmax_rows
 from .data import Dataset
 
 
@@ -70,11 +70,15 @@ def selection_metrics(selected_ids: np.ndarray, clean_mask: np.ndarray) -> Selec
 def accuracy(ensemble: ToyClassifier, dataset: Dataset) -> float:
     """Fraction of samples whose ensemble-averaged prediction hits the true label.
 
-    Argmax ties break toward the lowest class index.
+    An unstacked network reads as a one-member ensemble. Argmax ties break
+    toward the lowest class index.
     """
     if dataset.n == 0:
         raise ValueError("empty test set")
     if not dataset.has_true_labels:
         raise ValueError("test set lacks true labels")
-    _, _, probs = ensemble_outputs(ensemble, dataset.features)
-    return float((probs.argmax(axis=1) == dataset.true_labels).mean())
+    hits = 0
+    for rows, logits, _ in ensemble.forward_blocks(dataset.features):
+        probs = softmax_rows(logits).reshape(-1, *logits.shape[-2:]).mean(axis=0)
+        hits += int((probs.argmax(axis=1) == dataset.true_labels[rows]).sum())
+    return hits / dataset.n

@@ -23,26 +23,30 @@ _FEATURE_RANGE = (2.0 ** -20, 2.0 ** 500)
 # A mixture fit squares score spreads, which overflow past about 2^511; a
 # cluster's scores above this are fit divided by a power of two.
 SCORE_RANGE = (0.0, 2.0 ** 500)
+_MAX_LOSS = np.finfo(np.float64).max
 
 
 @dataclass
 class ScoreTable:
     """Per-sample scores and posteriors, aligned with sample ids.
 
-    NaN marks an unset posterior or an unscored sample. Each stage derives
-    its output with ``dataclasses.replace``, so tables share the columns a
-    stage does not set; no stage writes into a table it was given.
+    NaN marks an unset posterior or an unscored sample. Each ``posteriors``
+    row is a sample's (loss-space, feature-space) pair, the meta net's input.
+    Each stage derives its output with ``dataclasses.replace``, so tables
+    share the arrays a stage does not set; no stage writes into a table it was given.
     """
 
     loss_score: np.ndarray
     sim_score: np.ndarray
-    posterior_loss: np.ndarray
-    posterior_sim: np.ndarray
+    posteriors: np.ndarray  # (n, 2)
     fused: np.ndarray
+    # read-through views of the two posterior columns
+    posterior_loss = property(lambda self: self.posteriors[:, 0])
+    posterior_sim = property(lambda self: self.posteriors[:, 1])
 
     @classmethod
     def empty(cls, n: int) -> "ScoreTable":
-        return cls(*(np.full(n, np.nan) for _ in range(5)))
+        return cls(*(np.full(shape, np.nan) for shape in (n, n, (n, 2), n)))
 
     @property
     def n(self) -> int:
@@ -51,8 +55,10 @@ class ScoreTable:
 
 def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
-    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    return np.maximum(lse - logits[np.arange(logits.shape[0]), labels], 0.0)
+    # a spread past the float64 range overflows; the cap ranks that row noisiest
+    with np.errstate(over="ignore"):
+        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+        return np.clip(lse - logits[np.arange(logits.shape[0]), labels], 0.0, _MAX_LOSS)
 
 
 def class_center(features: np.ndarray, class_id: int) -> np.ndarray:

@@ -504,8 +504,7 @@ def warm_posteriors(table: ScoreTable, clusters: list[NoisyCluster], params, pre
     when there is one and neither pass's scores lay beyond the range; from
     the percentiles otherwise.
     """
-    filled = replace(table, posterior_loss=np.full(table.n, np.nan),
-                     posterior_sim=np.full(table.n, np.nan))
+    filled = replace(table, posteriors=np.full((table.n, 2), np.nan))
     fits = {}
     for cluster in clusters:
         ids = cluster.member_ids

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,28 @@ def test_distill_untrained_meta_net_is_a_reported_fallback(tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     assert report["fallbacks"] == ["meta_untrained:weighted_average:lambda=0.5:"
                                    "no epoch lowered the training BCE of the seeded start"]
+
+
+def test_distill_logits_past_the_float64_range_select_as_in_range_ones(tmp_path):
+    # each logit at +-1.79e308 by its sign against the row mean: a row's
+    # spread passes the float64 range, and the run used to warn "overflow
+    # encountered in subtract" and exit 2 from the mixture fit. Each such loss
+    # is capped at the largest float, which selects as the +-1e307 table does
+    data = tmp_path / "g.csv"
+    assert run(["generate", "--k", 4, "--d", 8, "--n", 600, "--noise", "sym:0.4",
+                "--seed", 1, "-o", data]) == 0
+    ds = load_sample_table(data)
+    above = ds.logits >= ds.logits.mean(axis=1, keepdims=True)
+    parts = []
+    for top in (1.79e308, 1e307):
+        table, outdir = tmp_path / f"{top:g}.csv", tmp_path / f"{top:g}"
+        write_sample_table(ds.with_representation(ds.features, np.where(above, top, -top)), table)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["distill", table, "-o", outdir]) == 0
+        assert json.loads((outdir / "report.json").read_text())["fallbacks"] == []
+        parts.append((outdir / "partition.csv").read_bytes())
+    assert parts[0] == parts[1]
 
 
 def test_distill_selection_only_with_truth(tmp_path):
@@ -568,6 +591,22 @@ def test_evaluate_id_mismatch(tmp_path):
     part = tmp_path / "part.csv"
     part.write_text("0,P\n2,N\n")
     assert run(["evaluate", part, truth]) == 3
+
+
+@pytest.mark.parametrize("true, message", [
+    ([0, -1], "truth file lacks true labels"),
+    ([0, 0, 0], "partition ids do not match the truth file ids"),
+], ids=["unknown-label", "other-row-count"])
+def test_evaluate_truth_that_cannot_judge_the_partition_is_data_error(
+        tmp_path, capsys, true, message):
+    n = len(true)
+    truth = tmp_path / "truth.csv"
+    write_sample_table(Dataset(np.zeros((n, 1)), np.zeros((n, 2)), np.zeros(n, dtype=np.int64),
+                               np.array(true)), truth)
+    part = tmp_path / "part.csv"
+    part.write_text("0,P\n1,N\n")
+    assert run(["evaluate", part, truth]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_evaluate_not_utf8_truth_is_data_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import stat
 import threading
 import zipfile
@@ -24,6 +25,7 @@ from dualsift import (
     write_sample_table,
 )
 from dualsift import data
+from dualsift.cli import main
 from dualsift.data import _load_sample_table_lines, _load_sample_table_numpy
 
 
@@ -106,6 +108,23 @@ def test_load_bad_header(tmp_path):
     path.write_text("id,label,feat_0,logit_0\n0,0,1.0,1.0\n")
     with pytest.raises(ParseError, match="line 1"):
         load_sample_table(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("id,noisy_label,true_label,logit_0,logit_1\n0,0,0,1.0,0.0\n",
+     "line 1: header needs feat_* and logit_* columns"),
+    ("id,noisy_label,true_label,logit_0,feat_0,logit_1\n0,0,0,1.0,0.5,0.0\n",
+     "line 1: feat_/logit_ columns malformed or out of order"),
+    ("id,noisy_label,true_label,feat_0,logit_0,logit_1\n0,0,0,0.5,1.0,0.0\n1,1,2,0.5,0.0,1.0\n",
+     "line 3: true_label 2 outside [-1, 2)"),
+], ids=["no-feat-column", "columns-out-of-order", "true-label-past-k"])
+def test_load_malformed_table_is_a_data_error(tmp_path, capsys, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_sample_table(path)
+    assert main(["distill", str(path), "-o", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_load_duplicate_ids(tmp_path):

@@ -525,13 +525,51 @@ def test_distillation_passes_its_accepted_fits_on():
         assert sorted(warm.mixtures) == sorted(default.mixtures)
 
 
+def test_partition_invariant_under_affine_maps_of_the_scores():
+    # compute_posteriors -> divide_dataset commutes with x -> a·x + b per
+    # space, a > 0, away from threshold ties, once each variance floor is
+    # mapped to a²·floor. The stopping rule is not affine invariant, so both
+    # sides stop only at a fixed point (tol = tiny), as in test_gmm.py's
+    # posterior property
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=1200, seed=5)),
+                           NoiseSpec(NoiseKind.SYMMETRIC, 0.4, seed=5))
+    clusters = partition_by_label(dataset)
+    table = score_dataset(dataset, clusters)
+    loss_cfg, feat_cfg = (replace(c, tol=np.finfo(np.float64).tiny)
+                          for c in (division.LOSS_GMM, division.FEAT_GMM))
+    strategy = ThresholdStrategy.fixed(0.5)
+
+    def divide(table, loss_cfg, feat_cfg):
+        filled, notes, _ = compute_posteriors(table, clusters, loss_cfg, feat_cfg)
+        assert notes == []
+        return filled.posteriors, divide_dataset(filled, clusters, strategy, strategy).codes
+
+    want, codes = divide(table, loss_cfg, feat_cfg)
+    rng = rng_from(5, "affine-maps")
+    for _ in range(20):
+        (al, bl), (af, bf) = ((2.0 ** rng.uniform(-2.0, 2.0), rng.uniform(-10.0, 10.0))
+                              for _ in range(2))
+        mapped = replace(table, loss_score=al * table.loss_score + bl,
+                         sim_score=af * table.sim_score + bf)
+        got, got_codes = divide(
+            mapped, replace(loss_cfg, variance_floor=al * al * loss_cfg.variance_floor),
+            replace(feat_cfg, variance_floor=af * af * feat_cfg.variance_floor))
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        away = (np.abs(want - strategy.value) > 1e-5).all(axis=1)
+        assert away.mean() > 0.99
+        np.testing.assert_array_equal(got_codes[away], codes[away])
+
+
 def test_huge_logits_select_as_in_range_ones():
     # at logits x 1e300 the loss scores' spread overflows when squared; each
-    # cluster's scores are fit divided by a power of two instead
+    # cluster's scores are fit divided by a power of two instead. With the
+    # largest |logit| at 1.79e308 a row's spread passes the float64 range,
+    # and its loss is capped at the largest float
     base = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=600, seed=1)),
                         NoiseSpec(NoiseKind.SYMMETRIC, 0.4, seed=1))
     f1 = {}
-    for scale in (1e100, 1e300):
+    top = 1.79e308 / np.abs(base.logits).max()
+    for scale in (1e100, 1e300, top):
         dataset = base.with_representation(base.features, base.logits * scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -539,6 +577,7 @@ def test_huge_logits_select_as_in_range_ones():
         assert result.fallbacks == []
         f1[scale] = selection_metrics(result.partition.clean_ids, dataset.clean_mask).f1
     assert abs(f1[1e300] - f1[1e100]) <= 0.01
+    assert abs(f1[top] - f1[1e100]) <= 0.01
 
 
 # ------------------------------------------------------------ partition object

@@ -41,6 +41,15 @@ def test_fit_degenerate_too_few():
         fit_gmm1d(np.array([0.0, 1.0, 2.0]), GmmConfig(Orientation.SMALLER_MEAN_CLEAN))
 
 
+def test_fit_with_equal_quantiles_starts_from_the_extremes():
+    # the 10th and 90th percentiles of 95 zeros and 5 ones are both 0; the
+    # fit starts from the minimum and maximum instead, and finds both parts
+    g = fit_gmm1d(np.r_[np.zeros(95), np.ones(5)], GmmConfig(Orientation.SMALLER_MEAN_CLEAN))
+    np.testing.assert_allclose(g.means, [0.0, 1.0], atol=1e-9)
+    np.testing.assert_allclose(g.weights, [0.95, 0.05], atol=1e-9)
+    assert g.converged and g.clean_component == 0
+
+
 def test_fit_orientation_flag():
     values = mixture_sample(seed=5)
     g = fit_gmm1d(values, GmmConfig(Orientation.LARGER_MEAN_CLEAN))

@@ -24,6 +24,7 @@ from dualsift import (
 )
 from dualsift import metanet
 from dualsift.classifier import with_ones
+from dualsift.data import ROW_BLOCK
 from dualsift.division import Tag
 from dualsift.metanet import MAX_PAIRS, _mean_bce, _sigmoid
 from dualsift.pipeline import DistillParams
@@ -236,8 +237,7 @@ def posterior_table(n, seed=0):
     return table_with(pp, ps)
 
 
-@pytest.mark.parametrize("n", [1, metanet.ROW_BLOCK - 1, metanet.ROW_BLOCK,
-                               metanet.ROW_BLOCK + 1, 3 * metanet.ROW_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 1])
 def test_fuse_scores_matches_whole_array_oracle(n):
     net = ToyClassifier.initialize(2, DistillParams().meta_hidden, 1, seed=n)
     table = posterior_table(n, seed=n)

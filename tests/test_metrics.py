@@ -4,6 +4,7 @@ import reference
 
 from dualsift import Dataset, SyntheticSpec, accuracy, generate_synthetic, selection_metrics
 from dualsift.classifier import ToyClassifier
+from dualsift.data import ROW_BLOCK
 from dualsift.semisup import TrainConfig, make_ensemble
 
 
@@ -99,3 +100,27 @@ def test_accuracy_requires_truth_and_samples():
     empty = Dataset(np.zeros((0, 2)), np.zeros((0, 2)), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
     with pytest.raises(ValueError):
         accuracy(ens, empty)
+
+
+@pytest.mark.parametrize("n", [7, ROW_BLOCK + 5])
+def test_accuracy_of_an_unstacked_network_is_its_one_member_stack(n):
+    # an unstacked net reads as a one-member ensemble; it once failed on
+    # numpy's "output parameter ... wrong number of dimensions"
+    ds = generate_synthetic(SyntheticSpec(k=3, d=4, n=n, cluster_spread=2.0, seed=4))
+    nets = [ToyClassifier.initialize(4, 8, 3, seed=s) for s in (1, 2)]
+
+    def oracle(members):
+        probs = sum(reference.softmax_rows(reference.forward(m, ds.features)[0]) for m in members)
+        return float((probs.argmax(axis=1) == ds.true_labels).mean())
+    assert accuracy(nets[0], ds) == accuracy(ToyClassifier.stack(nets[:1]), ds) == oracle(nets[:1])
+    assert accuracy(ToyClassifier.stack(nets), ds) == oracle(nets)
+
+
+def test_accuracy_memory_does_not_grow_with_rows(traced_extra, growth_per_row):
+    ens = make_ensemble(16, 10, TrainConfig(seed=0))
+
+    def extra(n):
+        ds = generate_synthetic(SyntheticSpec(k=10, d=16, n=n, seed=1))
+        return traced_extra(accuracy, ens, ds)[1]
+    # the member means of the whole test set held 672 bytes a row
+    assert growth_per_row(extra) < 1

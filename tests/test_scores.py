@@ -50,6 +50,15 @@ def test_cross_entropy_shift_invariance(logits, shift, data):
     assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
 
+def test_cluster_with_zero_mean_embedding_scores_similarity_zero():
+    # class 0's two embeddings cancel, so its centre is the zero vector
+    ds = Dataset(np.array([[1.0, 2.0], [-1.0, -2.0], [3.0, 1.0]]), np.zeros((3, 2)),
+                 np.array([0, 0, 1]), np.full(3, -1))
+    table = score_dataset(ds, partition_by_label(ds))
+    assert table.sim_score[:2].tolist() == [0.0, 0.0]
+    assert table.sim_score[2] == pytest.approx(1.0)
+
+
 def test_class_center_mean():
     center = class_center(np.array([[0.0, 0.0], [2.0, 2.0]]), class_id=0)
     np.testing.assert_allclose(center, [1.0, 1.0])

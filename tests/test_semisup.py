@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -118,9 +119,9 @@ def test_total_loss_weighting():
 
 def test_classifier_forward_shapes():
     clf = ToyClassifier.initialize(4, 8, 3, seed=0)
-    logits, hidden = clf.forward(np.zeros((5, 4)))
+    logits, hidden = reference.forward(clf, np.zeros((5, 4)))
     assert logits.shape == (5, 3) and hidden.shape == (5, 8)
-    probs = softmax_rows(clf.forward(np.random.default_rng(0).normal(size=(5, 4)))[0])
+    probs = softmax_rows(reference.forward(clf, np.random.default_rng(0).normal(size=(5, 4)))[0])
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -164,7 +165,8 @@ def test_mixed_loss_matches_composed_ops():
     qu = rng.random((5, 4))
     qu /= qu.sum(axis=1, keepdims=True)
     loss, _ = reference.mixed_loss_and_grads(clf, xc, tc, xu, qu, 3.0, 1.0)
-    pc, pu = softmax_rows(clf.forward(xc)[0]), softmax_rows(clf.forward(xu)[0])
+    pc = softmax_rows(reference.forward(clf, xc)[0])
+    pu = softmax_rows(reference.forward(clf, xu)[0])
     mean_pred = np.vstack([pc, pu]).mean(axis=0)
     expected = total_loss(labeled_loss(pc, tc), unlabeled_loss(pu, qu),
                           reg_loss(mean_pred), 3.0, 1.0)
@@ -188,6 +190,19 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
         bad.write_text(header + "\n0.0\n")
         with pytest.raises(ParseError, match="line 1"):
             load_classifier_checkpoint(bad)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty checkpoint"),
+    ("mlp 2 3 2\n0.5\n", "line 1: expected 'toyclassifier' checkpoint"),
+    ("toyclassifier 2 3.0 2\n0.5\n", "line 1: invalid literal for int() with base 10: '3.0'"),
+    ("toyclassifier 1 1 1\n0.5\nhalf\n", "line 3: could not convert string to float: 'half'"),
+], ids=["empty", "wrong-tag", "non-integer-dims", "unparsable-value"])
+def test_malformed_checkpoint_is_rejected(tmp_path, text, message):
+    path = tmp_path / "clf.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_classifier_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661"])
@@ -307,12 +322,12 @@ def test_stacked_members_match_unstacked():
     qu = rng.random((3, 8, 10))
     qu /= qu.sum(axis=-1, keepdims=True)
     empty_t = np.zeros((3, 0, 10))
-    logits, hidden = stack.forward(xc)
+    logits, hidden = reference.forward(stack, xc)
     x1 = with_ones(np.concatenate([xc, xu], axis=-2))
     mixed = mixed_grads(stack, x1, 8, tc, qu, 3.0, 1.0)
     plain = mixed_grads(stack, x1[:, :8], 8, tc, empty_t, 0.0, 0.0)
     for m, clf in enumerate(members):
-        logits_m, hidden_m = clf.forward(xc[m])
+        logits_m, hidden_m = reference.forward(clf, xc[m])
         np.testing.assert_array_equal(logits[m], logits_m)
         np.testing.assert_array_equal(hidden[m], hidden_m)
         np.testing.assert_array_equal(mixed[m], mixed_grads(clf, x1[m], 8, tc[m], qu[m],
@@ -322,7 +337,7 @@ def test_stacked_members_match_unstacked():
 
     x = rng.normal(size=(20, 16))
     mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
-    outputs = [clf.forward(x) for clf in members]
+    outputs = [reference.forward(clf, x) for clf in members]
     np.testing.assert_array_equal(mean_logits, sum(lg for lg, _ in outputs) / 3)
     np.testing.assert_array_equal(mean_hidden, sum(h for _, h in outputs) / 3)
     np.testing.assert_array_equal(mean_probs, sum(softmax_rows(lg) for lg, _ in outputs) / 3)
@@ -342,13 +357,13 @@ def test_ensemble_outputs_fill_one_row_block_at_a_time(n, members):
     mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
     for start in range(0, x.shape[0], ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        logits, hidden = stack.forward(x[block])
+        logits, hidden = reference.forward(stack, x[block])
         assert same_bits(mean_logits[block], logits.mean(axis=0))
         assert same_bits(mean_hidden[block], hidden.mean(axis=0))
         assert same_bits(mean_probs[block], softmax_rows(logits).mean(axis=0))
     # a logit that cancels to near zero keeps the kernel's absolute error,
     # so the floor is 1e-12 of the largest entry
-    logits, hidden = stack.forward(x)
+    logits, hidden = reference.forward(stack, x)
     for got, want in ((mean_logits, logits.mean(axis=0)), (mean_hidden, hidden.mean(axis=0)),
                       (mean_probs, softmax_rows(logits).mean(axis=0))):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
