@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 from .data import (
@@ -28,7 +28,8 @@ from .data import (
     split_dataset,
     write_sample_table,
 )
-from .division import ThresholdStrategy, write_partition_file, read_partition_file
+from .division import (FEAT_GMM, LOSS_GMM, ThresholdStrategy, read_partition_file,
+                       write_partition_file)
 from .errors import FieldError, NumericalError, ParseError
 from .gmm import GmmConfig
 from .metanet import MetaTrainConfig
@@ -46,53 +47,28 @@ class UsageError(Exception):
 
 # ---------------------------------------------------------------------------
 # configuration plumbing: defaults, flat key=value config files, flag override.
-# Each config key is also the flag --<key with dashes>, typed as its default.
+# Each config key is also the flag --<key with dashes>, read as its default's type.
 
-# config key -> field of the config class it sets; each such key takes its
-# default from that field, and a range error in the field names the key
-_SPEC_KEYS = {"k": "k", "d": "d", "n": "n",
-              "cluster_spread": "cluster_spread", "logit_sharpness": "logit_sharpness"}
-_GMM_KEYS = {"gmm_max_iter": "max_iter", "gmm_tol": "tol",
-             "variance_floor": "variance_floor", "min_fit_size": "min_fit_size"}
-_META_KEYS = {"meta_lr": "lr", "meta_epochs": "epochs", "meta_batch": "batch_size",
-              "meta_patience": "patience"}
-_TRAIN_KEYS = {"warmup_epochs": "warmup_epochs", "rounds": "rounds", "lr": "lr",
-               "lambda_u": "lambda_u", "lambda_r": "lambda_r", "ensemble": "ensemble_size",
-               "hidden": "hidden", "batch_size": "batch_size"}
-_PARAMS_KEYS = {"meta_hidden": "meta_hidden"}
-_STRATEGY_KEYS = ("loss_strategy", "sim_strategy", "fuse_strategy")
-_KEYS_OF = {SyntheticSpec: _SPEC_KEYS, GmmConfig: _GMM_KEYS, MetaTrainConfig: _META_KEYS,
-            TrainConfig: _TRAIN_KEYS, DistillParams: _PARAMS_KEYS,
-            split_dataset: {"test_fraction": "test_fraction"}}
-
-
-def _field_defaults(cls, keys: dict[str, str]) -> dict:
-    default = {f.name: f.default for f in fields(cls)}
-    return {key: default[name] for key, name in keys.items()}
-
-
-def _kwargs(cfg: dict, keys: dict[str, str]) -> dict:
-    return {name: cfg[key] for key, name in keys.items()}
-
-
-_PARAMS = DistillParams()
-
-GENERATE_DEFAULTS = {
-    **_field_defaults(SyntheticSpec, _SPEC_KEYS),
-    "noise": "sym:0.4", "seed": 0,
-}
-
-DISTILL_DEFAULTS = {
-    **{key: str(getattr(_PARAMS, key)) for key in _STRATEGY_KEYS},
-    **_field_defaults(GmmConfig, _GMM_KEYS),
-    **_field_defaults(MetaTrainConfig, _META_KEYS),
-    **_field_defaults(DistillParams, _PARAMS_KEYS), "seed": 0,
-}
-
-TRAIN_DEFAULTS = {
-    **DISTILL_DEFAULTS,
-    **_field_defaults(TrainConfig, _TRAIN_KEYS),
-    "test_fraction": 0.2,
+# config key -> (owner, field): the key sets that field of the config class
+# (or that argument of split_dataset), takes its default from it, and names a
+# range error in it. In the subcommands' flag order.
+_FIELDS = {
+    "k": (SyntheticSpec, "k"), "d": (SyntheticSpec, "d"), "n": (SyntheticSpec, "n"),
+    "cluster_spread": (SyntheticSpec, "cluster_spread"),
+    "logit_sharpness": (SyntheticSpec, "logit_sharpness"),
+    "loss_strategy": (DistillParams, "loss_strategy"),
+    "sim_strategy": (DistillParams, "sim_strategy"),
+    "fuse_strategy": (DistillParams, "fuse_strategy"),
+    "gmm_max_iter": (GmmConfig, "max_iter"), "gmm_tol": (GmmConfig, "tol"),
+    "variance_floor": (GmmConfig, "variance_floor"), "min_fit_size": (GmmConfig, "min_fit_size"),
+    "meta_lr": (MetaTrainConfig, "lr"), "meta_epochs": (MetaTrainConfig, "epochs"),
+    "meta_batch": (MetaTrainConfig, "batch_size"), "meta_patience": (MetaTrainConfig, "patience"),
+    "meta_hidden": (DistillParams, "meta_hidden"),
+    "warmup_epochs": (TrainConfig, "warmup_epochs"), "rounds": (TrainConfig, "rounds"),
+    "lr": (TrainConfig, "lr"), "lambda_u": (TrainConfig, "lambda_u"),
+    "lambda_r": (TrainConfig, "lambda_r"), "ensemble": (TrainConfig, "ensemble_size"),
+    "hidden": (TrainConfig, "hidden"), "batch_size": (TrainConfig, "batch_size"),
+    "test_fraction": (split_dataset, "test_fraction"),
 }
 
 
@@ -108,18 +84,51 @@ def _parse_noise(text: str) -> NoiseSpec | None:
     return NoiseSpec(kind=kind, rate=rate)
 
 
-def _value_type(kind: type, parse=None):
-    """Read a flag or config value as ``kind``. Its number (a spec's, after
-    the colon) must not hold ``_`` or a non-ASCII character: ``int`` and
-    ``float`` accept both, and no file parser does. A spec must also pass
-    ``parse``; the text is kept, and parsed again where it is used. A
-    number that does not parse gets argparse's own message, from a flag
-    and a config line alike: ``invalid int value: 'x'``."""
+# config key -> parser of its spec; the config keeps the text
+_SPEC_PARSERS = {"noise": _parse_noise, "loss_strategy": ThresholdStrategy.parse,
+                 "sim_strategy": ThresholdStrategy.parse, "fuse_strategy": ThresholdStrategy.parse}
+
+
+def _defaults(*owners) -> dict:
+    """Each key that sets a field of one of ``owners``, with the field's
+    default; a spec key's as its text."""
+    defaults = {}
+    for key, (owner, name) in _FIELDS.items():
+        if owner in owners:
+            f = next(f for f in fields(owner) if f.name == name)
+            value = f.default_factory() if f.default is MISSING else f.default
+            defaults[key] = str(value) if key in _SPEC_PARSERS else value
+    return defaults
+
+
+def _kwargs(cfg: dict, owner) -> dict:
+    """The fields of ``owner`` that config keys set, each spec parsed."""
+    return {name: _SPEC_PARSERS.get(key, lambda text: text)(cfg[key])
+            for key, (of, name) in _FIELDS.items() if of is owner}
+
+
+GENERATE_DEFAULTS = {**_defaults(SyntheticSpec), "noise": "sym:0.4", "seed": 0}
+DISTILL_DEFAULTS = {**_defaults(DistillParams, GmmConfig, MetaTrainConfig), "seed": 0}
+TRAIN_DEFAULTS = {**DISTILL_DEFAULTS, **_defaults(TrainConfig), "test_fraction": 0.2}
+
+
+def _value_reader(key: str, default):
+    """The reader of ``key``'s flag (its argparse ``type``) and config-file
+    value, as ``type(default)``. A number, and a spec's after the colon,
+    must not hold ``_`` or a non-ASCII character: ``int`` and ``float``
+    accept both, and no file parser does. A spec must also pass its key's
+    parser; the text is kept, and parsed again where it is used. A number
+    that does not parse gets argparse's own message, from a flag and a
+    config line alike: ``invalid int value: 'x'``."""
+    kind, parse = type(default), _SPEC_PARSERS.get(key)
+
     def read(text: str):
         try:
-            check_number_text(text.partition(":")[2] if kind is str else text)
             if parse is not None:
+                check_number_text(text.partition(":")[2])
                 parse(text)
+            elif kind is not str:
+                check_number_text(text)
         except (ParseError, ValueError) as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
         try:
@@ -128,17 +137,6 @@ def _value_type(kind: type, parse=None):
             raise argparse.ArgumentTypeError(
                 f"invalid {kind.__name__} value: {text!r}") from None
     return read
-
-
-# config key -> parser of its spec; the spec keys of one subcommand share a parser
-_SPEC_PARSERS = {"noise": _parse_noise,
-                 **dict.fromkeys(_STRATEGY_KEYS, ThresholdStrategy.parse)}
-
-
-def _value_types(defaults: dict) -> dict:
-    """One subcommand's value readers, by declared type."""
-    (parse,) = {_SPEC_PARSERS[key] for key, value in defaults.items() if type(value) is str}
-    return {int: _value_type(int), float: _value_type(float), str: _value_type(str, parse)}
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -167,14 +165,13 @@ def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then the flags. Sets
     ``args.file_keys`` to the keys whose value the file gave."""
     cfg = dict(defaults)
-    readers = _value_types(defaults)
     args.file_keys = set()
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                cfg[key] = readers[type(defaults[key])](raw)
+                cfg[key] = _value_reader(key, defaults[key])(raw)
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from exc
             args.file_keys.add(key)
@@ -189,8 +186,7 @@ def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
 def _field_error_text(exc: FieldError, args: argparse.Namespace) -> str:
     """A config class's range error under the config key or flag that set
     the field; under the field's own name when no key sets it."""
-    key = next((key for key, name in _KEYS_OF.get(exc.owner, {}).items()
-                if name == exc.field), None)
+    key = next((key for key, of in _FIELDS.items() if of == (exc.owner, exc.field)), None)
     if key is None:
         return str(exc)
     if key in args.file_keys:
@@ -199,13 +195,12 @@ def _field_error_text(exc: FieldError, args: argparse.Namespace) -> str:
 
 
 def _distill_params(cfg: dict) -> DistillParams:
-    gmm_kwargs = _kwargs(cfg, _GMM_KEYS)
+    gmm_kwargs = _kwargs(cfg, GmmConfig)
     return DistillParams(
-        loss_gmm=replace(_PARAMS.loss_gmm, **gmm_kwargs),
-        feat_gmm=replace(_PARAMS.feat_gmm, **gmm_kwargs),
-        **{key: ThresholdStrategy.parse(cfg[key]) for key in _STRATEGY_KEYS},
-        meta=MetaTrainConfig(**_kwargs(cfg, _META_KEYS), seed=derive_seed(cfg["seed"], "meta")),
-        **_kwargs(cfg, _PARAMS_KEYS),
+        loss_gmm=replace(LOSS_GMM, **gmm_kwargs), feat_gmm=replace(FEAT_GMM, **gmm_kwargs),
+        meta=MetaTrainConfig(**_kwargs(cfg, MetaTrainConfig),
+                             seed=derive_seed(cfg["seed"], "meta")),
+        **_kwargs(cfg, DistillParams),
     )
 
 
@@ -238,7 +233,7 @@ def _selection_or_none(partition, dataset: Dataset):
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = _effective_config(GENERATE_DEFAULTS, args)
     noise = _parse_noise(cfg["noise"])
-    spec = SyntheticSpec(**_kwargs(cfg, _SPEC_KEYS), seed=derive_seed(cfg["seed"], "synthetic"))
+    spec = SyntheticSpec(**_kwargs(cfg, SyntheticSpec), seed=derive_seed(cfg["seed"], "synthetic"))
     dataset = generate_synthetic(spec)
     if noise is not None:
         noise = replace(noise, seed=derive_seed(cfg["seed"], "noise"))
@@ -280,7 +275,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _effective_config(TRAIN_DEFAULTS, args)
     params = _distill_params(cfg)
-    train_cfg = TrainConfig(**_kwargs(cfg, _TRAIN_KEYS), seed=cfg["seed"])
+    train_cfg = TrainConfig(**_kwargs(cfg, TrainConfig), seed=cfg["seed"])
     # the split holds every row of the table, which is not kept beside it
     train_set, test_set, _, _ = split_dataset(load_sample_table(args.input),
                                               cfg["test_fraction"], cfg["seed"])
@@ -359,12 +354,9 @@ _HELP = {
 
 
 def _add_config_options(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    # a flag keeps its plain type; the parser converts it with that type's reader
-    for kind, read in _value_types(defaults).items():
-        sub.register("type", kind, read)
     for key, default in defaults.items():
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default),
-                         help=_HELP.get(key))
+        sub.add_argument("--" + key.replace("_", "-"), dest=key,
+                         type=_value_reader(key, default), help=_HELP.get(key))
     sub.add_argument("--config", help="flat key = value config file; flags override it")
 
 

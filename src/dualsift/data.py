@@ -63,8 +63,8 @@ class Dataset:
     def __post_init__(self):
         features = np.ascontiguousarray(self.features, dtype=np.float64)
         logits = np.ascontiguousarray(self.logits, dtype=np.float64)
-        noisy = np.ascontiguousarray(self.noisy_labels, dtype=np.int64)
-        true = np.ascontiguousarray(self.true_labels, dtype=np.int64)
+        noisy = np.ascontiguousarray(integral(self.noisy_labels, "noisy_labels"), dtype=np.int64)
+        true = np.ascontiguousarray(integral(self.true_labels, "true_labels"), dtype=np.int64)
         if features.ndim != 2 or logits.ndim != 2:
             raise ValueError("features and logits must be 2-d arrays")
         n = features.shape[0]
@@ -290,6 +290,19 @@ def check_number_text(text: str, line: int | None = None) -> None:
     if "_" in text or not text.isascii():
         bad = next(c for c in text if c == "_" or not c.isascii())
         raise ParseError(f"numeric field holds {bad!r}", line=line)
+
+
+def integral(values, name: str) -> np.ndarray:
+    """``values`` as an array, checked to cast to int64 exactly: a float
+    that is not finite, not integral or past the int64 range raises
+    ValueError naming ``name``, where the cast would truncate 1.7 to 1 or
+    warn on NaN. Integral floats pass."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        ok = (np.trunc(arr) == arr) & (np.abs(arr) < 2.0 ** 63)
+        if not ok.all():
+            raise ValueError(f"{name} must hold finite integers, got {arr[~ok][0]}")
+    return arr
 
 
 def load_sample_table(path: str | Path) -> Dataset:

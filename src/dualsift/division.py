@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ROW_BLOCK, NoisyCluster, check_number_text, id_order, loadtxt_rows,
+from .data import (ROW_BLOCK, NoisyCluster, check_number_text, id_order, integral, loadtxt_rows,
                    read_text_lines, repr_rows)
 from .errors import DegenerateFit, ParseError
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
@@ -130,7 +130,7 @@ class Partition:
     codes: np.ndarray
 
     def __post_init__(self):
-        codes = np.asarray(self.codes)
+        codes = integral(self.codes, "partition codes")
         # range-check before the cast, which would wrap 256 to 0
         if codes.ndim != 1 or ((codes < 0) | (codes >= len(Tag))).any():
             raise ValueError("partition codes must be a 1-D array of Tag values")

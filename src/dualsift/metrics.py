@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .classifier import ToyClassifier, softmax_rows
-from .data import Dataset
+from .data import Dataset, integral
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ def selection_metrics(selected_ids: np.ndarray, clean_mask: np.ndarray) -> Selec
     clean = np.asarray(clean_mask, dtype=bool)
     n = clean.shape[0]
     selected = np.zeros(n, dtype=bool)
-    ids = np.asarray(selected_ids, dtype=np.int64)
+    ids = np.asarray(integral(selected_ids, "selected ids"), dtype=np.int64)
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         raise ValueError("selected id outside the truth range")
     selected[ids] = True

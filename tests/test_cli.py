@@ -75,15 +75,25 @@ def flag(key):
     return "--" + key.replace("_", "-")
 
 
+# a valid value other than the default, by the default's type
+NON_DEFAULT = {int: "7", float: "0.125", str: "percentile:0.3"}
+
+
+def non_default(key, defaults):
+    # noise is the one string key that takes no threshold strategy
+    return "asym:0.3" if key == "noise" else NON_DEFAULT[type(defaults[key])]
+
+
 @pytest.mark.parametrize("name, defaults", [
     ("generate", GENERATE_DEFAULTS), ("distill", DISTILL_DEFAULTS),
     ("train", TRAIN_DEFAULTS), ("evaluate", {}),
 ])
 def test_flags_are_config_keys(name, defaults):
-    # one --<key with dashes> flag per config key, typed as its default
+    # one --<key with dashes> flag per config key, read as its default's type
     subs = next(a for a in build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
-    options = [a for a in subs.choices[name]._actions
+    sub = subs.choices[name]
+    options = [a for a in sub._actions
                if a.option_strings and not isinstance(a, argparse._HelpAction)]
     want = {flag(key) for key in defaults}
     if defaults:
@@ -92,24 +102,36 @@ def test_flags_are_config_keys(name, defaults):
     by_dest = {a.dest: a for a in options}
     for key, default in defaults.items():
         assert by_dest[key].option_strings == [flag(key)]
-        assert by_dest[key].type is type(default) and by_dest[key].default is None
+        assert by_dest[key].default is None
+        # the converter argparse applies to the flag's text
+        read = sub._registry_get("type", by_dest[key].type, by_dest[key].type)
+        assert type(read(non_default(key, defaults))) is type(default)
+        with pytest.raises(argparse.ArgumentTypeError):
+            read("1_0")
 
 
-NON_DEFAULT = {int: "7", float: "0.125", str: "percentile:0.3"}
+# subcommand -> (its arguments before the options, its config defaults)
+COMMANDS = {"generate": (["generate"], GENERATE_DEFAULTS),
+            "distill": (["distill", "DATA"], DISTILL_DEFAULTS),
+            "train": (["train", "DATA"], TRAIN_DEFAULTS)}
 
 
-@pytest.mark.parametrize("key", sorted(TRAIN_DEFAULTS))
-def test_config_file_value_matches_flag(tmp_path, key):
-    raw = NON_DEFAULT[type(TRAIN_DEFAULTS[key])]
+# train's cases keep their bare key as id
+@pytest.mark.parametrize("name, key", [
+    pytest.param(name, key, id=key if name == "train" else f"{name}-{key}")
+    for name, (_, defaults) in COMMANDS.items() for key in sorted(defaults)
+])
+def test_config_file_value_matches_flag(tmp_path, name, key):
+    head, defaults = COMMANDS[name]
+    raw = non_default(key, defaults)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"{key} = {raw}\n")
     parse = build_parser().parse_args
-    head = ["train", "data.csv", "-o", "out"]
-    via_file = _effective_config(TRAIN_DEFAULTS, parse([*head, "--config", str(cfg)]))
-    via_flag = _effective_config(TRAIN_DEFAULTS, parse([*head, flag(key), raw]))
+    via_file = _effective_config(defaults, parse([*head, "-o", "out", "--config", str(cfg)]))
+    via_flag = _effective_config(defaults, parse([*head, "-o", "out", flag(key), raw]))
     assert via_file == via_flag
-    assert via_file[key] != TRAIN_DEFAULTS[key]
-    assert type(via_file[key]) is type(TRAIN_DEFAULTS[key])
+    assert via_file[key] != defaults[key]
+    assert type(via_file[key]) is type(defaults[key])
 
 
 # ------------------------------------------------------------------- generate
@@ -749,6 +771,46 @@ def test_range_error_from_a_flag_over_the_file_names_the_flag(tmp_path, capsys):
     assert run(["distill", data, "--config", tmp_path / "run.cfg", "--meta-lr", "-3",
                 "-o", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == "error: argument --meta-lr: must be positive, got -3.0\n"
+
+
+# a value that the field of each numeric config key refuses; seed has no range
+REFUSED = {"k": "0", "d": "0", "n": "5", "cluster_spread": "0", "logit_sharpness": "0",
+           "gmm_max_iter": "0", "gmm_tol": "0", "variance_floor": "0", "min_fit_size": "0",
+           "meta_lr": "0", "meta_epochs": "0", "meta_batch": "0", "meta_patience": "0",
+           "meta_hidden": "0", "warmup_epochs": "-1", "rounds": "-1", "lr": "0",
+           "lambda_u": "-1", "lambda_r": "-1", "ensemble": "0", "hidden": "0",
+           "batch_size": "0", "test_fraction": "1"}
+
+
+@pytest.fixture(scope="module")
+def range_table(tmp_path_factory):
+    return small_benchmark(tmp_path_factory.mktemp("range"), n=200)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name, key", [
+    pytest.param(name, key, id=f"{name}-{key}")
+    for name, (_, defaults) in COMMANDS.items()
+    for key, default in defaults.items() if type(default) is not str and key != "seed"
+])
+def test_every_numeric_key_names_its_range_error(tmp_path, capsys, range_table, name, key,
+                                                 source):
+    # a key mapped to another field, or to none, names the wrong flag or none
+    head, defaults = COMMANDS[name]
+    argv = [range_table if arg == "DATA" else arg for arg in head]
+    if source == "flag":
+        argv += [flag(key), REFUSED[key]]
+        named = f"argument {flag(key)}"
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key} = {REFUSED[key]}\n", encoding="utf-8")
+        argv += ["--config", tmp_path / "run.cfg"]
+        named = f"config key {key!r}"
+    capsys.readouterr()
+    assert run([*argv, "-o", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}: ")
+    assert err.endswith(f", got {type(defaults[key])(REFUSED[key])}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, raw, kind", [("n", "x", "int"), ("cluster_spread", "1e", "float")])

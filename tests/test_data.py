@@ -552,6 +552,22 @@ def test_dataset_rejects_non_finite(column, bad):
         Dataset(**columns)
 
 
+@pytest.mark.parametrize("column", ["noisy_labels", "true_labels"])
+@pytest.mark.parametrize("bad", [0.5, 1.7, np.nan, np.inf])
+def test_dataset_rejects_labels_that_are_not_finite_integers(column, bad):
+    # the int64 cast used to truncate 1.7 to 1, and only warn on NaN
+    columns = dict(features=np.zeros((3, 2)), logits=np.zeros((3, 2)),
+                   noisy_labels=np.zeros(3), true_labels=np.full(3, -1.0))
+    columns[column][1] = bad
+    with pytest.raises(ValueError, match=f"^{column} must hold finite integers, got "):
+        Dataset(**columns)
+
+
+def test_dataset_takes_integral_float_labels():
+    ds = Dataset(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0.0, 1.0]), np.array([1.0, -1.0]))
+    assert ds.noisy_labels.tolist() == [0, 1] and ds.true_labels.tolist() == [1, -1]
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_generate_deterministic():

@@ -589,6 +589,13 @@ def test_partition_rejects_codes_outside_the_tags(codes):
         Partition(np.array(codes))
 
 
+@pytest.mark.parametrize("codes", [[0.5, 1.9], [0, np.nan], [np.inf], [1e30]])
+def test_partition_rejects_codes_that_are_not_finite_integers(codes):
+    # the int8 cast used to read [0.5, 1.9] as P, N
+    with pytest.raises(ValueError, match="^partition codes must hold finite integers"):
+        Partition(np.array(codes))
+
+
 def test_partition_file_roundtrip(tmp_path):
     part = Partition([Tag.P, Tag.N, Tag.C, Tag.UN, Tag.DROPPED])
     path = tmp_path / "part.csv"

@@ -54,6 +54,18 @@ def test_selection_rates_in_unit_interval():
         assert rep.f1 <= max(rep.precision, rep.recall) + 1e-12
 
 
+@pytest.mark.parametrize("ids", [[0.9], [np.nan], [0.0, 1.5]])
+def test_selection_id_that_is_not_a_finite_integer(ids):
+    # 0.9 used to count as id 0
+    with pytest.raises(ValueError, match="^selected ids must hold finite integers"):
+        selection_metrics(np.array(ids), np.array([True, False]))
+
+
+def test_selection_takes_integral_float_ids():
+    rep = selection_metrics(np.array([1.0]), np.array([True, False]))
+    assert (rep.tp, rep.fp, rep.n_selected) == (0, 1, 1)
+
+
 def test_selection_id_out_of_range():
     with pytest.raises(ValueError):
         selection_metrics(np.array([5]), np.array([True, False]))
