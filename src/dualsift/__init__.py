@@ -10,7 +10,6 @@ from .data import (
     Dataset,
     NoiseKind,
     NoiseSpec,
-    NoisyCluster,
     SyntheticSpec,
     generate_synthetic,
     inject_noise,
@@ -30,7 +29,7 @@ from .division import (
     resolve_threshold,
     write_partition_file,
 )
-from .errors import DegenerateFit, FieldError, MetaStarved, NoCenter, NumericalError, ParseError
+from .errors import DegenerateFit, FieldError, MetaStarved, NumericalError, ParseError
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .metanet import (
     MetaDataset,
@@ -45,7 +44,7 @@ from .metanet import (
 )
 from .metrics import SelectionReport, accuracy, selection_metrics
 from .pipeline import DistillParams, DistillResult, run_distillation
-from .scores import ScoreTable, class_center, score_dataset
+from .scores import ScoreTable, score_dataset
 from .seeding import derive_seed, rng_from
 from .semisup import (
     RoundResult,

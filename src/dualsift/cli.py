@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .data import (
@@ -95,8 +95,7 @@ def _defaults(*owners) -> dict:
     defaults = {}
     for key, (owner, name) in _FIELDS.items():
         if owner in owners:
-            f = next(f for f in fields(owner) if f.name == name)
-            value = f.default_factory() if f.default is MISSING else f.default
+            value = next(f.default for f in fields(owner) if f.name == name)
             defaults[key] = str(value) if key in _SPEC_PARSERS else value
     return defaults
 

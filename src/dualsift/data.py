@@ -123,17 +123,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class NoisyCluster:
-    """Samples sharing one noisy label value."""
-
-    class_id: int
-    member_ids: np.ndarray
-
-    def __len__(self) -> int:
-        return self.member_ids.size
-
-
-@dataclass(frozen=True)
 class NoiseSpec:
     kind: NoiseKind
     rate: float
@@ -193,14 +182,19 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     # the normals are drawn into the output arrays and shifted in place,
     # ROW_BLOCK rows at a time, so no second (N, D) or (N, K) array exists
     features = rng.standard_normal((spec.n, spec.d))
-    features *= spec.cluster_spread
+    with np.errstate(over="ignore"):  # an overflow is reported by Dataset's check below
+        features *= spec.cluster_spread
     logits = rng.standard_normal((spec.n, spec.k))
     logits *= LOGIT_JITTER
     for start in range(0, spec.n, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
         features[block] += centroids[true[block]]
         logits[block] += spec.logit_sharpness * one_hot(true[block], spec.k)
-    return Dataset(features, logits, true, true.copy())
+    try:
+        return Dataset(features, logits, true, true.copy())
+    except ValueError:  # the spec's checks leave an overflowing spread as the one cause
+        raise FieldError(SyntheticSpec, "cluster_spread",
+                         f"must keep the features finite, got {spec.cluster_spread}") from None
 
 
 def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
@@ -225,12 +219,9 @@ def inject_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     return Dataset(dataset.features, dataset.logits, noisy, dataset.true_labels)
 
 
-def partition_by_label(dataset: Dataset) -> list[NoisyCluster]:
-    """Split the sample ids into one cluster per noisy label value."""
-    return [
-        NoisyCluster(class_id=k, member_ids=np.flatnonzero(dataset.noisy_labels == k))
-        for k in range(dataset.num_classes)
-    ]
+def partition_by_label(dataset: Dataset) -> list[np.ndarray]:
+    """One ascending id array per class: item ``k`` holds the ids of noisy label ``k``."""
+    return [np.flatnonzero(dataset.noisy_labels == k) for k in range(dataset.num_classes)]
 
 
 def split_dataset(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, Dataset, np.ndarray, np.ndarray]:

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ROW_BLOCK, NoisyCluster, check_number_text, id_order, integral, loadtxt_rows,
-                   read_text_lines, repr_rows)
+from .data import (ROW_BLOCK, check_number_text, id_order, integral, loadtxt_rows, read_text_lines,
+                   repr_rows)
 from .errors import DegenerateFit, ParseError
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
 from .scores import SCORE_RANGE, ScoreTable, in_range
@@ -158,22 +158,13 @@ class Partition:
         return np.array(PARTITION_TAGS, dtype=object)[self.codes].tolist()
 
 
-def _checked_fit(values: np.ndarray, config: GmmConfig, init: Gmm1d | None):
-    """``fit_gmm1d``, with a collapsed component raised as :class:`DegenerateFit`."""
-    g = fit_gmm1d(values, config, init=init)
-    weight = float(g.weights.min())
-    if weight < MIN_COMPONENT_WEIGHT:
-        raise DegenerateFit(f"component weight {weight:.3g} below {MIN_COMPONENT_WEIGHT}")
-    return g
-
-
 # A cluster's fit in one space, keyed by (class_id, space), space "loss" or "feature".
 Mixtures = dict[tuple[int, str], Gmm1d]
 
 
 def compute_posteriors(
     table: ScoreTable,
-    clusters: list[NoisyCluster],
+    clusters: list[np.ndarray],
     loss_config: GmmConfig = LOSS_GMM,
     feat_config: GmmConfig = FEAT_GMM,
     init: Mixtures | None = None,
@@ -198,19 +189,22 @@ def compute_posteriors(
               ("feature", feat_config, out.sim_score, out.posterior_sim))
     notes: list[str] = []
     fits: Mixtures = {}
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for class_id, ids in enumerate(clusters):
         if ids.size == 0:
             continue
         for space, config, scores, posterior in spaces:
-            key = (cluster.class_id, space)
+            key = (class_id, space)
             raw = scores[ids]
             values = in_range(raw, SCORE_RANGE)
             scaled = values is not raw  # in_range returns what it does not divide
             try:
-                g = _checked_fit(values, config, None if scaled else init.get(key))
+                g = fit_gmm1d(values, config, init=None if scaled else init.get(key))
+                weight = float(g.weights.min())
+                if weight < MIN_COMPONENT_WEIGHT:
+                    raise DegenerateFit(
+                        f"component weight {weight:.3g} below {MIN_COMPONENT_WEIGHT}")
             except DegenerateFit as exc:
-                notes.append(f"gmm_degenerate:class={cluster.class_id}:space={space}:{exc}")
+                notes.append(f"gmm_degenerate:class={class_id}:space={space}:{exc}")
                 continue
             posterior[ids] = posteriors(g, values)
             if not scaled:
@@ -220,7 +214,7 @@ def compute_posteriors(
 
 def divide_dataset(
     table: ScoreTable,
-    clusters: list[NoisyCluster],
+    clusters: list[np.ndarray],
     strategy_loss: ThresholdStrategy,
     strategy_feat: ThresholdStrategy,
 ) -> Partition:
@@ -231,8 +225,7 @@ def divide_dataset(
     cutoff is NaN in a space, stays uncertain, as does an id no cluster covers.
     """
     codes = np.full(table.n, Tag.U, dtype=np.int8)
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for ids in clusters:
         pp, ps = table.posteriors[ids].T
         pos, neg, _ = divide_cluster(pp, ps, resolve_threshold(strategy_loss, pp),
                                      resolve_threshold(strategy_feat, ps))

@@ -12,10 +12,6 @@ class ParseError(Exception):
         super().__init__(message)
 
 
-class NoCenter(Exception):
-    """A class center was requested for an empty cluster."""
-
-
 class DegenerateFit(Exception):
     """Too few or constant values; a two-component mixture cannot be fit."""
 

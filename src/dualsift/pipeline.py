@@ -3,7 +3,7 @@ purified clean/noisy sets, with total fallback behavior on degeneracies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,10 +40,10 @@ class DistillParams:
 
     loss_gmm: GmmConfig = LOSS_GMM
     feat_gmm: GmmConfig = FEAT_GMM
-    loss_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))
-    sim_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))
-    fuse_strategy: ThresholdStrategy = field(default_factory=lambda: ThresholdStrategy.fixed(0.5))
-    meta: MetaTrainConfig = field(default_factory=MetaTrainConfig)
+    loss_strategy: ThresholdStrategy = ThresholdStrategy.fixed(0.5)
+    sim_strategy: ThresholdStrategy = ThresholdStrategy.fixed(0.5)
+    fuse_strategy: ThresholdStrategy = ThresholdStrategy.fixed(0.5)
+    meta: MetaTrainConfig = MetaTrainConfig()
     meta_hidden: int = 10
 
     def __post_init__(self):

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, NoisyCluster
-from .errors import NoCenter
+from .data import Dataset
 
 # Norms below this are treated as zero vectors; similarity defaults to 0.
 _NORM_EPS = 1e-12
@@ -61,14 +60,6 @@ def _cross_entropy_rows(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
         return np.clip(lse - logits[np.arange(logits.shape[0]), labels], 0.0, _MAX_LOSS)
 
 
-def class_center(features: np.ndarray, class_id: int) -> np.ndarray:
-    """Arithmetic mean of the member embeddings of one noisy cluster."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise NoCenter(f"class {class_id} has no members")
-    return features.mean(axis=0)
-
-
 def in_range(values: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
     """``values``, divided by the power of two that brings its largest
     magnitude into [0.5, 1) when that lies outside ``bounds``."""
@@ -88,19 +79,19 @@ def _cosine_rows(features: np.ndarray, center: np.ndarray) -> np.ndarray:
     return sims
 
 
-def score_dataset(dataset: Dataset, clusters: list[NoisyCluster]) -> ScoreTable:
+def score_dataset(dataset: Dataset, clusters: list[np.ndarray]) -> ScoreTable:
     """Fill loss and similarity scores for every sample; posteriors stay unset.
 
-    Empty clusters contribute nothing. Any sample not covered by the given
-    clusters keeps NaN scores.
+    ``clusters`` are ``partition_by_label``'s id arrays; a cluster's centre is
+    the mean of its members' embeddings. Empty clusters contribute nothing.
+    Any sample not covered by the given clusters keeps NaN scores.
     """
     table = ScoreTable.empty(dataset.n)
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for ids in clusters:
         if ids.size == 0:
             continue
         features = in_range(dataset.features[ids], _FEATURE_RANGE)
         table.loss_score[ids] = _cross_entropy_rows(
             dataset.logits[ids], dataset.noisy_labels[ids])
-        table.sim_score[ids] = _cosine_rows(features, class_center(features, cluster.class_id))
+        table.sim_score[ids] = _cosine_rows(features, features.mean(axis=0))
     return table

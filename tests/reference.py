@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from dualsift.classifier import ToyClassifier
-from dualsift.data import (LOGIT_JITTER, Dataset, NoisyCluster, SyntheticSpec, _class_centroids,
-                           _expected_header, partition_by_label)
+from dualsift.data import (LOGIT_JITTER, Dataset, SyntheticSpec, _class_centroids, _expected_header,
+                           partition_by_label)
 from dualsift.division import (MIN_COMPONENT_WEIGHT, Partition, StrategyKind, Tag,
                                ThresholdStrategy, divide_cluster)
 from dualsift.errors import DegenerateFit, NumericalError
@@ -458,15 +458,14 @@ def resolve_threshold(strategy: ThresholdStrategy, values: np.ndarray) -> float:
     return float(vals[min(max(rank, 1), vals.size) - 1])
 
 
-def divide_dataset(table: ScoreTable, clusters: list[NoisyCluster],
+def divide_dataset(table: ScoreTable, clusters: list[np.ndarray],
                    strategy_loss: ThresholdStrategy,
                    strategy_feat: ThresholdStrategy) -> np.ndarray:
     """Partition codes assembled from per-cluster P/N/U id lists, which must
     cover 0..N-1 exactly once; a cluster with no finite posterior in a space
     goes to U whole."""
     parts = ([], [], [])
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for ids in clusters:
         pp = table.posterior_loss[ids]
         ps = table.posterior_sim[ids]
         finite_pp = pp[np.isfinite(pp)]
@@ -494,7 +493,7 @@ def fuse_cutoff(strategy: ThresholdStrategy, fused_uncertain: np.ndarray) -> flo
     return resolve_threshold(strategy, finite) if finite.size else 0.5
 
 
-def warm_posteriors(table: ScoreTable, clusters: list[NoisyCluster], params, previous: dict):
+def warm_posteriors(table: ScoreTable, clusters: list[np.ndarray], params, previous: dict):
     """Posteriors from per-cluster fits by the EM and posterior oracles above.
 
     ``previous`` maps (class_id, space) to the (fit, scaled) pair this
@@ -506,14 +505,13 @@ def warm_posteriors(table: ScoreTable, clusters: list[NoisyCluster], params, pre
     """
     filled = replace(table, posteriors=np.full((table.n, 2), np.nan))
     fits = {}
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for class_id, ids in enumerate(clusters):
         if ids.size == 0:
             continue
         for space, config, scores, out in (
                 ("loss", params.loss_gmm, table.loss_score, filled.posterior_loss),
                 ("feature", params.feat_gmm, table.sim_score, filled.posterior_sim)):
-            key = (cluster.class_id, space)
+            key = (class_id, space)
             scaled = bool(np.abs(scores[ids]).max() > SCORE_RANGE[1])
             values = in_range(scores[ids], SCORE_RANGE)
             before, scaled_before = previous.get(key, (None, False))

@@ -86,8 +86,7 @@ def test_criterion_2_bimodality(warm_state):
     clusters = partition_by_label(derived)
     table = score_dataset(derived, clusters)
     ok_loss = ok_sim = total = 0
-    for cluster in clusters:
-        ids = cluster.member_ids
+    for ids in clusters:
         if ids.size == 0:
             continue
         total += 1

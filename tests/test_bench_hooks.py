@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from dualsift import (NoiseKind, NoiseSpec, SyntheticSpec, cli, division, generate_synthetic,
-                      inject_noise, metanet, partition_by_label, semisup, write_sample_table)
+                      inject_noise, metanet, partition_by_label, pipeline, semisup,
+                      write_sample_table)
 from dualsift.metanet import MetaTrainConfig
 from dualsift.pipeline import DistillParams, run_distillation
 
@@ -75,10 +76,34 @@ def test_traced_call_counts_follow_the_work(monkeypatch):
     meta = MetaTrainConfig(epochs=3, patience=4, batch_size=7)
     result = run_distillation(dataset, DistillParams(meta=meta))
     assert result.fallbacks == []
-    clusters = [c for c in partition_by_label(dataset) if c.member_ids.size]
+    clusters = [ids for ids in partition_by_label(dataset) if ids.size]
     assert calls["fit"] == 2 * len(clusters)
     pairs = result.partition.certain_ids.size
     assert calls["step"] == meta.epochs * math.ceil(pairs / meta.batch_size)
+
+
+def test_tracer_observers_read_what_the_traced_calls_pass():
+    # the tracer splits gmm.loss_fit_s from gmm.feature_fit_s by the
+    # orientation of fit_gmm1d's second argument, and sums metanet.pairs
+    # from build_meta_dataset's result.n; a change to either call must fail here
+    tracing = _load_by_path("tracing")
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=600, seed=2)),
+                           NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=5))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_pass(0)
+        result = pipeline.run_distillation(dataset, DistillParams())
+        tracer.end_pass()
+    finally:
+        tracer.uninstall()
+    spaces = [span[tracing._WORK]["space"] for span in tracer.spans
+              if span[tracing._NAME] == "gmm.fit_gmm1d"]
+    clusters = [ids for ids in partition_by_label(dataset) if ids.size]
+    assert sorted(spaces) == sorted(["SMALLER_MEAN_CLEAN", "LARGER_MEAN_CLEAN"] * len(clusters))
+    metrics = tracer.pass_metrics(0)
+    assert metrics["metanet.pairs"] == result.partition.certain_ids.size > 0
+    assert metrics["trace.unresolved_targets"] == 0
 
 
 def test_trainer_step_counts_follow_the_batches(monkeypatch, tmp_path):

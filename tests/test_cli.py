@@ -764,6 +764,26 @@ def test_range_error_names_its_flag_or_config_key(tmp_path, capsys, argv, config
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["flag", "config"])
+def test_generate_spread_past_the_float64_range_is_a_usage_error(tmp_path, capsys, from_file):
+    # it used to exit 1 with a RuntimeWarning under warnings-as-errors, and
+    # otherwise 2 with a message that named no flag
+    argv = ["generate", "--n", 300, "--k", 3, "--d", 4, "-o", tmp_path / "spread.csv"]
+    if from_file:
+        (tmp_path / "run.cfg").write_text("cluster_spread = 1e308\n", encoding="utf-8")
+        argv += ["--config", tmp_path / "run.cfg"]
+        named = "config key 'cluster_spread'"
+    else:
+        argv += ["--cluster-spread", "1e308"]
+        named = "argument --cluster-spread"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {named}: must keep the features finite, got 1e+308\n"
+    assert not list(tmp_path.glob("spread.csv*"))
+
+
 def test_range_error_from_a_flag_over_the_file_names_the_flag(tmp_path, capsys):
     data = small_benchmark(tmp_path, n=200)
     (tmp_path / "run.cfg").write_text("meta_lr = -2\n", encoding="utf-8")

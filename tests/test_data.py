@@ -2,6 +2,7 @@ import os
 import re
 import stat
 import threading
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import reference
 from dualsift import (
     Dataset,
+    FieldError,
     NoiseKind,
     NoiseSpec,
     ParseError,
@@ -617,6 +619,20 @@ def test_generate_extra_memory_per_row_is_bounded(traced_extra, growth_per_row):
     assert growth_per_row(extra) <= 32
 
 
+def test_generate_spread_past_the_float64_range_names_the_field():
+    # the spec is finite, but 1e308 times a normal draw is not; this used to
+    # warn "overflow encountered in multiply" and fail on the features
+    spec = SyntheticSpec(k=3, d=4, n=300, cluster_spread=1e308, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FieldError) as info:
+            generate_synthetic(spec)
+    assert (info.value.owner, info.value.field) == (SyntheticSpec, "cluster_spread")
+    assert str(info.value) == "cluster_spread must keep the features finite, got 1e+308"
+    wide = SyntheticSpec(k=3, d=4, n=300, cluster_spread=1e200, seed=1)
+    assert_bits_equal(generate_synthetic(wide), reference.generate_synthetic(wide))
+
+
 def test_generate_invalid_spec():
     with pytest.raises(ValueError):
         SyntheticSpec(k=5, d=2, n=3)
@@ -684,9 +700,9 @@ def test_noise_invalid_rate():
 def test_partition_by_label_basic():
     ds = tiny_dataset([0, 1, 0, 1])
     clusters = partition_by_label(ds)
-    assert [c.class_id for c in clusters] == [0, 1]
-    np.testing.assert_array_equal(clusters[0].member_ids, [0, 2])
-    np.testing.assert_array_equal(clusters[1].member_ids, [1, 3])
+    assert len(clusters) == 2
+    np.testing.assert_array_equal(clusters[0], [0, 2])
+    np.testing.assert_array_equal(clusters[1], [1, 3])
 
 
 def test_partition_by_label_degenerate_class():
@@ -706,7 +722,7 @@ def test_partition_by_label_disjoint_cover():
     ds = generate_synthetic(SyntheticSpec(k=7, d=3, n=400, seed=8))
     ds = inject_noise(ds, NoiseSpec(NoiseKind.SYMMETRIC, 0.6, seed=2))
     clusters = partition_by_label(ds)
-    combined = np.concatenate([c.member_ids for c in clusters])
+    combined = np.concatenate(clusters)
     assert np.array_equal(np.sort(combined), np.arange(400))
 
 

@@ -35,7 +35,7 @@ from dualsift import (
     write_partition_file,
 )
 from dualsift import cli, division
-from dualsift.data import ROW_BLOCK, NoisyCluster
+from dualsift.data import ROW_BLOCK
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
 from dualsift.metanet import MetaTrainConfig
@@ -210,7 +210,7 @@ def test_division_and_cutoff_match_reference_on_posterior_tables():
         k, n = int(rng.integers(1, 5)), int(rng.integers(0, 30))
         # labels below ``used`` only: classes from ``used`` up have empty clusters
         labels = rng.integers(0, rng.integers(1, k + 1), n)
-        clusters = [NoisyCluster(c, np.flatnonzero(labels == c)) for c in range(k)]
+        clusters = [np.flatnonzero(labels == c) for c in range(k)]
         table = posterior_table(holed(rng, n), holed(rng, n))
         if rng.random() < 0.5:
             table.posterior_sim[labels == rng.integers(k)] = np.nan
@@ -518,8 +518,8 @@ def test_distillation_passes_its_accepted_fits_on():
                                                                  previous=previous))
         rejected = {(int(note.split(":")[1][6:]), note.split(":")[2][6:])
                     for note in default.fallbacks if note.startswith("gmm_degenerate:")}
-        fitted = {(c.class_id, space) for c in partition_by_label(dataset)
-                  if c.member_ids.size for space in ("loss", "feature")}
+        fitted = {(class_id, space) for class_id, ids in enumerate(partition_by_label(dataset))
+                  if ids.size for space in ("loss", "feature")}
         assert set(default.mixtures) == fitted - rejected
         warm = run_distillation(dataset, params, previous=default)
         assert sorted(warm.mixtures) == sorted(default.mixtures)

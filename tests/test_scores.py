@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dualsift import Dataset, NoCenter, class_center, partition_by_label, score_dataset
+from dualsift import Dataset, partition_by_label, score_dataset
 from reference import cosine_similarity_score, cross_entropy_score
 
 
@@ -57,26 +57,6 @@ def test_cluster_with_zero_mean_embedding_scores_similarity_zero():
     table = score_dataset(ds, partition_by_label(ds))
     assert table.sim_score[:2].tolist() == [0.0, 0.0]
     assert table.sim_score[2] == pytest.approx(1.0)
-
-
-def test_class_center_mean():
-    center = class_center(np.array([[0.0, 0.0], [2.0, 2.0]]), class_id=0)
-    np.testing.assert_allclose(center, [1.0, 1.0])
-
-
-def test_class_center_single_member():
-    v = np.array([[3.0, -1.0, 2.0]])
-    np.testing.assert_allclose(class_center(v, 1), v[0])
-
-
-def test_class_center_symmetric_cancellation():
-    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    np.testing.assert_allclose(class_center(pts, 0), [0.0, 0.0], atol=1e-15)
-
-
-def test_class_center_empty():
-    with pytest.raises(NoCenter):
-        class_center(np.zeros((0, 3)), 2)
 
 
 def test_cosine_self_similarity():
