@@ -4,8 +4,13 @@ The on-disk sample-table format is UTF-8 CSV with header
 ``id,noisy_label,true_label,feat_0..feat_{D-1},logit_0..logit_{K-1}``.
 Floats are serialized with full round-trip precision and a true label of
 -1 marks an absent ground truth. Beside each table it writes, the writer
-leaves a sidecar ``<table>.npz`` holding the table's arrays and the sha256
-of its bytes, which lets a later load skip the parse.
+leaves a sidecar ``<table>.npz`` holding the table's arrays and the table's
+block digest, which lets a later load skip the parse. The block digest is
+the sha256 of the concatenated sha256 digests of the table's 4 MiB blocks;
+the blocks of a larger table are hashed on one thread per usable CPU while
+the calling thread reads or writes the arrays. A sidecar that holds the
+whole-file ``csv_sha256`` of earlier versions is ignored, so its table is
+parsed (about 1 s at 100k rows) until it is written again.
 
 Both text formats, tables and partition files, are read by one vouched
 ``np.loadtxt`` pass (:func:`loadtxt_rows`) and one id check (:func:`id_order`);
@@ -19,6 +24,7 @@ import math
 import os
 import stat
 import tempfile
+import threading
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -313,26 +319,93 @@ def load_sample_table(path: str | Path) -> Dataset:
 
 _SIDECAR_ARRAYS = {"features": np.float64, "logits": np.float64,
                    "noisy_labels": np.int64, "true_labels": np.int64}
-_SIDECAR_DIGEST = "csv_sha256"
+_SIDECAR_DIGEST = "csv_block_sha256"
+# Bytes per block of the table digest; the blocks are hashed in parallel.
+_DIGEST_BLOCK = 4 << 20
 
 
 def _sidecar_path(path: str | Path) -> str:
     return os.fspath(path) + ".npz"
 
 
-def _file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_SCAN_CHUNK), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _hash_blocks(path: str | Path, blocks: range, digests: list, buf: bytearray,
+                 errors: list) -> None:
+    """Put the sha256 of each block of ``path`` numbered in ``blocks`` into
+    ``digests``, reading through ``buf``; the last block runs to EOF. An
+    exception goes to ``errors``, for the caller to raise."""
+    view = memoryview(buf)
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            for i in blocks:
+                fh.seek(i * _DIGEST_BLOCK)
+                digest = hashlib.sha256()
+                # bytes appended since the size was read are hashed too
+                left = _DIGEST_BLOCK if i + 1 < len(digests) else math.inf
+                while left and (got := fh.readinto(view[:min(left, len(view))])):
+                    digest.update(view[:got])
+                    left -= got
+                digests[i] = digest.digest()
+    except Exception as exc:  # raised again in the calling thread
+        errors.append(exc)
+
+
+@contextlib.contextmanager
+def _table_digest(path: str | Path):
+    """Yield a function that gives the block digest of the file at ``path``:
+    the sha256 of the concatenated sha256 digests of its ``_DIGEST_BLOCK``-byte
+    blocks, the last block running to EOF, so a file that grows while it is
+    hashed does not give the digest of its first bytes.
+
+    A file of more than one block is hashed from entry on one thread per
+    usable CPU, never more threads than blocks, each reading into a buffer
+    allocated here; the function waits for them, and exit joins them. A
+    one-block file is hashed by the function in the calling thread. The
+    function raises what hashing raised; a thread that cannot start raises
+    OSError on entry."""
+    blocks = max(1, -(-os.stat(path).st_size // _DIGEST_BLOCK))
+    digests: list[bytes | None] = [None] * blocks
+    errors: list[Exception] = []
+    workers = min(blocks, _usable_cpus())
+    threads = []
+
+    def result() -> str:
+        if not threads:
+            _hash_blocks(path, range(blocks), digests, bytearray(_SCAN_CHUNK), errors)
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        return hashlib.sha256(b"".join(digests)).hexdigest()
+
+    try:
+        if workers > 1:
+            for first in range(workers):
+                thread = threading.Thread(target=_hash_blocks, args=(
+                    path, range(first, blocks, workers), digests, bytearray(_SCAN_CHUNK), errors))
+                try:
+                    thread.start()
+                except RuntimeError as exc:  # no thread to be had: a resource error
+                    raise OSError(f"cannot start a hashing thread: {exc}") from exc
+                threads.append(thread)
+        yield result
+    finally:
+        for thread in threads:
+            thread.join()
 
 
 def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
     """The arrays of the table's sidecar; None unless it is a regular file
     owned by the table's owner, holds exactly the four arrays with the dtypes
-    and the shapes the table's header gives, and names the sha256 of the
-    table's current bytes."""
+    and the shapes the table's header gives, and names the block digest of
+    the table's current bytes. The table is hashed while the arrays are read
+    and checked."""
     sidecar = _sidecar_path(path)
     try:
         info = os.stat(sidecar)
@@ -341,23 +414,23 @@ def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
         with open(path, encoding="ascii") as fh:
             d, k = _parse_header(fh.readline())
         # np.load leaves a file it opened itself open when the zip is bad
-        with open(sidecar, "rb") as fh:
+        with _table_digest(path) as table_digest, open(sidecar, "rb") as fh:
             saved = np.load(fh, allow_pickle=False)
             if not isinstance(saved, np.lib.npyio.NpzFile) \
                     or sorted(saved.files) != sorted([*_SIDECAR_ARRAYS, _SIDECAR_DIGEST]):
                 return None
             digest = saved[_SIDECAR_DIGEST]
-            if digest.shape != () or digest.dtype.kind != "U" \
-                    or digest.item() != _file_sha256(path):
-                return None
             arrays = {name: saved[name] for name in _SIDECAR_ARRAYS}
-        # a header-only table must still fail as having no samples
-        n = arrays["noisy_labels"].size
-        shapes = {"features": (n, d), "logits": (n, k), "noisy_labels": (n,), "true_labels": (n,)}
-        if n == 0 or any(arr.dtype != _SIDECAR_ARRAYS[name] or arr.shape != shapes[name]
-                         for name, arr in arrays.items()):
-            return None
-        return Dataset(**arrays)
+            # a header-only table must still fail as having no samples
+            n = arrays["noisy_labels"].size
+            shapes = {"features": (n, d), "logits": (n, k), "noisy_labels": (n,),
+                      "true_labels": (n,)}
+            if n == 0 or digest.shape != () or digest.dtype.kind != "U" \
+                    or any(arr.dtype != _SIDECAR_ARRAYS[name] or arr.shape != shapes[name]
+                           for name, arr in arrays.items()):
+                return None
+            dataset = Dataset(**arrays)
+            return dataset if digest.item() == table_digest() else None
     except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, ParseError):
         return None
 
@@ -473,14 +546,11 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     When the output is a regular file, the sidecar ``<path>.npz`` is then
     written beside it (see :func:`_write_sidecar`).
     """
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        for chunk in _table_chunks(dataset):
-            fh.write(chunk)
-            digest.update(chunk)
+        fh.writelines(_table_chunks(dataset))
     if regular:
-        _write_sidecar(dataset, path, digest.hexdigest())
+        _write_sidecar(dataset, path)
 
 
 def _table_chunks(dataset: Dataset):
@@ -493,7 +563,7 @@ def _table_chunks(dataset: Dataset):
             (np.arange(start, start + noisy.size), noisy, dataset.true_labels[block])))
         values = repr_rows(np.concatenate(
             (dataset.features[block], dataset.logits[block]), axis=1))
-        yield b"".join([b"%s,%s\n" % row for row in zip(labels, values)])
+        yield b"\n".join(map(b",".join, zip(labels, values))) + b"\n"
 
 
 def repr_rows(block: np.ndarray) -> list[bytes]:
@@ -514,30 +584,33 @@ def repr_rows(block: np.ndarray) -> list[bytes]:
     return rows
 
 
-def _write_sidecar(dataset: Dataset, path: str | Path, digest: str) -> None:
-    """Save the dataset's arrays and ``digest``, the sha256 of the table's
-    bytes, with the table's permission bits, to a temp file beside the table,
-    then move it to ``<path>.npz``. The sidecar only spares a later load its
-    parse, so one that cannot be written is left out.
+def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
+    """Save the dataset's arrays and the block digest of the closed table at
+    ``path`` (see :func:`_table_digest`), with the table's permission bits, to
+    a temp file beside the table, then move it to ``<path>.npz``. The table is
+    hashed while the arrays are written, and the digest goes in last. The
+    sidecar only spares a later load its parse, so one that cannot be written
+    is left out.
 
     Each member holds the bytes ``np.savez`` writes for it: a stored, zip64
     ``<name>.npy`` with the version 1.0 header, then the array's buffer,
     written from a flat ``uint8`` view instead of ``savez``'s ``tobytes``
     copies, so a sidecar costs no memory per row."""
-    arrays = {name: getattr(dataset, name) for name in _SIDECAR_ARRAYS}
-    arrays[_SIDECAR_DIGEST] = np.array(digest)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
-                                   dir=Path(path).parent)
-        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-            for name, arr in arrays.items():
-                with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                    np.lib.format.write_array_header_1_0(
-                        member, np.lib.format.header_data_from_array_1_0(arr))
-                    # reshape(-1) views a C-contiguous array, the 0-d digest
-                    # and 0-row tables included
-                    member.write(arr.reshape(-1).view(np.uint8))
+        with _table_digest(path) as table_digest:
+            fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
+                                       dir=Path(path).parent)
+            with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
+                for name in [*_SIDECAR_ARRAYS, _SIDECAR_DIGEST]:
+                    arr = np.array(table_digest()) if name == _SIDECAR_DIGEST \
+                        else getattr(dataset, name)
+                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
+                        np.lib.format.write_array_header_1_0(
+                            member, np.lib.format.header_data_from_array_1_0(arr))
+                        # reshape(-1) views a C-contiguous array, the 0-d digest
+                        # and 0-row tables included
+                        member.write(arr.reshape(-1).view(np.uint8))
         os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, _sidecar_path(path))
     except OSError:

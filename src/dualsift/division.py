@@ -245,7 +245,7 @@ def write_partition_file(partition: Partition, path: str | Path) -> None:
         for start in range(0, codes.size, ROW_BLOCK):
             tags = _TAG_BYTES[codes[start:start + ROW_BLOCK]]
             ids = repr_rows(np.arange(start, start + tags.size)[:, None])
-            fh.write(b"".join([b"%s,%s\n" % row for row in zip(ids, tags)]))
+            fh.write(b"\n".join(map(b",".join, zip(ids, tags))) + b"\n")
 
 
 def read_partition_file(path: str | Path) -> Partition:

@@ -1,6 +1,9 @@
+import errno
+import hashlib
 import os
 import re
 import stat
+import sys
 import threading
 import warnings
 import zipfile
@@ -314,14 +317,27 @@ def test_writer_matches_oracle_on_block_edges(tmp_path):
         features[row] = EDGE_VALUES[row % len(EDGE_VALUES)], -5e-324
     assert_writer_matches_oracle(ds.with_representation(features, ds.logits), tmp_path)
     # the sidecar names the digest of every block written, not just the first
-    with np.load(sidecar_of(tmp_path / "ours.csv")) as saved:
-        assert saved["csv_sha256"].item() == data._file_sha256(tmp_path / "ours.csv")
+    path = tmp_path / "ours.csv"
+    assert stored_digest(path) == block_digest(path.read_bytes())
 
 
 # ------------------------------------------------------------------- sidecar
 
 def sidecar_of(path):
     return Path(f"{path}.npz")
+
+
+def block_digest(payload):
+    """The table digest of ``payload``, its blocks hashed one after another here."""
+    block = data._DIGEST_BLOCK
+    return hashlib.sha256(b"".join(
+        hashlib.sha256(payload[start:start + block]).digest()
+        for start in range(0, max(len(payload), 1), block))).hexdigest()
+
+
+def stored_digest(path):
+    with np.load(sidecar_of(path)) as saved:
+        return saved["csv_block_sha256"].item()
 
 
 def written_table(tmp_path):
@@ -386,7 +402,13 @@ def save_sidecar(path, **arrays):
 
 
 def wrong_digest(path, saved):
-    save_sidecar(path, **{**saved, "csv_sha256": np.array("0" * 64)})
+    save_sidecar(path, **{**saved, "csv_block_sha256": np.array("0" * 64)})
+
+
+def whole_file_digest(path, saved):
+    # the member of sidecars written before the block digest
+    del saved["csv_block_sha256"]
+    save_sidecar(path, **saved, csv_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()))
 
 
 def missing_key(path, saved):
@@ -432,8 +454,9 @@ def foreign_owner(path, saved, monkeypatch):
     monkeypatch.setattr(os, "stat", owned_by_another)
 
 
-@pytest.mark.parametrize("spoil", [wrong_digest, missing_key, extra_key, int32_labels, wrong_d,
-                                   object_array, truncated, directory, foreign_owner])
+@pytest.mark.parametrize("spoil", [wrong_digest, whole_file_digest, missing_key, extra_key,
+                                   int32_labels, wrong_d, object_array, truncated, directory,
+                                   foreign_owner])
 def test_rejected_sidecar_falls_back_to_the_parse(tmp_path, monkeypatch, spoil):
     ds, path = written_table(tmp_path)
     with np.load(sidecar_of(path)) as npz:
@@ -501,14 +524,14 @@ def test_non_regular_output_gets_no_sidecar(tmp_path):
 
 
 SIDECAR_ENTRIES = {"features": np.float64, "logits": np.float64, "noisy_labels": np.int64,
-                   "true_labels": np.int64, "csv_sha256": np.dtype("<U64")}
+                   "true_labels": np.int64, "csv_block_sha256": np.dtype("<U64")}
 
 
 def test_sidecar_written_by_savez_still_loads(tmp_path, monkeypatch):
     ds, path = written_table(tmp_path)
     sidecar_of(path).unlink()
     save_sidecar(path, **{name: getattr(ds, name) for name in data._SIDECAR_ARRAYS},
-                 csv_sha256=np.array(data._file_sha256(path)))
+                 csv_block_sha256=np.array(block_digest(path.read_bytes())))
     monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
     monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
     assert_bits_equal(load_sample_table(path), ds)
@@ -522,7 +545,7 @@ def test_sidecar_members_are_the_bytes_savez_writes(tmp_path, n):
     with np.load(sidecar_of(path), allow_pickle=False) as saved:
         assert sorted(saved.files) == sorted(SIDECAR_ENTRIES)
         for name, dtype in SIDECAR_ENTRIES.items():
-            want = np.array(data._file_sha256(path)) if name == "csv_sha256" \
+            want = np.array(block_digest(path.read_bytes())) if name == "csv_block_sha256" \
                 else getattr(ds, name)
             assert (saved[name].dtype, saved[name].shape) == (dtype, want.shape)
             assert saved[name].tobytes() == want.tobytes()
@@ -534,6 +557,200 @@ def test_sidecar_members_are_the_bytes_savez_writes(tmp_path, n):
         for name in ours.namelist():
             assert ours.getinfo(name).compress_type == zipfile.ZIP_STORED
             assert ours.read(name) == theirs.read(name)
+
+
+# -------------------------------------------------------------- table digest
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    # the 40-row test table spans 12 blocks, hashed on two threads on any host
+    monkeypatch.setattr(data, "_DIGEST_BLOCK", 512)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs; each must end within 10 s of it."""
+    threads = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    yield threads
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def record_parses(monkeypatch):
+    parses = []
+    real_parse = data._load_sample_table_numpy
+    monkeypatch.setattr(data, "_load_sample_table_numpy",
+                        lambda p: parses.append(p) or real_parse(p))
+    return parses
+
+
+def test_multi_block_table_round_trips_through_the_sidecar(tmp_path, monkeypatch, small_blocks,
+                                                           started):
+    ds, path = written_table(tmp_path)
+    payload = path.read_bytes()
+    assert len(payload) > 10 * data._DIGEST_BLOCK
+    assert stored_digest(path) == block_digest(payload)
+    monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
+    monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
+    assert_bits_equal(load_sample_table(path), ds)
+    # two hashing threads for the write and two for the load
+    assert len(started) == 4
+
+
+@pytest.mark.parametrize("block", ["first", "middle", "last"])
+def test_changed_byte_in_any_block_makes_the_load_parse(tmp_path, monkeypatch, small_blocks,
+                                                        block):
+    ds, path = written_table(tmp_path)
+    payload = bytearray(path.read_bytes())
+    blocks = -(-len(payload) // data._DIGEST_BLOCK)
+    target = {"first": 0, "middle": blocks // 2, "last": blocks - 1}[block]
+    # the last digit of the first data line ending in the target block
+    start = max(target * data._DIGEST_BLOCK, payload.index(b"\n") + 1)
+    at = payload.index(b"\n", start) - 1
+    assert at // data._DIGEST_BLOCK == target
+    payload[at] = ord("0") + (payload[at] - ord("0") + 1) % 10
+    path.write_bytes(payload)
+    parses = record_parses(monkeypatch)
+    loaded = load_sample_table(path)
+    assert parses == [path]
+    assert_bits_equal(loaded, _load_sample_table_lines(path))
+    assert not np.array_equal(loaded.logits, ds.logits)
+
+
+@pytest.mark.parametrize("block", [1 << 20, 64], ids=["one_block", "many_blocks"])
+def test_table_that_grows_after_its_size_is_read_does_not_verify(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(data, "_DIGEST_BLOCK", block)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 2)
+    path = tmp_path / "t.csv"
+    payload = bytes(range(256)) * 4
+    path.write_bytes(payload)
+    real_stat = os.stat
+
+    def stat_then_grow(p, *args, **kwargs):
+        info = real_stat(p, *args, **kwargs)
+        with open(path, "ab") as fh:
+            fh.write(b"\n")
+        return info
+
+    monkeypatch.setattr(os, "stat", stat_then_grow)
+    with data._table_digest(path) as digest:
+        grown = digest()
+    monkeypatch.undo()
+    assert grown != block_digest(payload)
+    # the blocks of the size read, the last one running to the new EOF
+    starts = range(0, len(payload), block)
+    ends = [*starts[1:], None]
+    grown_bytes = payload + b"\n"
+    assert grown == hashlib.sha256(b"".join(
+        hashlib.sha256(grown_bytes[s:e]).digest() for s, e in zip(starts, ends))).hexdigest()
+
+
+def test_oserror_in_a_hashing_thread_means_no_sidecar(tmp_path, monkeypatch, small_blocks,
+                                                      started):
+    ds, path = written_table(tmp_path)
+
+    def open_failing_off_main(file, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise OSError(errno.EIO, "injected read error", file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data, "open", open_failing_off_main, raising=False)
+    parses = record_parses(monkeypatch)
+    assert_bits_equal(load_sample_table(path), ds)
+    assert parses == [path]
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write_sample_table(ds, fresh / "t.csv")
+    assert os.listdir(fresh) == ["t.csv"]
+    assert (fresh / "t.csv").read_bytes() == path.read_bytes()
+    assert len(started) == 2 + 2 + 2
+
+
+def test_thread_that_cannot_start_means_no_sidecar(tmp_path, monkeypatch, small_blocks):
+    ds, path = written_table(tmp_path)
+    real_start = threading.Thread.start
+    starts = []
+
+    def start_once(self):
+        # the second thread finds none to be had
+        if starts:
+            raise RuntimeError("can't start new thread")
+        starts.append(self)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start_once)
+    parses = record_parses(monkeypatch)
+    assert_bits_equal(load_sample_table(path), ds)
+    assert parses == [path]
+    assert not starts[0].is_alive()
+    starts.clear()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    write_sample_table(ds, fresh / "t.csv")
+    assert os.listdir(fresh) == ["t.csv"]
+    assert not starts[0].is_alive()
+
+
+def test_one_block_table_starts_no_thread(tmp_path, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was created")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    # the block count, not the CPU count, bounds the threads
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 8)
+    ds, path = written_table(tmp_path)
+    assert path.stat().st_size <= data._DIGEST_BLOCK
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.npz"]
+    monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
+    monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
+    assert_bits_equal(load_sample_table(path), ds)
+
+
+def test_hashing_threads_are_joined_on_every_path(tmp_path, monkeypatch, small_blocks, started):
+    before = threading.active_count()
+    ds, path = written_table(tmp_path)
+    for _ in range(3):
+        assert_bits_equal(load_sample_table(path), ds)
+    assert threading.active_count() == before
+    # a sidecar refused after the hashing started
+    with np.load(sidecar_of(path)) as npz:
+        saved = dict(npz)
+    extra_key(path, saved)
+    parses = record_parses(monkeypatch)
+    assert_bits_equal(load_sample_table(path), ds)
+    assert parses == [path]
+    assert threading.active_count() == before
+    assert len(started) == 2 * 5
+    assert not any(thread.is_alive() for thread in started)
+
+
+def test_block_digest_under_thread_contention(tmp_path, monkeypatch):
+    # tiny blocks, more threads than CPUs, and a switch at nearly every bytecode
+    monkeypatch.setattr(data, "_DIGEST_BLOCK", 16)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 4 * (os.cpu_count() or 1))
+    payload = np.random.default_rng(0).bytes(4096 + 5)
+    path = tmp_path / "t.bin"
+    path.write_bytes(payload)
+    want = block_digest(payload)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = []
+        for _ in range(50):
+            with data._table_digest(path) as digest:
+                got.append(digest())
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 50
 
 
 def test_write_memory_does_not_grow_with_rows(tmp_path, traced_extra, growth_per_row):
