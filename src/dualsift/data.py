@@ -7,10 +7,11 @@ Floats are serialized with full round-trip precision and a true label of
 leaves a sidecar ``<table>.npz`` holding the table's arrays and the table's
 block digest, which lets a later load skip the parse. The block digest is
 the sha256 of the concatenated sha256 digests of the table's 4 MiB blocks;
-the blocks of a larger table are hashed on one thread per usable CPU while
-the calling thread reads or writes the arrays. A sidecar that holds the
-whole-file ``csv_sha256`` of earlier versions is ignored, so its table is
-parsed (about 1 s at 100k rows) until it is written again.
+the blocks of a larger table are hashed on a thread pool while the calling
+thread reads or writes the arrays, and a writer installs the sidecar only
+if the table's stat is as it left it. A sidecar that holds the whole-file
+``csv_sha256`` of earlier versions is ignored, so its table is parsed
+(about 1 s at 100k rows) until it is written again.
 
 Both text formats, tables and partition files, are read by one vouched
 ``np.loadtxt`` pass (:func:`loadtxt_rows`) and one id check (:func:`id_order`);
@@ -19,12 +20,12 @@ a file the pass refuses goes to its line parser, which owns every error.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
 import stat
 import tempfile
-import threading
 import warnings
 import zipfile
 from dataclasses import dataclass
@@ -335,25 +336,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _hash_blocks(path: str | Path, blocks: range, digests: list, buf: bytearray,
-                 errors: list) -> None:
-    """Put the sha256 of each block of ``path`` numbered in ``blocks`` into
-    ``digests``, reading through ``buf``; the last block runs to EOF. An
-    exception goes to ``errors``, for the caller to raise."""
-    view = memoryview(buf)
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            for i in blocks:
-                fh.seek(i * _DIGEST_BLOCK)
-                digest = hashlib.sha256()
-                # bytes appended since the size was read are hashed too
-                left = _DIGEST_BLOCK if i + 1 < len(digests) else math.inf
-                while left and (got := fh.readinto(view[:min(left, len(view))])):
-                    digest.update(view[:got])
-                    left -= got
-                digests[i] = digest.digest()
-    except Exception as exc:  # raised again in the calling thread
-        errors.append(exc)
+def _block_sha256(path: str | Path, blocks: int, i: int) -> bytes:
+    """The sha256 of block ``i`` of the ``blocks`` blocks of the file at
+    ``path``, read through one ``_SCAN_CHUNK`` buffer; the last block runs to
+    EOF, so bytes appended since the size was read are hashed too."""
+    digest = hashlib.sha256()
+    view = memoryview(bytearray(_SCAN_CHUNK))
+    with open(path, "rb", buffering=0) as fh:
+        fh.seek(i * _DIGEST_BLOCK)
+        left = _DIGEST_BLOCK if i + 1 < blocks else math.inf
+        while left and (got := fh.readinto(view[:min(left, len(view))])):
+            digest.update(view[:got])
+            left -= got
+    return digest.digest()
 
 
 @contextlib.contextmanager
@@ -363,41 +358,31 @@ def _table_digest(path: str | Path):
     blocks, the last block running to EOF, so a file that grows while it is
     hashed does not give the digest of its first bytes.
 
-    A file of more than one block is hashed from entry on one thread per
-    usable CPU, never more threads than blocks, each reading into a buffer
-    allocated here; the function waits for them, and exit joins them. A
-    one-block file is hashed by the function in the calling thread. The
-    function raises what hashing raised; a thread that cannot start raises
-    OSError on entry."""
+    The blocks are hashed from entry on a thread pool of one thread per usable
+    CPU, never more threads than blocks, each block's future carrying its
+    digest or its error, and exit joins the pool; where that is one thread,
+    the function hashes the file in the calling thread instead. It raises
+    the first failing block's error; a thread that cannot start raises
+    OSError on entry. :func:`_write_sidecar` checks the bytes read are its own."""
     blocks = max(1, -(-os.stat(path).st_size // _DIGEST_BLOCK))
-    digests: list[bytes | None] = [None] * blocks
-    errors: list[Exception] = []
     workers = min(blocks, _usable_cpus())
-    threads = []
-
-    def result() -> str:
-        if not threads:
-            _hash_blocks(path, range(blocks), digests, bytearray(_SCAN_CHUNK), errors)
-        for thread in threads:
-            thread.join()
-        if errors:
-            raise errors[0]
-        return hashlib.sha256(b"".join(digests)).hexdigest()
-
-    try:
-        if workers > 1:
-            for first in range(workers):
-                thread = threading.Thread(target=_hash_blocks, args=(
-                    path, range(first, blocks, workers), digests, bytearray(_SCAN_CHUNK), errors))
-                try:
-                    thread.start()
-                except RuntimeError as exc:  # no thread to be had: a resource error
-                    raise OSError(f"cannot start a hashing thread: {exc}") from exc
-                threads.append(thread)
-        yield result
-    finally:
-        for thread in threads:
-            thread.join()
+    block_sha256 = functools.partial(_block_sha256, path, blocks)
+    if workers == 1:
+        yield lambda: hashlib.sha256(b"".join(map(block_sha256, range(blocks)))).hexdigest()
+        return
+    # imported here: it costs a fresh process about 7 ms, which one-block tables never need
+    from concurrent.futures import Future, ThreadPoolExecutor
+    # each thread waits until every block is queued, so the pool starts
+    # ``workers`` threads however soon the first blocks are hashed
+    queued = Future()
+    with ThreadPoolExecutor(workers, initializer=queued.result) as pool:
+        try:
+            digests = pool.map(block_sha256, range(blocks))
+        except RuntimeError as exc:  # no thread to be had: a resource error
+            raise OSError(f"cannot start a hashing thread: {exc}") from exc
+        finally:
+            queued.set_result(None)
+        yield lambda: hashlib.sha256(b"".join(digests)).hexdigest()
 
 
 def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
@@ -440,7 +425,9 @@ def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
 # do not; bytes fields drop a trailing \x00, str.strip() does not. A file
 # holding any of them takes the line parser.
 _LOADTXT_UNSAFE = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
-_SCAN_CHUNK = 1 << 20
+# Characters or bytes per read of a whole-file scan or hash; a hashing thread's
+# arena keeps its buffer, and 1 MiB ones raised peak RSS by about 1.5 MiB.
+_SCAN_CHUNK = 1 << 18
 
 
 def loadtxt_rows(path: str | Path, dtype: np.dtype, skiprows: int = 0) -> np.ndarray | None:
@@ -547,10 +534,11 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     written beside it (see :func:`_write_sidecar`).
     """
     with open(path, "wb") as fh:
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
         fh.writelines(_table_chunks(dataset))
-    if regular:
-        _write_sidecar(dataset, path)
+        fh.flush()
+        written = os.fstat(fh.fileno())
+    if stat.S_ISREG(written.st_mode):
+        _write_sidecar(dataset, path, written)
 
 
 def _table_chunks(dataset: Dataset):
@@ -584,13 +572,18 @@ def repr_rows(block: np.ndarray) -> list[bytes]:
     return rows
 
 
-def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
+def _write_sidecar(dataset: Dataset, path: str | Path, written: os.stat_result) -> None:
     """Save the dataset's arrays and the block digest of the closed table at
     ``path`` (see :func:`_table_digest`), with the table's permission bits, to
     a temp file beside the table, then move it to ``<path>.npz``. The table is
     hashed while the arrays are written, and the digest goes in last. The
     sidecar only spares a later load its parse, so one that cannot be written
     is left out.
+
+    The digest is of the bytes on disk, which another writer may have
+    replaced, so the sidecar is left out unless the table's device, inode,
+    size and mtime after hashing are those of ``written``, its ``fstat``
+    after the last write; a same-size rewrite in one timestamp tick passes.
 
     Each member holds the bytes ``np.savez`` writes for it: a stored, zip64
     ``<name>.npy`` with the version 1.0 header, then the array's buffer,
@@ -611,7 +604,11 @@ def _write_sidecar(dataset: Dataset, path: str | Path) -> None:
                         # reshape(-1) views a C-contiguous array, the 0-d digest
                         # and 0-row tables included
                         member.write(arr.reshape(-1).view(np.uint8))
-        os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        info = os.stat(path)
+        if any(getattr(info, key) != getattr(written, key)
+               for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):
+            raise OSError(f"{path} changed after it was written")
+        os.chmod(tmp, stat.S_IMODE(info.st_mode))
         os.replace(tmp, _sidecar_path(path))
     except OSError:
         if tmp is not None:

@@ -675,6 +675,55 @@ def test_oserror_in_a_hashing_thread_means_no_sidecar(tmp_path, monkeypatch, sma
     assert len(started) == 2 + 2 + 2
 
 
+def test_oserror_hashing_a_one_block_table_means_no_sidecar(tmp_path, monkeypatch):
+    ds, path = written_table(tmp_path)
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    real_open = open
+
+    def table_reads_fail(file, mode="r", *args, **kwargs):
+        # the digest is the one reader that opens a table in binary mode
+        if mode == "rb" and Path(file).suffix == ".csv":
+            raise OSError(errno.EIO, "injected read error", file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was created")
+
+    monkeypatch.setattr(data, "open", table_reads_fail, raising=False)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 8)
+    assert path.stat().st_size <= data._DIGEST_BLOCK
+    parses = record_parses(monkeypatch)
+    assert_bits_equal(load_sample_table(path), ds)
+    assert parses == [path]
+    write_sample_table(ds, fresh / "t.csv")
+    assert os.listdir(fresh) == ["t.csv"]
+    assert (fresh / "t.csv").read_bytes() == path.read_bytes()
+
+
+def test_table_rewritten_before_it_is_hashed_gets_no_sidecar(tmp_path, monkeypatch):
+    ds, path = written_table(tmp_path)
+    other = inject_noise(generate_synthetic(SyntheticSpec(k=3, d=4, n=60, seed=6)),
+                         NoiseSpec(NoiseKind.SYMMETRIC, 0.5, seed=4))
+    write_sample_table(other, path)
+    other_bytes = path.read_bytes()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    real_write_sidecar = data._write_sidecar
+
+    def rewrite_then_write_sidecar(dataset, table, written):
+        # another writer's rows land between the close and the hash
+        Path(table).write_bytes(other_bytes)
+        real_write_sidecar(dataset, table, written)
+
+    monkeypatch.setattr(data, "_write_sidecar", rewrite_then_write_sidecar)
+    assert len(other_bytes) != len(b"".join(data._table_chunks(ds)))
+    write_sample_table(ds, fresh / "t.csv")
+    assert os.listdir(fresh) == ["t.csv"]
+    assert_bits_equal(load_sample_table(fresh / "t.csv"), other)
+
+
 def test_thread_that_cannot_start_means_no_sidecar(tmp_path, monkeypatch, small_blocks):
     ds, path = written_table(tmp_path)
     real_start = threading.Thread.start
