@@ -21,13 +21,12 @@ every output gains the same leading axis.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .data import ROW_BLOCK, check_number_text, read_text_lines, repr_rows
+from .data import ROW_BLOCK, parse_number, read_text_lines, repr_rows
 from .errors import NumericalError, ParseError
 from .seeding import rng_from
 
@@ -248,24 +247,11 @@ def load_classifier_checkpoint(path: str | Path) -> ToyClassifier:
     header = lines[0].split()
     if not header or header[0] != _CHECKPOINT_TAG:
         raise ParseError(f"expected {_CHECKPOINT_TAG!r} checkpoint", line=1)
-    check_number_text(lines[0], line=1)
-    try:
-        dims = tuple(int(v) for v in header[1:])
-    except ValueError as exc:
-        raise ParseError(str(exc), line=1) from exc
+    dims = tuple(parse_number(v, int, 1) for v in header[1:])
     if any(d < 1 for d in dims):
         raise ParseError(f"checkpoint dimensions must be >= 1, got {dims}", line=1)
-    values = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        check_number_text(line, line=lineno)
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if not math.isfinite(values[-1]):
-            raise ParseError("non-finite float value", line=lineno)
+    values = [parse_number(line, float, lineno)
+              for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(dims) != 3:
         raise ParseError(f"expected dimensions D H K, got {dims}", line=1)
     expected = sum(_block_sizes(dims))

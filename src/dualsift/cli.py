@@ -403,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size past memory, e.g. generate --d 3000000000
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,6 +16,8 @@ if the table's stat is as it left it. A sidecar that holds the whole-file
 Both text formats, tables and partition files, are read by one vouched
 ``np.loadtxt`` pass (:func:`loadtxt_rows`) and one id check (:func:`id_order`);
 a file the pass refuses goes to its line parser, which owns every error.
+Every line parser, the checkpoint reader's too, reads each numeric field
+through :func:`parse_number`, the one rule for number text.
 """
 from __future__ import annotations
 
@@ -290,6 +292,22 @@ def check_number_text(text: str, line: int | None = None) -> None:
         raise ParseError(f"numeric field holds {bad!r}", line=line)
 
 
+def parse_number(text: str, kind: type, line: int | None = None) -> int | float:
+    """``kind(text)`` for ``kind`` ``int`` or ``float``, read by the rule of
+    every text format: :func:`check_number_text` first, then a ``ValueError``
+    becomes ParseError and a float must be finite. Each error names ``line``
+    if given. Fields are read in order, so on a line with two faults the
+    first faulty field's error is the one raised."""
+    check_number_text(text, line)
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), line=line) from exc
+    if kind is float and not math.isfinite(value):
+        raise ParseError("non-finite float value", line=line)
+    return value
+
+
 def integral(values, name: str) -> np.ndarray:
     """``values`` as an array, checked to cast to int64 exactly: a float
     that is not finite, not integral or past the int64 range raises
@@ -490,37 +508,26 @@ def _load_sample_table_lines(path: str | Path) -> Dataset:
     rows = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if not rows:
         raise ParseError("no samples")
-    n = len(rows)
-    features = np.empty((n, d))
-    logits = np.empty((n, k))
-    noisy = np.empty(n, dtype=np.int64)
-    true = np.empty(n, dtype=np.int64)
-    ids = np.empty(n, dtype=np.int64)
-    width = 3 + d + k
+    labels = np.empty((len(rows), 3), dtype=np.int64)  # id, noisy_label, true_label
+    values = np.empty((len(rows), d + k))                # features, then logits
     for row_idx, (lineno, line) in enumerate(rows):
         parts = line.split(",")
-        if len(parts) != width:
-            raise ParseError(f"expected {width} fields, got {len(parts)}", line=lineno)
-        check_number_text(line, line=lineno)
+        if len(parts) != 3 + d + k:
+            raise ParseError(f"expected {3 + d + k} fields, got {len(parts)}", line=lineno)
         try:
-            ids[row_idx] = int(parts[0])
-            noisy[row_idx] = int(parts[1])
-            true[row_idx] = int(parts[2])
-            floats = [float(p) for p in parts[3:]]
-        except (ValueError, OverflowError) as exc:
+            labels[row_idx] = [parse_number(p, int, lineno) for p in parts[:3]]
+        except OverflowError as exc:  # an id or label past int64
             raise ParseError(str(exc), line=lineno) from exc
-        if not all(math.isfinite(v) for v in floats):
-            raise ParseError("non-finite float value", line=lineno)
-        if not 0 <= noisy[row_idx] < k:
-            raise ParseError(f"noisy_label {noisy[row_idx]} outside [0, {k})", line=lineno)
-        if not -1 <= true[row_idx] < k:
-            raise ParseError(f"true_label {true[row_idx]} outside [-1, {k})", line=lineno)
-        features[row_idx] = floats[:d]
-        logits[row_idx] = floats[d:]
-    order = id_order(ids)
+        values[row_idx] = [parse_number(p, float, lineno) for p in parts[3:]]
+        _, noisy, true = labels[row_idx]
+        if not 0 <= noisy < k:
+            raise ParseError(f"noisy_label {noisy} outside [0, {k})", line=lineno)
+        if not -1 <= true < k:
+            raise ParseError(f"true_label {true} outside [-1, {k})", line=lineno)
+    order = id_order(labels[:, 0])
     if order is None:
         raise ParseError("sample ids must form 0..N-1 without gaps or duplicates")
-    return Dataset(features[order], logits[order], noisy[order], true[order])
+    return Dataset(values[order, :d], values[order, d:], labels[order, 1], labels[order, 2])
 
 
 def write_sample_table(dataset: Dataset, path: str | Path) -> None:

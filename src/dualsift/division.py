@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (ROW_BLOCK, check_number_text, id_order, integral, loadtxt_rows, read_text_lines,
+from .data import (ROW_BLOCK, id_order, integral, loadtxt_rows, parse_number, read_text_lines,
                    repr_rows)
 from .errors import DegenerateFit, ParseError
 from .gmm import Gmm1d, GmmConfig, Orientation, fit_gmm1d, posteriors
@@ -285,11 +285,7 @@ def _read_partition_lines(path: str | Path) -> Partition:
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError("expected id,tag", line=lineno)
-        check_number_text(parts[0], line=lineno)
-        try:
-            sample_id = int(parts[0])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
+        sample_id = parse_number(parts[0], int, lineno)
         tag = parts[1].strip()
         code = Tag.__members__.get(tag)
         if code is None:

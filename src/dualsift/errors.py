@@ -3,7 +3,7 @@ from __future__ import annotations
 
 
 class ParseError(Exception):
-    """Sample-table or partition file could not be parsed."""
+    """A sample table, partition file or checkpoint could not be parsed."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

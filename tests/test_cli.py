@@ -20,10 +20,11 @@ from dualsift import (
     load_classifier_checkpoint,
     load_sample_table,
     read_partition_file,
+    save_classifier_checkpoint,
     split_dataset,
     write_sample_table,
 )
-from dualsift import division, pipeline
+from dualsift import cli, division, pipeline
 from dualsift.cli import (
     DISTILL_DEFAULTS,
     GENERATE_DEFAULTS,
@@ -677,6 +678,44 @@ def test_evaluate_table_cell_with_underscore_or_non_ascii_digit_is_data_error(
     assert capsys.readouterr().err.startswith("error: line 3: numeric field holds")
 
 
+def _table_with_field(tmp_path, col, text):
+    path = write_truth(tmp_path, [True, False])
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(text if i == col else cell for i, cell in enumerate(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_sample_table, path, 3
+
+
+def _partition_with_id(tmp_path, text):
+    path = tmp_path / "part.csv"
+    path.write_text(f"0,N\n{text},N\n", encoding="utf-8")
+    return read_partition_file, path, 2
+
+
+def _checkpoint_with_line(tmp_path, index, text):
+    path = tmp_path / "clf.txt"
+    save_classifier_checkpoint(ToyClassifier.initialize(2, 3, 2, seed=1), path)
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return load_classifier_checkpoint, path, index + 1
+
+
+@pytest.mark.parametrize("bad", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("make", [
+    lambda tmp_path, bad: _table_with_field(tmp_path, 0, bad),
+    lambda tmp_path, bad: _table_with_field(tmp_path, 1, bad),
+    _partition_with_id,
+    lambda tmp_path, bad: _checkpoint_with_line(tmp_path, 0, f"toyclassifier {bad} 3 2"),
+    lambda tmp_path, bad: _checkpoint_with_line(tmp_path, 1, bad),
+], ids=["table-id", "table-label", "partition-id", "checkpoint-header-dim", "checkpoint-value"])
+def test_every_numeric_field_refuses_underscore_and_non_ascii_digit(tmp_path, make, bad):
+    # int() and float() read 1_0 as 10 and the Arabic-Indic digit one as 1
+    load, path, line = make(tmp_path, bad)
+    with pytest.raises(ParseError, match=f"^line {line}: numeric field holds"):
+        load(path)
+
+
 @pytest.mark.parametrize("argv, config, named", [
     (["generate", "--n", "1_000"], None, "argument --n: numeric field holds '_'"),
     (["generate", "--n", "\u0661\u0660\u0660"], None, "argument --n: numeric field holds"),
@@ -847,6 +886,22 @@ def test_config_number_that_does_not_parse_uses_argparse_wording(tmp_path, capsy
 def test_usage_error_exit_code():
     assert run(["nonsense"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize("stage", ["generate_synthetic", "split_dataset"])
+def test_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys, stage):
+    # the stage is patched to raise: a real allocation past memory would be
+    # granted on a host that overcommits, and then run it out of memory
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    argv = (["generate", "--n", 50, "-o", tmp_path / "out" / "g.csv"] if stage == "generate_synthetic"
+            else ["train", small_benchmark(tmp_path), "-o", tmp_path / "out"])
+    monkeypatch.setattr(cli, stage, refuse)
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 745. GiB for an array\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [
