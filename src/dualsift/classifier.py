@@ -35,23 +35,15 @@ _CHECKPOINT_TAG = "toyclassifier"
 PROB_CLAMP = 1e-7
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    e = np.exp(np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out), out=out)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _block_sizes(dims: tuple[int, int, int]) -> tuple[int, int, int, int]:
     d, h, k = dims
     return d * h, h, h * k, k
-
-
-def _layers(buf: np.ndarray, shape1: tuple[int, ...],
-            shape2: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The augmented matrices of shapes ``W1 ([M,] D+1, H)`` and ``W2 ([M,]
-    H+1, K)`` as views of a buffer laid out as ``flat``."""
-    cut = shape1[-2] * shape1[-1]
-    return buf[..., :cut].reshape(shape1), buf[..., cut:].reshape(shape2)
 
 
 def ones_column_buffer(shape: tuple[int, ...]) -> np.ndarray:
@@ -79,7 +71,8 @@ class ToyClassifier:
                              f"got shape {flat.shape}")
         self.flat = flat
         (d, h, k), lead = self.dims, flat.shape[:-1]
-        self.W1, self.W2 = _layers(flat, lead + (d + 1, h), lead + (h + 1, k))
+        self.W1 = flat[..., :(d + 1) * h].reshape(lead + (d + 1, h))
+        self.W2 = flat[..., (d + 1) * h:].reshape(lead + (h + 1, k))
         self.w1, self.b1 = self.W1[..., :-1, :], self.W1[..., -1, :]
         self.w2, self.b2 = self.W2[..., :-1, :], self.W2[..., -1, :]
 
@@ -123,10 +116,11 @@ class ToyClassifier:
         np.maximum(h1, 0.0, out=h1)
         return h1 @ self.W2, h1
 
-    def forward_blocks(self, x: np.ndarray):
+    def forward_blocks(self, x: np.ndarray, peaks: np.ndarray | None = None):
         """Yields ``(rows, logits, [h | 1])`` of ``forward_folded([x[rows] | 1])``
         for each ``ROW_BLOCK``-row block of a (n, D) table. One ones-column
-        input buffer and one ``[h | 1]`` workspace serve every block."""
+        input buffer and one ``[h | 1]`` workspace serve every block. Each
+        member's largest |activation| folds into its entry of ``peaks``, if given."""
         n, d = x.shape
         x1 = ones_column_buffer((min(n, ROW_BLOCK), d + 1))
         h1 = ones_column_buffer(self.flat.shape[:-1] + (x1.shape[0], self.dims[1] + 1))
@@ -134,20 +128,24 @@ class ToyClassifier:
             rows = slice(start, min(n, start + ROW_BLOCK))
             size = rows.stop - start
             x1[:size, :-1] = x[rows]
-            yield (rows, *self.forward_folded(x1[:size], h1[..., :size, :]))
+            logits, h1_rows = self.forward_folded(x1[:size], h1[..., :size, :])
+            if peaks is not None:  # [h | 1] is rectified; np.maximum keeps a NaN
+                np.maximum(peaks, np.maximum(h1_rows.max(axis=(-2, -1)),
+                                             np.abs(logits).max(axis=(-2, -1))), out=peaks)
+            yield rows, logits, h1_rows
 
 
-def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
+def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray, peaks: np.ndarray | None = None):
     """Member-averaged (logits, hidden activations, softmax probabilities).
 
     The members forward ``x`` through :meth:`ToyClassifier.forward_blocks`
-    into the preallocated outputs, so no ``(M, N, ·)`` stack spans the
-    whole input.
+    (which takes ``peaks``) into the preallocated outputs, so no ``(M, N, ·)``
+    stack spans the whole input.
     """
     _, h, k = ensemble.dims
     n = x.shape[0]
     mean_logits, mean_hidden, mean_probs = np.empty((n, k)), np.empty((n, h)), np.empty((n, k))
-    for rows, logits, h1 in ensemble.forward_blocks(x):
+    for rows, logits, h1 in ensemble.forward_blocks(x, peaks):
         logits.mean(axis=0, out=mean_logits[rows])
         h1[..., :-1].mean(axis=0, out=mean_hidden[rows])
         softmax_rows(logits).mean(axis=0, out=mean_probs[rows])
@@ -155,59 +153,65 @@ def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
 
 
 def backward_folded(net: ToyClassifier, x1: np.ndarray, h1: np.ndarray,
-                    dlogits: np.ndarray) -> np.ndarray:
-    """Parameter gradients, laid out as ``net.flat``, given the loss gradient
-    at the logits of ``net.forward_folded(x1)``, whose ``[h | 1]`` is ``h1``."""
-    grads = np.empty(net.flat.shape)
-    g1, g2 = _layers(grads, net.W1.shape, net.W2.shape)
-    np.matmul(h1.swapaxes(-1, -2), dlogits, out=g2)
+                    dlogits: np.ndarray, grads: ToyClassifier | None = None) -> np.ndarray:
+    """Parameter gradients, in the ``flat`` of ``grads`` (a network laid out as
+    ``net``, allocated when None), given the loss gradient at the logits of
+    ``net.forward_folded(x1)``, whose ``[h | 1]`` is ``h1``."""
+    if grads is None:
+        grads = ToyClassifier(np.empty(net.flat.shape), net.dims)
+    np.matmul(h1.swapaxes(-1, -2), dlogits, out=grads.W2)
     dz1 = dlogits @ net.w2.swapaxes(-1, -2)
     dz1 *= (h1 > 0)[..., :-1]
-    np.matmul(x1.swapaxes(-1, -2), dz1, out=g1)
-    return grads
+    np.matmul(x1.swapaxes(-1, -2), dz1, out=grads.W1)
+    return grads.flat
 
 
 def mixed_grads(
-    clf: ToyClassifier, x1: np.ndarray, nc: int,
-    targets: np.ndarray, guesses: np.ndarray,
+    clf: ToyClassifier, x1: np.ndarray, nc: int, targets: np.ndarray, guesses: np.ndarray,
     lambda_u: float, lambda_r: float, h1: np.ndarray | None = None,
+    grads: ToyClassifier | None = None,
 ) -> np.ndarray:
     """Analytic parameter gradients of the mixed loss on one batch.
 
     ``x1`` is the joint ([M,] n, D+1) batch, ending in a ones column: its
     first ``nc`` rows are the labeled group, with ``targets``, and the rest
-    the unlabeled group, with ``guesses``. ``h1`` is the optional ``[h | 1]``
-    workspace of :meth:`ToyClassifier.forward_folded`. Loss = cross-entropy
-    on the labeled group + lambda_u * mean squared error on the unlabeled
-    group + lambda_r * KL(uniform || mean batch prediction). Either group may
-    be empty. For a stacked model the batches are ``(M, n, ·)`` stacks and
-    the gradients gain the member axis. A plain cross-entropy batch (no
-    unlabeled group, lambda_r = 0) skips the probability-space terms, which
-    are exactly zero there.
+    the unlabeled group, with ``guesses``. ``h1`` and ``grads`` are the
+    optional workspaces of :meth:`ToyClassifier.forward_folded` and
+    :func:`backward_folded`. Loss = cross-entropy on the labeled group +
+    lambda_u * mean squared error on the unlabeled group + lambda_r *
+    KL(uniform || mean batch prediction). Either group may be empty. For a
+    stacked model the batches are ``(M, n, ·)`` stacks and the gradients
+    gain the member axis. A plain cross-entropy batch (no unlabeled group,
+    lambda_r = 0) skips the probability-space terms, which are exactly zero
+    there.
     """
     n_all = x1.shape[-2]
     nu = n_all - nc
     if n_all == 0:
         raise ValueError("both batch groups are empty")
     logits, h1 = clf.forward_folded(x1, h1)
-    p = softmax_rows(logits)
+    p = softmax_rows(logits, out=logits)
     if nc and not nu and not lambda_r:
-        return backward_folded(clf, x1, h1, (p - targets) / nc)
+        p -= targets
+        p /= nc
+        return backward_folded(clf, x1, h1, p, grads)
 
-    dlogits = np.zeros_like(p)
     # gradient of terms that act through the probabilities
     gp = np.zeros_like(p)
-    if nc:
-        dlogits[..., :nc, :] += (p[..., :nc, :] - targets) / nc
     if nu:
         gp[..., nc:, :] += lambda_u * 2.0 * (p[..., nc:, :] - guesses) / nu
     if lambda_r:
         mean_pred = p.sum(axis=-2, keepdims=True) / n_all
         gp += lambda_r * (-(1.0 / clf.num_classes) / np.maximum(mean_pred, PROB_CLAMP)) / n_all
 
-    # softmax Jacobian-vector product, per row
-    dlogits += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-    return backward_folded(clf, x1, h1, dlogits)
+    # softmax Jacobian-vector product, per row, in place; + 0.0 turns a -0.0
+    # into the +0.0 a zero-filled sum gives, before the labeled rows' term
+    gp -= (gp * p).sum(axis=-1, keepdims=True)
+    gp *= p
+    gp += 0.0
+    if nc:
+        gp[..., :nc, :] += (p[..., :nc, :] - targets) / nc
+    return backward_folded(clf, x1, h1, gp, grads)
 
 
 def apply_sgd_step(clf: ToyClassifier, grads: np.ndarray, lr: float) -> None:

@@ -90,16 +90,16 @@ def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
 
 
 def meta_grads(net: ToyClassifier, x1: np.ndarray, labels: np.ndarray,
-               h1: np.ndarray | None = None) -> np.ndarray:
+               h1: np.ndarray | None = None, grads: ToyClassifier | None = None) -> np.ndarray:
     """Analytic parameter gradients of the mean BCE over the batch.
 
-    ``x1`` is the (n, 3) batch of posterior pairs ending in a ones column,
-    ``labels`` its (n,) float64 labels, and ``h1`` the optional ``[h | 1]``
-    workspace of :meth:`ToyClassifier.forward_folded`.
+    ``x1`` is the (n, 3) batch of posterior pairs ending in a ones column and
+    ``labels`` its (n,) float64 labels; ``h1`` and ``grads`` are the optional
+    workspaces of :meth:`ToyClassifier.forward_folded` and :func:`backward_folded`.
     """
     logits, h1 = net.forward_folded(x1, h1)
     p = _sigmoid(logits[:, 0])
-    return backward_folded(net, x1, h1, ((p - labels) / x1.shape[0])[:, None])
+    return backward_folded(net, x1, h1, ((p - labels) / x1.shape[0])[:, None], grads)
 
 
 # bench/tracing.py counts meta steps at this name
@@ -112,8 +112,9 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     A dataset of more than ``MAX_PAIRS`` pairs is first replaced by a seeded
     uniform subsample of ``MAX_PAIRS`` of them, drawn without replacement;
     a smaller one is used whole. The ones column is appended to the pairs
-    once. Early-stops after ``patience`` epochs without an improvement of at
-    least ``MIN_DELTA`` in the training BCE.
+    once, and the steps share their workspaces. Early-stops after
+    ``patience`` epochs without an improvement of at least ``MIN_DELTA`` in
+    the training BCE.
     Raises NumericalError when a step overflows or turns invalid.
     """
     if data.n == 0:
@@ -124,9 +125,13 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     rng = rng_from(config.seed, "meta-shuffle")
     pairs1 = with_ones(data.inputs)
     h1 = ones_column_buffer((min(config.batch_size, data.n), net.dims[1] + 1))
+    grads = ToyClassifier(np.empty(net.flat.shape), net.dims)
     net = net.copy()
     best = net.copy()
-    best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+
+    def bce() -> float:  # the training BCE of ``net`` as it stands, over ``pairs1``
+        return _mean_bce(_sigmoid(net.forward_folded(pairs1)[0][:, 0]), data.labels)
+    best_loss = bce()
     stale = 0
     with trap_divergence("meta training"):
         for _ in range(config.epochs):
@@ -135,9 +140,9 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
             for start in range(0, data.n, config.batch_size):
                 batch = slice(start, start + config.batch_size)
                 x1 = inputs[batch]
-                grads = meta_loss_and_grads(net, x1, labels[batch], h1[:x1.shape[0]])
-                apply_sgd_step(net, grads, config.lr)
-            epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
+                step = meta_loss_and_grads(net, x1, labels[batch], h1[:x1.shape[0]], grads)
+                apply_sgd_step(net, step, config.lr)
+            epoch_loss = bce()
             if epoch_loss < best_loss - MIN_DELTA:
                 stale = 0
             else:

@@ -62,15 +62,19 @@ def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> ToyC
     ])
 
 
-def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray):
+def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray, stage: str):
     """Scoring snapshot: averaged logits, centered averaged embedding, averaged probs.
 
     The rectifier keeps raw activations in the positive orthant, which
     compresses all cosine similarities toward 1 and leaves the two mixture
     components barely separated; centering on the batch mean restores the
-    spread. The embedding is centered in place.
+    spread. The embedding is centered in place. The same pass raises
+    NumericalError naming ``stage``, the stage that trained the ensemble,
+    when a member's activations on ``x`` pass ``MAX_ACTIVATION`` or are NaN.
     """
-    logits, hidden, probs = ensemble_outputs(ensemble, x)
+    peaks = np.zeros(len(ensemble.flat))
+    logits, hidden, probs = ensemble_outputs(ensemble, x, peaks)
+    _check_alive(ensemble, x, stage, peaks)
     hidden -= hidden.mean(axis=0)
     return logits, hidden, probs
 
@@ -83,15 +87,15 @@ def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
                      for rng in rngs], axis=1)
 
 
-def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
+def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str,
+                 peaks: np.ndarray | None = None) -> None:
     """Raise NumericalError when a member's activations on ``x`` left the
-    safe range (or stopped being finite)."""
-    peaks = np.zeros(len(ensemble.flat))
-    for _, logits, h1 in ensemble.forward_blocks(x):
-        # [h | 1] is rectified, and its ones column stays below the bound;
-        # np.maximum keeps a NaN, which then fails the bound below
-        peaks = np.maximum(peaks, np.maximum(h1.max(axis=(1, 2)),
-                                             np.abs(logits).max(axis=(1, 2))))
+    safe range (or stopped being finite). Given the members' ``peaks`` from a
+    pass over ``x`` already made, it makes none of its own."""
+    if peaks is None:
+        peaks = np.zeros(len(ensemble.flat))
+        for _ in ensemble.forward_blocks(x, peaks):
+            pass
     for m, peak in enumerate(peaks):
         if not peak <= MAX_ACTIVATION:
             raise NumericalError(
@@ -110,8 +114,8 @@ def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
     # each step's labeled then unlabeled rows are gathered from ``features``
     # through the ids into one joint batch of a ones-column buffer, so each
     # step reads views and no copy spans the epoch. The buffer and the
-    # steps' [h | 1] workspace are allocated once per epoch. An empty group
-    # draws nothing and adds no rows.
+    # steps' [h | 1] and gradient workspaces are allocated once per epoch. An
+    # empty group draws nothing and adds no rows.
     nc, nu = lab_ids.shape[0], unl_ids.shape[0]
     steps = -(-(nc + nu) // batch_size)
     lab_idx = _epoch_batches(nc, batch_size, rngs, steps)
@@ -121,6 +125,7 @@ def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
     chunk = max(1, ROW_BLOCK // batch_size)
     x1 = ones_column_buffer((min(chunk, steps), members, nbl + nbu, d + 1))
     h1 = ones_column_buffer((members, nbl + nbu, ensemble.dims[1] + 1))
+    grads = ToyClassifier(np.empty(ensemble.flat.shape), ensemble.dims)
     for first in range(0, steps, chunk):
         lab, unl = lab_idx[first:first + chunk], unl_idx[first:first + chunk]
         x1_all = x1[:lab.shape[0]]
@@ -128,9 +133,9 @@ def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
         x1_all[..., nbl:, :d] = features[unl_ids[unl]]
         tl_all, qu_all = targets[lab], guesses[unl]
         for s in range(lab.shape[0]):
-            grads = mixed_loss_and_grads(ensemble, x1_all[s], nbl, tl_all[s], qu_all[s],
-                                         lambda_u, lambda_r, h1)
-            apply_sgd_step(ensemble, grads, lr)
+            step = mixed_loss_and_grads(ensemble, x1_all[s], nbl, tl_all[s], qu_all[s],
+                                        lambda_u, lambda_r, h1, grads)
+            apply_sgd_step(ensemble, step, lr)
 
 
 def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> ToyClassifier:
@@ -139,7 +144,8 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     Runs ``config.warmup_epochs`` epochs. Each member shuffles with its own
     derived seed so the members stay decorrelated. Raises NumericalError
     when a step overflows or turns invalid, or when a member ends past
-    ``MAX_ACTIVATION`` on the training set.
+    ``MAX_ACTIVATION`` on the training set: checked here when
+    ``config.rounds`` is 0, and otherwise by round 0's scoring snapshot.
     """
     targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     seed = derive_seed(config.seed, "warmup")
@@ -152,7 +158,8 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
                 ensemble, dataset.features, all_ids, targets,
                 no_ids, np.zeros((0, dataset.num_classes)),
                 0.0, 0.0, config.lr, config.batch_size, rngs)
-        _check_alive(ensemble, dataset.features, "warm-up")
+        if not config.rounds:
+            _check_alive(ensemble, dataset.features, "warm-up")
     return ensemble
 
 
@@ -161,6 +168,8 @@ class RoundResult:
     ensemble: ToyClassifier
     # the round's distillation pass, for the next round to start from
     distilled: DistillResult
+    # the next round's scoring snapshot, from the pass that checked ``ensemble``
+    snapshot: tuple | None = None
 
 
 def distill_round(
@@ -169,7 +178,7 @@ def distill_round(
     train_config: TrainConfig,
     params: DistillParams,
     round_index: int = 0,
-    previous: DistillResult | None = None,
+    previous: RoundResult | None = None,
 ) -> RoundResult:
     """One distillation iteration with a frozen scoring snapshot.
 
@@ -178,13 +187,20 @@ def distill_round(
     labels on the clean set with the fused score, co-guesses targets for
     the noisy set, and finally takes one SGD epoch per member on the
     combined loss against the frozen targets. The pass warm-starts from
-    ``previous`` (the previous round's ``distilled``), as ``run_distillation``
-    describes. Raises NumericalError when a step overflows or turns
-    invalid, or when a member ends past ``MAX_ACTIVATION`` on ``dataset``.
+    ``previous.distilled``, as ``run_distillation`` describes, and scores
+    with ``previous.snapshot`` when that round returned ``ensemble``; the
+    round takes the snapshot over and frees it. Raises NumericalError when
+    a step overflows or turns invalid, or when a member is past
+    ``MAX_ACTIVATION`` on ``dataset`` before or after the round.
     """
-    mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
+    snapshot, before = None, (f"round {round_index - 1}" if round_index else "warm-up")
+    if previous is not None and previous.ensemble is ensemble:
+        snapshot, previous.snapshot = previous.snapshot, None  # taken over
+    with trap_divergence(before):
+        snapshot = snapshot or ensemble_representation(ensemble, dataset.features, before)
+    mean_logits, embedding, mean_probs = snapshot
     derived = dataset.with_representation(embedding, mean_logits)
-    result = run_distillation(derived, params, previous)
+    result = run_distillation(derived, params, previous and previous.distilled)
     partition, table = result.partition, result.table
 
     clean_ids = partition.clean_ids
@@ -197,11 +213,17 @@ def distill_round(
 
     rngs = [rng_from(train_config.seed, f"round-{round_index}-member-{m}")
             for m in range(len(ensemble.flat))]
-    ensemble = ensemble.copy()
-    with trap_divergence(f"round {round_index}"):
+    ensemble, stage = ensemble.copy(), f"round {round_index}"
+    with trap_divergence(stage):
         _train_epoch_mixed(
             ensemble, dataset.features, clean_ids, refined, noisy_ids, guessed,
             train_config.lambda_u, train_config.lambda_r,
             train_config.lr, train_config.batch_size, rngs)
-        _check_alive(ensemble, dataset.features, f"round {round_index}")
+        # one snapshot at a time: this round's, and its targets, are freed
+        # before the check takes the next
+        del snapshot, mean_logits, embedding, mean_probs, derived, refined, guessed
+        if round_index + 1 < train_config.rounds:
+            return RoundResult(ensemble, result,
+                               ensemble_representation(ensemble, dataset.features, stage))
+        _check_alive(ensemble, dataset.features, stage)
     return RoundResult(ensemble, result)

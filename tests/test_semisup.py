@@ -380,7 +380,7 @@ def test_representation_peak_memory_is_its_outputs_plus_a_few_blocks():
     block = members * ROW_BLOCK * (h + 2 * k) * 8
     tracemalloc.start()
     try:
-        semisup.ensemble_representation(stack, x)
+        semisup.ensemble_representation(stack, x, "warm-up")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,7 +427,10 @@ def same_bits(a, b) -> bool:
                           np.where(np.isnan(b), 0.0, b).view(np.uint64))
 
 
-MIXED_CASES = ("warmup", "round", "no_labeled", "p_equals_targets", "nan")
+MIXED_CASES = ("warmup", "round", "no_labeled", "p_equals_targets", "nan", "p_equals_guesses",
+               "zero_lambda_u", "underflowing_lambda_r", "subnormal_target")
+# the signed-zero edges of the in-place gradient that need an unlabeled group
+UNLABELED_EDGES = ("p_equals_guesses", "zero_lambda_u", "underflowing_lambda_r")
 
 
 @settings(max_examples=80, deadline=None)
@@ -440,10 +443,17 @@ MIXED_CASES = ("warmup", "round", "no_labeled", "p_equals_targets", "nan")
 @example(case="p_equals_targets", plain=False, stacked=False, nc=6, nu=4, seed=4)
 @example(case="nan", plain=True, stacked=True, nc=5, nu=1, seed=5)
 @example(case="nan", plain=False, stacked=True, nc=5, nu=3, seed=6)
+@example(case="p_equals_guesses", plain=True, stacked=True, nc=3, nu=6, seed=7)
+@example(case="zero_lambda_u", plain=False, stacked=False, nc=4, nu=5, seed=8)
+@example(case="zero_lambda_u", plain=True, stacked=True, nc=2, nu=7, seed=9)
+@example(case="underflowing_lambda_r", plain=False, stacked=True, nc=5, nu=2, seed=10)
+@example(case="subnormal_target", plain=False, stacked=True, nc=6, nu=6, seed=11)
+@example(case="subnormal_target", plain=True, stacked=False, nc=7, nu=1, seed=12)
 def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, seed):
     # "plain" asks for the warm-up shape (no unlabeled group, lambda_r = 0)
-    # where the case allows it; all four gradients must carry the oracle's
-    # bits, NaN positions included
+    # where the case allows it, and pairs an unlabeled-group edge with a KL
+    # weight that underflows; all four gradients must carry the oracle's
+    # bits, NaN positions and the sign of every zero included
     rng = np.random.default_rng(seed)
     d, hidden, k = 5, 7, 4
     if stacked:
@@ -455,6 +465,10 @@ def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, see
     lambda_u, lambda_r = 3.0, 1.0
     if case == "no_labeled":
         nc, lambda_r = 0, float(not plain)
+    elif case in UNLABELED_EDGES:
+        # 0.0 times a negative p - g is -0.0, and so is a KL term of 5e-324
+        lambda_u = 0.0 if case == "zero_lambda_u" else lambda_u
+        lambda_r = 5e-324 if plain or case == "underflowing_lambda_r" else lambda_r
     elif case == "warmup" or (plain and case != "round"):
         nu, lambda_u, lambda_r = 0, 0.0, 0.0
     xl = rng.normal(scale=3.0, size=lead + (nc, d))
@@ -464,10 +478,22 @@ def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, see
     else:
         targets = rng.dirichlet(np.ones(k), lead + (nc,))
     guesses = rng.dirichlet(np.ones(k), lead + (nu,))
+    if case == "subnormal_target":
+        # biases far below class 0's put the other classes' probabilities
+        # below the normal range (class 1), at 0 (class 3) or either (class 2)
+        clf.b2[...] = [0.0, -720.0, -740.0, -760.0]
+    probs = reference.softmax_rows(reference.forward(clf, np.concatenate([xl, xu], axis=-2))[0])
     if case == "p_equals_targets":
-        logits, _ = reference.forward(clf, np.concatenate([xl, xu], axis=-2))
         rows = rng.random(nc) < 0.5
-        targets[..., rows, :] = reference.softmax_rows(logits)[..., :nc, :][..., rows, :]
+        targets[..., rows, :] = probs[..., :nc, :][..., rows, :]
+    if case == "p_equals_guesses":
+        rows = rng.random(nu) < 0.5
+        guesses[..., rows, :] = probs[..., nc:, :][..., rows, :]
+    if case == "subnormal_target":
+        # one subnormal step above p, p - t is -5e-324, and its quotient by
+        # nc > 1 the -0.0 cross-entropy term; p * (gp - s) is -0.0 where p is 0
+        p = probs[..., :nc, :]
+        targets = np.where(p < 1e-300, np.nextafter(p, np.inf), targets)
     if case == "nan":
         for arr in (xl, targets, xu):
             if arr.size:
