@@ -116,11 +116,10 @@ class ToyClassifier:
         np.maximum(h1, 0.0, out=h1)
         return h1 @ self.W2, h1
 
-    def forward_blocks(self, x: np.ndarray, peaks: np.ndarray | None = None):
+    def forward_blocks(self, x: np.ndarray):
         """Yields ``(rows, logits, [h | 1])`` of ``forward_folded([x[rows] | 1])``
         for each ``ROW_BLOCK``-row block of a (n, D) table. One ones-column
-        input buffer and one ``[h | 1]`` workspace serve every block. Each
-        member's largest |activation| folds into its entry of ``peaks``, if given."""
+        input buffer and one ``[h | 1]`` workspace serve every block."""
         n, d = x.shape
         x1 = ones_column_buffer((min(n, ROW_BLOCK), d + 1))
         h1 = ones_column_buffer(self.flat.shape[:-1] + (x1.shape[0], self.dims[1] + 1))
@@ -128,24 +127,20 @@ class ToyClassifier:
             rows = slice(start, min(n, start + ROW_BLOCK))
             size = rows.stop - start
             x1[:size, :-1] = x[rows]
-            logits, h1_rows = self.forward_folded(x1[:size], h1[..., :size, :])
-            if peaks is not None:  # [h | 1] is rectified; np.maximum keeps a NaN
-                np.maximum(peaks, np.maximum(h1_rows.max(axis=(-2, -1)),
-                                             np.abs(logits).max(axis=(-2, -1))), out=peaks)
-            yield rows, logits, h1_rows
+            yield (rows, *self.forward_folded(x1[:size], h1[..., :size, :]))
 
 
-def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray, peaks: np.ndarray | None = None):
+def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
     """Member-averaged (logits, hidden activations, softmax probabilities).
 
     The members forward ``x`` through :meth:`ToyClassifier.forward_blocks`
-    (which takes ``peaks``) into the preallocated outputs, so no ``(M, N, ·)``
-    stack spans the whole input.
+    into the preallocated outputs, so no ``(M, N, ·)`` stack spans the whole
+    input.
     """
     _, h, k = ensemble.dims
     n = x.shape[0]
     mean_logits, mean_hidden, mean_probs = np.empty((n, k)), np.empty((n, h)), np.empty((n, k))
-    for rows, logits, h1 in ensemble.forward_blocks(x, peaks):
+    for rows, logits, h1 in ensemble.forward_blocks(x):
         logits.mean(axis=0, out=mean_logits[rows])
         h1[..., :-1].mean(axis=0, out=mean_hidden[rows])
         softmax_rows(logits).mean(axis=0, out=mean_probs[rows])

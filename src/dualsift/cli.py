@@ -284,17 +284,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     can_score = test_set.n > 0 and test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)
-    warmed = ensemble = warmup(ensemble, train_set, train_cfg)
+    ensemble = warmup(ensemble, train_set, train_cfg)
+    warmup_acc = ensemble_accuracy(ensemble, test_set) if can_score else None
 
     per_round = []
     fallbacks: list[str] = []
     # each round's pass starts from the previous round's; the meta net of
     # round 0 and of a round after a starved one starts from the seeded draw
-    distilled = result = None
+    distilled = None
     for r in range(train_cfg.rounds):
         start = "seeded" if getattr(distilled, "meta_net", None) is None else "previous_round"
         result = distill_round(ensemble, train_set, train_cfg, params, round_index=r,
-                               previous=result)
+                               previous=distilled)
         ensemble, distilled = result.ensemble, result.distilled
         fallbacks.extend(f"round={r}:{note}" for note in distilled.fallbacks)
         per_round.append({
@@ -304,8 +305,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             "selection": _selection_or_none(distilled.partition, train_set),
             "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None,
         })
-    # round 0's snapshot checks the warm-up ensemble, so it is scored after that
-    warmup_acc = ensemble_accuracy(warmed, test_set) if can_score else None
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -35,8 +35,13 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def meta_scores(net: ToyClassifier, pairs: np.ndarray) -> np.ndarray:
-    """Fused scores for a (n, 2) batch of posterior pairs."""
-    return _sigmoid(net.forward_folded(with_ones(pairs))[0][:, 0])
+    """Fused scores for a (n, 2) array of posterior pairs, forwarded through
+    :meth:`ToyClassifier.forward_blocks`: the hidden layer never spans the
+    array, and each score has the bits of a whole-array call. A NaN pair scores NaN."""
+    scores = np.empty(pairs.shape[0])
+    for rows, logits, _ in net.forward_blocks(pairs):
+        scores[rows] = _sigmoid(logits[:, 0])
+    return scores
 
 
 @dataclass(frozen=True)
@@ -128,10 +133,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
     grads = ToyClassifier(np.empty(net.flat.shape), net.dims)
     net = net.copy()
     best = net.copy()
-
-    def bce() -> float:  # the training BCE of ``net`` as it stands, over ``pairs1``
-        return _mean_bce(_sigmoid(net.forward_folded(pairs1)[0][:, 0]), data.labels)
-    best_loss = bce()
+    best_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
     stale = 0
     with trap_divergence("meta training"):
         for _ in range(config.epochs):
@@ -142,7 +144,7 @@ def train_meta(net: ToyClassifier, data: MetaDataset, config: MetaTrainConfig) -
                 x1 = inputs[batch]
                 step = meta_loss_and_grads(net, x1, labels[batch], h1[:x1.shape[0]], grads)
                 apply_sgd_step(net, step, config.lr)
-            epoch_loss = bce()
+            epoch_loss = _mean_bce(meta_scores(net, data.inputs), data.labels)
             if epoch_loss < best_loss - MIN_DELTA:
                 stale = 0
             else:
@@ -164,17 +166,11 @@ def weighted_average_baseline(posterior_loss, posterior_sim, lam: float):
 
 
 def fuse_scores(net: ToyClassifier, table: ScoreTable) -> ScoreTable:
-    """Fused score for every sample, certain-set members included.
-
-    Samples with a missing posterior in either space fuse to NaN and are
-    later routed to the noisy side by :func:`purify`. The posterior pairs go
-    through :meth:`ToyClassifier.forward_blocks`, so the hidden layer never
-    spans the table; each row's score is the bits of a whole-array call.
-    """
-    fused = np.empty(table.n)
-    for rows, logits, _ in net.forward_blocks(table.posteriors):
-        fused[rows] = _sigmoid(logits[:, 0])
-    return replace(table, fused=fused)
+    """Fused score for every sample, certain-set members included: the
+    :func:`meta_scores` of its posterior pair. Samples with a missing
+    posterior in either space fuse to NaN and are later routed to the noisy
+    side by :func:`purify`."""
+    return replace(table, fused=meta_scores(net, table.posteriors))
 
 
 def purify(table: ScoreTable, partition: Partition,

@@ -62,19 +62,15 @@ def make_ensemble(input_dim: int, num_classes: int, config: TrainConfig) -> ToyC
     ])
 
 
-def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray, stage: str):
+def ensemble_representation(ensemble: ToyClassifier, x: np.ndarray):
     """Scoring snapshot: averaged logits, centered averaged embedding, averaged probs.
 
     The rectifier keeps raw activations in the positive orthant, which
     compresses all cosine similarities toward 1 and leaves the two mixture
     components barely separated; centering on the batch mean restores the
-    spread. The embedding is centered in place. The same pass raises
-    NumericalError naming ``stage``, the stage that trained the ensemble,
-    when a member's activations on ``x`` pass ``MAX_ACTIVATION`` or are NaN.
+    spread. The embedding is centered in place; the pass checks nothing.
     """
-    peaks = np.zeros(len(ensemble.flat))
-    logits, hidden, probs = ensemble_outputs(ensemble, x, peaks)
-    _check_alive(ensemble, x, stage, peaks)
+    logits, hidden, probs = ensemble_outputs(ensemble, x)
     hidden -= hidden.mean(axis=0)
     return logits, hidden, probs
 
@@ -87,15 +83,15 @@ def _epoch_batches(n: int, batch_size: int, rngs: list[np.random.Generator],
                      for rng in rngs], axis=1)
 
 
-def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str,
-                 peaks: np.ndarray | None = None) -> None:
-    """Raise NumericalError when a member's activations on ``x`` left the
-    safe range (or stopped being finite). Given the members' ``peaks`` from a
-    pass over ``x`` already made, it makes none of its own."""
-    if peaks is None:
-        peaks = np.zeros(len(ensemble.flat))
-        for _ in ensemble.forward_blocks(x, peaks):
-            pass
+def _check_alive(ensemble: ToyClassifier, x: np.ndarray, stage: str) -> None:
+    """Raise NumericalError naming ``stage``, the stage that trained the ensemble,
+    when a member's activations on ``x`` left the safe range (or stopped being finite)."""
+    peaks = np.zeros(len(ensemble.flat))
+    for _, logits, h1 in ensemble.forward_blocks(x):
+        # [h | 1] is rectified, and its ones column stays below the bound;
+        # np.maximum keeps a NaN, which then fails the bound below
+        np.maximum(peaks, np.maximum(h1.max(axis=(1, 2)), np.abs(logits).max(axis=(1, 2))),
+                   out=peaks)
     for m, peak in enumerate(peaks):
         if not peak <= MAX_ACTIVATION:
             raise NumericalError(
@@ -144,8 +140,7 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
     Runs ``config.warmup_epochs`` epochs. Each member shuffles with its own
     derived seed so the members stay decorrelated. Raises NumericalError
     when a step overflows or turns invalid, or when a member ends past
-    ``MAX_ACTIVATION`` on the training set: checked here when
-    ``config.rounds`` is 0, and otherwise by round 0's scoring snapshot.
+    ``MAX_ACTIVATION`` on the training set, whatever ``config.rounds`` is.
     """
     targets = one_hot(dataset.noisy_labels, dataset.num_classes)
     seed = derive_seed(config.seed, "warmup")
@@ -158,8 +153,7 @@ def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> To
                 ensemble, dataset.features, all_ids, targets,
                 no_ids, np.zeros((0, dataset.num_classes)),
                 0.0, 0.0, config.lr, config.batch_size, rngs)
-        if not config.rounds:
-            _check_alive(ensemble, dataset.features, "warm-up")
+        _check_alive(ensemble, dataset.features, "warm-up")
     return ensemble
 
 
@@ -168,8 +162,6 @@ class RoundResult:
     ensemble: ToyClassifier
     # the round's distillation pass, for the next round to start from
     distilled: DistillResult
-    # the next round's scoring snapshot, from the pass that checked ``ensemble``
-    snapshot: tuple | None = None
 
 
 def distill_round(
@@ -178,7 +170,7 @@ def distill_round(
     train_config: TrainConfig,
     params: DistillParams,
     round_index: int = 0,
-    previous: RoundResult | None = None,
+    previous: DistillResult | None = None,
 ) -> RoundResult:
     """One distillation iteration with a frozen scoring snapshot.
 
@@ -187,20 +179,15 @@ def distill_round(
     labels on the clean set with the fused score, co-guesses targets for
     the noisy set, and finally takes one SGD epoch per member on the
     combined loss against the frozen targets. The pass warm-starts from
-    ``previous.distilled``, as ``run_distillation`` describes, and scores
-    with ``previous.snapshot`` when that round returned ``ensemble``; the
-    round takes the snapshot over and frees it. Raises NumericalError when
-    a step overflows or turns invalid, or when a member is past
-    ``MAX_ACTIVATION`` on ``dataset`` before or after the round.
+    ``previous`` (the previous round's ``distilled``), as ``run_distillation``
+    describes. Raises NumericalError when a float op overflows or turns
+    invalid (named after the previous stage while taking the snapshot), or
+    when a member ends past ``MAX_ACTIVATION`` on ``dataset``.
     """
-    snapshot, before = None, (f"round {round_index - 1}" if round_index else "warm-up")
-    if previous is not None and previous.ensemble is ensemble:
-        snapshot, previous.snapshot = previous.snapshot, None  # taken over
-    with trap_divergence(before):
-        snapshot = snapshot or ensemble_representation(ensemble, dataset.features, before)
-    mean_logits, embedding, mean_probs = snapshot
+    with trap_divergence(f"round {round_index - 1}" if round_index else "warm-up"):
+        mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
     derived = dataset.with_representation(embedding, mean_logits)
-    result = run_distillation(derived, params, previous and previous.distilled)
+    result = run_distillation(derived, params, previous)
     partition, table = result.partition, result.table
 
     clean_ids = partition.clean_ids
@@ -219,11 +206,5 @@ def distill_round(
             ensemble, dataset.features, clean_ids, refined, noisy_ids, guessed,
             train_config.lambda_u, train_config.lambda_r,
             train_config.lr, train_config.batch_size, rngs)
-        # one snapshot at a time: this round's, and its targets, are freed
-        # before the check takes the next
-        del snapshot, mean_logits, embedding, mean_probs, derived, refined, guessed
-        if round_index + 1 < train_config.rounds:
-            return RoundResult(ensemble, result,
-                               ensemble_representation(ensemble, dataset.features, stage))
         _check_alive(ensemble, dataset.features, stage)
     return RoundResult(ensemble, result)

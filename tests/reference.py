@@ -545,8 +545,7 @@ def train_rounds(dataset: Dataset, train_config, params, rounds: int, carry: boo
                                       seed=derive_seed(params.meta.seed, "meta-init"))
     meta_net, fits = None, {}
     for r in range(rounds):
-        logits, embedding, probs = ensemble_representation(
-            ensemble, dataset.features, f"round {r - 1}" if r else "warm-up")
+        logits, embedding, probs = ensemble_representation(ensemble, dataset.features)
         derived = dataset.with_representation(embedding, logits)
         clusters = partition_by_label(derived)
         table, fits = warm_posteriors(score_dataset(derived, clusters), clusters, params,

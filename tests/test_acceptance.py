@@ -81,7 +81,7 @@ def test_criterion_1_gmm_oracle_recovery():
 
 def test_criterion_2_bimodality(warm_state):
     logits, embedding, _ = ensemble_representation(
-        warm_state["ensemble"], warm_state["train"].features, "warm-up")
+        warm_state["ensemble"], warm_state["train"].features)
     derived = warm_state["train"].with_representation(embedding, logits)
     clusters = partition_by_label(derived)
     table = score_dataset(derived, clusters)

@@ -246,6 +246,24 @@ def test_fuse_scores_matches_whole_array_oracle(n):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 7])
+def test_meta_scores_fill_one_row_block_at_a_time(n):
+    # each block's scores are that block's own forward, bit for bit: the
+    # reused buffers' first block, an exact multiple of ROW_BLOCK and a
+    # partial last block; fuse_scores is this scorer over the posteriors
+    net = ToyClassifier.initialize(2, DistillParams().meta_hidden, 1, seed=n)
+    table = posterior_table(n, seed=n)
+    pairs = table.posteriors
+    scores = meta_scores(net, pairs)
+    for start in range(0, n, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        assert scores[block].tobytes() == reference.meta_scores(net, pairs[block]).tobytes()
+    assert fuse_scores(net, table).fused.tobytes() == scores.tobytes()
+    missing = np.isnan(pairs).any(axis=1)
+    assert missing[0] and np.isnan(scores[missing]).all()
+    assert not np.isnan(scores[~missing]).any()
+
+
 def test_fuse_memory_does_not_grow_with_rows(traced_extra, growth_per_row):
     net = ToyClassifier.initialize(2, DistillParams().meta_hidden, 1, seed=3)
 

@@ -380,7 +380,7 @@ def test_representation_peak_memory_is_its_outputs_plus_a_few_blocks():
     block = members * ROW_BLOCK * (h + 2 * k) * 8
     tracemalloc.start()
     try:
-        semisup.ensemble_representation(stack, x, "warm-up")
+        semisup.ensemble_representation(stack, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -694,6 +694,17 @@ def test_distill_round_raises_when_members_diverge():
     overflowing = TrainConfig(seed=5, warmup_epochs=3, lr=1e20)
     with pytest.raises(NumericalError, match="training diverged during round 2: overflow"):
         distill_round(ens, ds, overflowing, DistillParams(), round_index=2)
+
+
+def test_warmup_checks_its_own_ensemble_whatever_rounds_is():
+    # on this table a warm-up at lr=100 ends diverged without a float error;
+    # warmup raises itself, though it leaves the rounds to its caller
+    ds = generate_synthetic(SyntheticSpec(k=5, d=8, n=600, seed=2))
+    ds = inject_noise(ds, NoiseSpec(NoiseKind.SYMMETRIC, 0.4, seed=4))
+    hot = TrainConfig(seed=5, warmup_epochs=3, lr=100.0)
+    assert hot.rounds > 0
+    with pytest.raises(NumericalError, match="diverged after warm-up"):
+        warmup(make_ensemble(ds.feature_dim, ds.num_classes, hot), ds, hot)
 
 
 def test_train_config_validation():
