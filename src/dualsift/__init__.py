@@ -47,7 +47,6 @@ from .pipeline import DistillParams, DistillResult, run_distillation
 from .scores import ScoreTable, score_dataset
 from .seeding import derive_seed, rng_from
 from .semisup import (
-    RoundResult,
     TrainConfig,
     distill_round,
     make_ensemble,

@@ -101,16 +101,10 @@ class ToyClassifier:
     def copy(self) -> "ToyClassifier":
         return ToyClassifier(self.flat.copy(), self.dims)
 
-    def forward_folded(self, x1: np.ndarray, h1: np.ndarray | None = None):
-        """Returns (logits, ``[h | 1]``) for a ([M,] n, D+1) float64 batch
-        whose last column is ones.
-
-        ``h1`` is the ``([M,] n, H+1)`` array whose first H columns receive
-        the hidden activations; its last column must hold ones. Without it
-        one is allocated.
-        """
-        if h1 is None:
-            h1 = ones_column_buffer(self.flat.shape[:-1] + (x1.shape[-2], self.dims[1] + 1))
+    def forward_folded(self, x1: np.ndarray, h1: np.ndarray):
+        """Returns (logits, ``h1``) for a ([M,] n, D+1) float64 batch whose last
+        column is ones. ``h1`` is the caller's ``([M,] n, H+1)`` workspace: its
+        first H columns receive the hidden activations, its last holds ones."""
         np.matmul(x1, self.W1, out=h1[..., :-1])
         # the rectifier keeps the ones column, and runs on the contiguous buffer
         np.maximum(h1, 0.0, out=h1)
@@ -148,12 +142,10 @@ def ensemble_outputs(ensemble: ToyClassifier, x: np.ndarray):
 
 
 def backward_folded(net: ToyClassifier, x1: np.ndarray, h1: np.ndarray,
-                    dlogits: np.ndarray, grads: ToyClassifier | None = None) -> np.ndarray:
-    """Parameter gradients, in the ``flat`` of ``grads`` (a network laid out as
-    ``net``, allocated when None), given the loss gradient at the logits of
-    ``net.forward_folded(x1)``, whose ``[h | 1]`` is ``h1``."""
-    if grads is None:
-        grads = ToyClassifier(np.empty(net.flat.shape), net.dims)
+                    dlogits: np.ndarray, grads: ToyClassifier) -> np.ndarray:
+    """Parameter gradients, written into and returned as the ``flat`` of the
+    caller's ``grads`` (a network laid out as ``net``), given the loss
+    gradient at the logits of ``net.forward_folded(x1, h1)``."""
     np.matmul(h1.swapaxes(-1, -2), dlogits, out=grads.W2)
     dz1 = dlogits @ net.w2.swapaxes(-1, -2)
     dz1 *= (h1 > 0)[..., :-1]
@@ -163,15 +155,14 @@ def backward_folded(net: ToyClassifier, x1: np.ndarray, h1: np.ndarray,
 
 def mixed_grads(
     clf: ToyClassifier, x1: np.ndarray, nc: int, targets: np.ndarray, guesses: np.ndarray,
-    lambda_u: float, lambda_r: float, h1: np.ndarray | None = None,
-    grads: ToyClassifier | None = None,
+    lambda_u: float, lambda_r: float, h1: np.ndarray, grads: ToyClassifier,
 ) -> np.ndarray:
-    """Analytic parameter gradients of the mixed loss on one batch.
+    """Analytic parameter gradients of the mixed loss on one batch, as ``grads.flat``.
 
     ``x1`` is the joint ([M,] n, D+1) batch, ending in a ones column: its
     first ``nc`` rows are the labeled group, with ``targets``, and the rest
     the unlabeled group, with ``guesses``. ``h1`` and ``grads`` are the
-    optional workspaces of :meth:`ToyClassifier.forward_folded` and
+    caller's workspaces for :meth:`ToyClassifier.forward_folded` and
     :func:`backward_folded`. Loss = cross-entropy on the labeled group +
     lambda_u * mean squared error on the unlabeled group + lambda_r *
     KL(uniform || mean batch prediction). Either group may be empty. For a

@@ -294,9 +294,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     distilled = None
     for r in range(train_cfg.rounds):
         start = "seeded" if getattr(distilled, "meta_net", None) is None else "previous_round"
-        result = distill_round(ensemble, train_set, train_cfg, params, round_index=r,
-                               previous=distilled)
-        ensemble, distilled = result.ensemble, result.distilled
+        ensemble, distilled = distill_round(ensemble, train_set, train_cfg, params,
+                                            round_index=r, previous=distilled)
         fallbacks.extend(f"round={r}:{note}" for note in distilled.fallbacks)
         per_round.append({
             "round": r,

@@ -13,6 +13,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateFit, check_fields
+from .scores import SCORE_RANGE
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _LOWEST = float(np.finfo(np.float64).min)
@@ -74,6 +75,17 @@ def _logaddexp(a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarra
     return np.add(out, np.log1p(np.exp(lo, out=lo), out=lo), out=out)
 
 
+def _checked_values(values: np.ndarray) -> np.ndarray:
+    """``values`` flat as float64; each must be finite and within ``SCORE_RANGE[1]``."""
+    x = np.asarray(values, dtype=np.float64).ravel()
+    peak = np.abs(x).max(initial=0.0)
+    if not np.isfinite(peak):
+        raise ValueError("values must be finite")
+    if peak > SCORE_RANGE[1]:
+        raise ValueError(f"values must not exceed {SCORE_RANGE[1]:g} in magnitude, got {peak:g}")
+    return x
+
+
 def _start(init: Gmm1d, config: GmmConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``init``'s (weights, means, variances), checked as a start for EM."""
     start = tuple(np.asarray(a, dtype=np.float64)
@@ -101,12 +113,10 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig, init: Gmm1d | None = None) 
 
     Raises DegenerateFit when fewer than ``min_fit_size`` values or all
     values identical; callers route the whole cluster to the uncertain set.
-    Raises ValueError for an ``init`` with a non-finite parameter, a weight
-    at or below zero or a variance below ``variance_floor``.
+    Raises ValueError for values :func:`_checked_values` refuses, an ``init`` with a
+    non-finite parameter, a weight at or below zero or a variance below ``variance_floor``.
     """
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
+    x = _checked_values(values)
     if x.size < config.min_fit_size:
         raise DegenerateFit(f"{x.size} values < min_fit_size {config.min_fit_size}")
     if np.ptp(x) == 0.0:
@@ -157,10 +167,8 @@ def fit_gmm1d(values: np.ndarray, config: GmmConfig, init: Gmm1d | None = None) 
 
 
 def posteriors(gmm: Gmm1d, values: np.ndarray) -> np.ndarray:
-    """Posterior probability of the clean component at each value."""
-    x = np.asarray(values, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite")
+    """Posterior probability of the clean component at each value (see :func:`_checked_values`)."""
+    x = _checked_values(values)
     log_joint = _log_joint(x, gmm.weights, gmm.means, gmm.variances, out=np.empty((2, x.size)))
     log_norm = _logaddexp(log_joint[0], log_joint[1], np.empty(x.size), np.empty_like(log_joint))
     return np.exp(np.subtract(log_joint[gmm.clean_component], log_norm, out=log_norm), out=log_norm)

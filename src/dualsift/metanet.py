@@ -95,12 +95,12 @@ def _mean_bce(preds: np.ndarray, labels: np.ndarray) -> float:
 
 
 def meta_grads(net: ToyClassifier, x1: np.ndarray, labels: np.ndarray,
-               h1: np.ndarray | None = None, grads: ToyClassifier | None = None) -> np.ndarray:
-    """Analytic parameter gradients of the mean BCE over the batch.
+               h1: np.ndarray, grads: ToyClassifier) -> np.ndarray:
+    """Analytic parameter gradients of the mean BCE over the batch, as ``grads.flat``.
 
     ``x1`` is the (n, 3) batch of posterior pairs ending in a ones column and
-    ``labels`` its (n,) float64 labels; ``h1`` and ``grads`` are the optional
-    workspaces of :meth:`ToyClassifier.forward_folded` and :func:`backward_folded`.
+    ``labels`` its (n,) float64 labels; ``h1`` and ``grads`` are the caller's
+    workspaces for :meth:`ToyClassifier.forward_folded` and :func:`backward_folded`.
     """
     logits, h1 = net.forward_folded(x1, h1)
     p = _sigmoid(logits[:, 0])

@@ -134,34 +134,32 @@ def _train_epoch_mixed(ensemble, features, lab_ids, targets, unl_ids, guesses,
             apply_sgd_step(ensemble, step, lr)
 
 
-def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> ToyClassifier:
-    """Plain cross-entropy SGD on the noisy labels; returns a new ensemble.
-
-    Runs ``config.warmup_epochs`` epochs. Each member shuffles with its own
-    derived seed so the members stay decorrelated. Raises NumericalError
-    when a step overflows or turns invalid, or when a member ends past
-    ``MAX_ACTIVATION`` on the training set, whatever ``config.rounds`` is.
-    """
-    targets = one_hot(dataset.noisy_labels, dataset.num_classes)
-    seed = derive_seed(config.seed, "warmup")
-    rngs = [rng_from(seed, f"warmup-member-{m}") for m in range(len(ensemble.flat))]
+def _train_stage(ensemble: ToyClassifier, x: np.ndarray, stage: str, epochs: int,
+                 *epoch_args) -> ToyClassifier:
+    """A copy of ``ensemble`` after ``epochs`` of ``_train_epoch_mixed(copy, x, *epoch_args)``.
+    Raises NumericalError naming ``stage`` when a float op overflows or turns
+    invalid, or when a member ends past ``MAX_ACTIVATION`` on ``x``."""
     ensemble = ensemble.copy()
-    all_ids, no_ids = np.arange(dataset.n), np.zeros(0, dtype=np.int64)
-    with trap_divergence("warm-up"):
-        for _ in range(config.warmup_epochs):
-            _train_epoch_mixed(
-                ensemble, dataset.features, all_ids, targets,
-                no_ids, np.zeros((0, dataset.num_classes)),
-                0.0, 0.0, config.lr, config.batch_size, rngs)
-        _check_alive(ensemble, dataset.features, "warm-up")
+    with trap_divergence(stage):
+        for _ in range(epochs):
+            _train_epoch_mixed(ensemble, x, *epoch_args)
+        _check_alive(ensemble, x, stage)
     return ensemble
 
 
-@dataclass
-class RoundResult:
-    ensemble: ToyClassifier
-    # the round's distillation pass, for the next round to start from
-    distilled: DistillResult
+def warmup(ensemble: ToyClassifier, dataset: Dataset, config: TrainConfig) -> ToyClassifier:
+    """Plain cross-entropy SGD on the noisy labels for ``config.warmup_epochs``
+    epochs, the stage ``warm-up`` of :func:`_train_stage`; returns a new
+    ensemble and raises as that does, whatever ``config.rounds`` is. Each
+    member shuffles with its own derived seed so the members stay decorrelated.
+    """
+    rngs = [rng_from(derive_seed(config.seed, "warmup"), f"warmup-member-{m}")
+            for m in range(len(ensemble.flat))]
+    return _train_stage(
+        ensemble, dataset.features, "warm-up", config.warmup_epochs,
+        np.arange(dataset.n), one_hot(dataset.noisy_labels, dataset.num_classes),
+        np.zeros(0, dtype=np.int64), np.zeros((0, dataset.num_classes)),
+        0.0, 0.0, config.lr, config.batch_size, rngs)
 
 
 def distill_round(
@@ -171,28 +169,27 @@ def distill_round(
     params: DistillParams,
     round_index: int = 0,
     previous: DistillResult | None = None,
-) -> RoundResult:
-    """One distillation iteration with a frozen scoring snapshot.
+) -> tuple[ToyClassifier, DistillResult]:
+    """One distillation iteration with a frozen scoring snapshot; returns
+    ``(ensemble, distilled)``: a new ensemble and the round's distillation pass.
 
     Scores every sample with the member-averaged logits and hidden
     activations, runs division and purification on those scores, refines
     labels on the clean set with the fused score, co-guesses targets for
-    the noisy set, and finally takes one SGD epoch per member on the
-    combined loss against the frozen targets. The pass warm-starts from
-    ``previous`` (the previous round's ``distilled``), as ``run_distillation``
-    describes. Raises NumericalError when a float op overflows or turns
-    invalid (named after the previous stage while taking the snapshot), or
-    when a member ends past ``MAX_ACTIVATION`` on ``dataset``.
+    the noisy set, and takes one SGD epoch per member on the combined loss
+    against the frozen targets: the stage ``round {round_index}`` of
+    :func:`_train_stage`, which names the errors it raises. The pass
+    warm-starts from ``previous`` (the previous round's ``distilled``), as
+    ``run_distillation`` describes. A float error while taking the snapshot
+    is named after the previous stage.
     """
     with trap_divergence(f"round {round_index - 1}" if round_index else "warm-up"):
         mean_logits, embedding, mean_probs = ensemble_representation(ensemble, dataset.features)
     derived = dataset.with_representation(embedding, mean_logits)
     result = run_distillation(derived, params, previous)
-    partition, table = result.partition, result.table
 
-    clean_ids = partition.clean_ids
-    noisy_ids = partition.noisy_ids
-    fused = np.clip(table.fused[clean_ids], 0.0, 1.0)
+    clean_ids, noisy_ids = result.partition.clean_ids, result.partition.noisy_ids
+    fused = np.clip(result.table.fused[clean_ids], 0.0, 1.0)
     refined = fused[:, None] * one_hot(dataset.noisy_labels[clean_ids], dataset.num_classes) \
         + (1.0 - fused)[:, None] * mean_probs[clean_ids]
     guessed = mean_probs[noisy_ids]
@@ -200,11 +197,8 @@ def distill_round(
 
     rngs = [rng_from(train_config.seed, f"round-{round_index}-member-{m}")
             for m in range(len(ensemble.flat))]
-    ensemble, stage = ensemble.copy(), f"round {round_index}"
-    with trap_divergence(stage):
-        _train_epoch_mixed(
-            ensemble, dataset.features, clean_ids, refined, noisy_ids, guessed,
-            train_config.lambda_u, train_config.lambda_r,
-            train_config.lr, train_config.batch_size, rngs)
-        _check_alive(ensemble, dataset.features, stage)
-    return RoundResult(ensemble, result)
+    ensemble = _train_stage(
+        ensemble, dataset.features, f"round {round_index}", 1,
+        clean_ids, refined, noisy_ids, guessed, train_config.lambda_u, train_config.lambda_r,
+        train_config.lr, train_config.batch_size, rngs)
+    return ensemble, result

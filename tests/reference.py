@@ -300,6 +300,14 @@ def sgd_step(net: ToyClassifier, grads: dict, lr: float) -> None:
         param -= lr * grad
 
 
+def step_buffers(net: ToyClassifier, x1: np.ndarray) -> tuple[np.ndarray, ToyClassifier]:
+    """Fresh ``(h1, grads)`` workspaces for one gradient step of ``net`` on the
+    ones-column batch ``x1``: ones of ``net``'s member shape by ``(n, H+1)``,
+    and a network laid out as ``net``."""
+    h1 = np.ones(net.flat.shape[:-1] + (x1.shape[-2], net.dims[1] + 1))
+    return h1, ToyClassifier(np.empty(net.flat.shape), net.dims)
+
+
 def _ones_appended(a: np.ndarray) -> np.ndarray:
     return np.concatenate([a, np.ones(a.shape[:-1] + (1,))], axis=-1)
 

@@ -182,7 +182,8 @@ def test_criterion_8_numerical_contracts():
     mx = rng.random((12, 2))
     my = (rng.random(12) > 0.5).astype(float)
     # losses from the oracle's loss forms; the package computes gradients only
-    mg = ToyClassifier(meta_grads(net, with_ones(mx), my), net.dims)
+    mx1 = with_ones(mx)
+    mg = ToyClassifier(meta_grads(net, mx1, my, *reference.step_buffers(net, mx1)), net.dims)
     worst = 0.0
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
@@ -206,8 +207,9 @@ def test_criterion_8_numerical_contracts():
     xu = rng.normal(size=(4, 3))
     qu = rng.random((4, 3))
     qu /= qu.sum(axis=1, keepdims=True)
-    cg = ToyClassifier(mixed_grads(clf, with_ones(np.concatenate([xc, xu])), 5, tc, qu, 3.0, 1.0),
-                        clf.dims)
+    cx1 = with_ones(np.concatenate([xc, xu]))
+    cg = ToyClassifier(mixed_grads(clf, cx1, 5, tc, qu, 3.0, 1.0,
+                                   *reference.step_buffers(clf, cx1)), clf.dims)
     worst_c = 0.0
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import reference
 from dualsift import DegenerateFit, Gmm1d, GmmConfig, Orientation, fit_gmm1d, gmm, posteriors
+from dualsift.scores import SCORE_RANGE
 
 
 def mixture_sample(n=2000, seed=0):
@@ -313,3 +315,20 @@ def test_posteriors_invariant_under_affine_maps(sign, n, seed, outlier, max_iter
     mapped = a * values + b
     np.testing.assert_allclose(posteriors(fit_gmm1d(mapped, mapped_cfg), mapped),
                                posteriors(fit_gmm1d(values, cfg), values), rtol=1e-6, atol=1e-6)
+
+
+def test_fit_and_posteriors_refuse_values_past_the_score_range():
+    # up to SCORE_RANGE's 2^500 a bimodal sample fits and scores without a
+    # warning, which pytest turns into an error; past it EM's squares would
+    # overflow, so a fit, a warm fit and the posteriors refuse it by name
+    values = mixture_sample(n=400, seed=5)
+    cfg = GmmConfig(Orientation.SMALLER_MEAN_CLEAN)
+    for scale in (1e-300, 1e150, 2.0 ** 500 / 10):
+        g = fit_gmm1d(values * scale, cfg)
+        fit_gmm1d(values * scale, cfg, init=g)
+        assert np.isfinite(posteriors(g, values * scale)).all()
+    g = fit_gmm1d(values, cfg)
+    for refused in (lambda v: fit_gmm1d(v, cfg), lambda v: fit_gmm1d(v, cfg, init=g),
+                    lambda v: posteriors(g, v)):
+        with pytest.raises(ValueError, match=re.escape(f"must not exceed {SCORE_RANGE[1]:g}")):
+            refused(values * 1e300)

@@ -197,7 +197,8 @@ def test_meta_gradient_matches_finite_differences():
     x = rng.random((16, 2))
     y = (rng.random(16) > 0.5).astype(float)
     # the loss comes from the oracle's loss form; the package computes none
-    grads = ToyClassifier(meta_grads(net, with_ones(x), y), net.dims)
+    x1 = with_ones(x)
+    grads = ToyClassifier(meta_grads(net, x1, y, *reference.step_buffers(net, x1)), net.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(net, name)

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from dualsift.classifier import (
 from dualsift import semisup
 from dualsift.data import ROW_BLOCK
 from dualsift.errors import NumericalError
+from dualsift.metanet import meta_grads
 from dualsift.pipeline import DistillParams
 from dualsift.seeding import rng_from
 import reference
@@ -135,8 +137,9 @@ def test_classifier_gradient_matches_finite_differences():
     qu = rng.random((4, 4))
     qu /= qu.sum(axis=1, keepdims=True)
     # the loss comes from the oracle's loss form; the package computes none
-    grads = ToyClassifier(mixed_grads(clf, with_ones(np.concatenate([xc, xu])), 6, tc, qu,
-                                      3.0, 1.0), clf.dims)
+    x1 = with_ones(np.concatenate([xc, xu]))
+    grads = ToyClassifier(mixed_grads(clf, x1, 6, tc, qu, 3.0, 1.0,
+                                      *reference.step_buffers(clf, x1)), clf.dims)
     step = 1e-5
     for name in ("w1", "b1", "w2", "b2"):
         param = getattr(clf, name)
@@ -324,16 +327,18 @@ def test_stacked_members_match_unstacked():
     empty_t = np.zeros((3, 0, 10))
     logits, hidden = reference.forward(stack, xc)
     x1 = with_ones(np.concatenate([xc, xu], axis=-2))
-    mixed = mixed_grads(stack, x1, 8, tc, qu, 3.0, 1.0)
-    plain = mixed_grads(stack, x1[:, :8], 8, tc, empty_t, 0.0, 0.0)
+    mixed = mixed_grads(stack, x1, 8, tc, qu, 3.0, 1.0, *reference.step_buffers(stack, x1))
+    plain = mixed_grads(stack, x1[:, :8], 8, tc, empty_t, 0.0, 0.0,
+                        *reference.step_buffers(stack, x1[:, :8]))
     for m, clf in enumerate(members):
         logits_m, hidden_m = reference.forward(clf, xc[m])
         np.testing.assert_array_equal(logits[m], logits_m)
         np.testing.assert_array_equal(hidden[m], hidden_m)
-        np.testing.assert_array_equal(mixed[m], mixed_grads(clf, x1[m], 8, tc[m], qu[m],
-                                                            3.0, 1.0))
-        np.testing.assert_array_equal(plain[m], mixed_grads(clf, x1[m, :8], 8, tc[m],
-                                                            empty_t[m], 0.0, 0.0))
+        np.testing.assert_array_equal(mixed[m], mixed_grads(
+            clf, x1[m], 8, tc[m], qu[m], 3.0, 1.0, *reference.step_buffers(clf, x1[m])))
+        np.testing.assert_array_equal(plain[m], mixed_grads(
+            clf, x1[m, :8], 8, tc[m], empty_t[m], 0.0, 0.0,
+            *reference.step_buffers(clf, x1[m, :8])))
 
     x = rng.normal(size=(20, 16))
     mean_logits, mean_hidden, mean_probs = ensemble_outputs(stack, x)
@@ -499,8 +504,9 @@ def test_mixed_loss_matches_zero_buffer_oracle(case, plain, stacked, nc, nu, see
             if arr.size:
                 arr.reshape(-1)[rng.integers(arr.size)] = np.nan
     with np.errstate(all="ignore"):
-        grads = mixed_grads(clf, with_ones(np.concatenate([xl, xu], axis=-2)), nc, targets,
-                            guesses, lambda_u, lambda_r)
+        x1 = with_ones(np.concatenate([xl, xu], axis=-2))
+        grads = mixed_grads(clf, x1, nc, targets, guesses, lambda_u, lambda_r,
+                            *reference.step_buffers(clf, x1))
         _, want_grads = reference.mixed_loss_and_grads(
             clf, xl, targets, xu, guesses, lambda_u, lambda_r)
     grads = ToyClassifier(grads, clf.dims)
@@ -519,10 +525,10 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
 
     def run():
         ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
-        first = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
-        second = distill_round(first.ensemble, ds, no_reg, DistillParams(), round_index=1)
-        return [ens, first.ensemble, second.ensemble], [first.distilled.partition,
-                                                          second.distilled.partition]
+        first, first_distilled = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
+        second, second_distilled = distill_round(first, ds, no_reg, DistillParams(),
+                                                 round_index=1)
+        return [ens, first, second], [first_distilled.partition, second_distilled.partition]
 
     got_nets, got_parts = run()
     monkeypatch.setattr(semisup, "_train_epoch_mixed", reference.train_epoch_mixed)
@@ -531,6 +537,48 @@ def test_warmup_and_rounds_match_per_step_gather_oracle(monkeypatch):
         assert same_bits(got.flat, want.flat)
     for got, want in zip(got_parts, want_parts):
         assert np.array_equal(got.codes, want.codes)
+
+
+def test_stages_write_nothing_they_are_given():
+    # each stage trains a copy, and a round reads the previous round's pass
+    # (its partition, meta net, table and mixtures) without writing to it
+    ds = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=6, n=300, seed=2)),
+                      NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=4))
+    cfg = TrainConfig(seed=5, warmup_epochs=2, batch_size=7)
+    no_reg = TrainConfig(seed=5, warmup_epochs=2, batch_size=7, lambda_r=0.0)
+    start = make_ensemble(ds.feature_dim, ds.num_classes, cfg)
+    start_bits = start.flat.tobytes()
+    ens = warmup(start, ds, cfg)
+    assert start.flat.tobytes() == start_bits
+    first, distilled = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
+    assert distilled.meta_net is not None and distilled.mixtures
+    given = [first.flat, distilled.partition.codes, distilled.meta_net.flat,
+             *(getattr(distilled.table, f.name) for f in fields(distilled.table))]
+    for g in distilled.mixtures.values():
+        given += [g.weights, g.means, g.variances, g.log_likelihoods]
+    bits = [a.tobytes() for a in given]
+    distill_round(first, ds, no_reg, DistillParams(), round_index=1, previous=distilled)
+    assert [a.tobytes() for a in given] == bits
+
+
+def test_steps_fill_and_return_the_gradient_buffer_they_are_given():
+    # the trainers reuse one [h | 1] and one gradient network for every step
+    # of an epoch: a step returns the very flat it was given, and leaves the
+    # ones column of its h1 at 1.0
+    rng = rng_from(9)
+    stack = ToyClassifier.stack([ToyClassifier.initialize(5, 7, 4, seed=m) for m in range(2)])
+    x1 = with_ones(rng.normal(size=(2, 9, 5)))
+    targets, guesses = rng.dirichlet(np.ones(4), (2, 6)), rng.dirichlet(np.ones(4), (2, 3))
+    meta = ToyClassifier.initialize(2, 4, 1, seed=3)
+    mx1 = with_ones(rng.random((16, 2)))
+    steps = [(stack, x1, lambda *ws: mixed_grads(stack, x1, 6, targets, guesses, 3.0, 1.0, *ws)),
+             (stack, x1[:, :6], lambda *ws: mixed_grads(stack, x1[:, :6], 6, targets,
+                                                         guesses[:, :0], 0.0, 0.0, *ws)),
+             (meta, mx1, lambda *ws: meta_grads(meta, mx1, rng.random(16).round(), *ws))]
+    for net, batch, step in steps:
+        h1, grads = reference.step_buffers(net, batch)
+        assert step(h1, grads) is grads.flat
+        assert (h1[..., :-1] != 1.0).any() and (h1[..., -1] == 1.0).all()
 
 
 def check_epoch_against_per_step_gather_oracle(n_lab, n_unl):
@@ -629,8 +677,8 @@ def test_distill_round_zero_noise_keeps_almost_everything():
     ds = generate_synthetic(SyntheticSpec(k=10, d=16, n=2000, seed=3))
     cfg = TrainConfig(seed=5)
     ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
-    result = distill_round(ens, ds, cfg, rate_matched_params(0.0), round_index=0)
-    assert result.distilled.partition.clean_ids.size >= 0.95 * ds.n
+    _, distilled = distill_round(ens, ds, cfg, rate_matched_params(0.0), round_index=0)
+    assert distilled.partition.clean_ids.size >= 0.95 * ds.n
 
 
 def test_distill_round_f1_does_not_degrade(benchmark40):
@@ -640,9 +688,8 @@ def test_distill_round_f1_does_not_degrade(benchmark40):
     ens = warmup(make_ensemble(train.feature_dim, train.num_classes, cfg), train, cfg)
     f1s = []
     for r in range(3):
-        result = distill_round(ens, train, cfg, rate_matched_params(rate), round_index=r)
-        ens = result.ensemble
-        f1s.append(selection_metrics(result.distilled.partition.clean_ids, train.clean_mask).f1)
+        ens, distilled = distill_round(ens, train, cfg, rate_matched_params(rate), round_index=r)
+        f1s.append(selection_metrics(distilled.partition.clean_ids, train.clean_mask).f1)
     assert f1s[2] >= f1s[0] - 0.02
 
 
@@ -653,13 +700,12 @@ def test_distill_round_deterministic():
     runs = []
     for _ in range(2):
         ens = warmup(make_ensemble(ds.feature_dim, ds.num_classes, cfg), ds, cfg)
-        result = distill_round(ens, ds, cfg, DistillParams(), round_index=0)
-        runs.append(result)
-    parts = [run.distilled.partition for run in runs]
+        runs.append(distill_round(ens, ds, cfg, DistillParams(), round_index=0))
+    parts = [distilled.partition for _, distilled in runs]
     np.testing.assert_array_equal(parts[0].clean_ids, parts[1].clean_ids)
     np.testing.assert_array_equal(parts[0].positive_ids, parts[1].positive_ids)
     for m in range(cfg.ensemble_size):
-        np.testing.assert_array_equal(runs[0].ensemble.w1[m], runs[1].ensemble.w1[m])
+        np.testing.assert_array_equal(runs[0][0].w1[m], runs[1][0].w1[m])
 
 
 def test_check_alive_names_the_member_past_the_limit():
