@@ -215,18 +215,19 @@ def trap_divergence(stage: str):
         raise NumericalError(f"training diverged during {stage}: {exc}") from None
 
 
-def save_flat_params(path: str | Path, tag: str, dims: tuple[int, ...],
-                     flat: np.ndarray) -> None:
-    """Write the header ``tag dims...``, then each value's repr on a line."""
-    lines = [" ".join([tag] + [str(d) for d in dims]).encode(),
-             *repr_rows(np.asarray(flat, dtype=np.float64).reshape(-1, 1))]
+def save_flat_params(path: str | Path, clf: ToyClassifier) -> None:
+    """Write one network: the header ``toyclassifier D H K``, then each
+    value's repr on a line."""
+    if clf.flat.ndim != 1:
+        raise ValueError("a checkpoint holds one network; save stacked members one at a time")
+    lines = [" ".join([_CHECKPOINT_TAG, *map(str, clf.dims)]).encode(),
+             *repr_rows(np.asarray(clf.flat, dtype=np.float64).reshape(-1, 1))]
     Path(path).write_bytes(b"\n".join(lines) + b"\n")
 
 
 def save_classifier_checkpoint(clf: ToyClassifier, path: str | Path) -> None:
-    if clf.flat.ndim != 1:
-        raise ValueError("a checkpoint holds one network; save stacked members one at a time")
-    save_flat_params(path, _CHECKPOINT_TAG, clf.dims, clf.flat)
+    """:func:`save_flat_params`, in the argument order of the other savers."""
+    save_flat_params(path, clf)
 
 
 def load_classifier_checkpoint(path: str | Path) -> ToyClassifier:

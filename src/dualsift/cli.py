@@ -41,10 +41,6 @@ from .classifier import save_classifier_checkpoint
 from .seeding import derive_seed
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing: defaults, flat key=value config files, flag override.
 # Each config key is also the flag --<key with dashes>, read as its default's type.
@@ -142,7 +138,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         lines = read_text_lines(path)
     except ParseError as exc:
-        raise UsageError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
     values: dict[str, str] = {}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
@@ -150,11 +146,11 @@ def _read_config_file(path: str) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise UsageError(f"{path}: line {lineno}: expected key = value")
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         if key in values:
-            raise UsageError(f"{path}: line {lineno}: key {key!r} already set "
+            raise ValueError(f"{path}: line {lineno}: key {key!r} already set "
                              f"on line {first_line[key]}")
         values[key], first_line[key] = raw.strip(), lineno
     return values
@@ -168,11 +164,11 @@ def _effective_config(defaults: dict, args: argparse.Namespace) -> dict:
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             if key not in defaults:
-                raise UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             try:
                 cfg[key] = _value_reader(key, defaults[key])(raw)
             except argparse.ArgumentTypeError as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from exc
+                raise ValueError(f"config key {key!r}: {exc}") from exc
             args.file_keys.add(key)
     for key in defaults:
         value = getattr(args, key)
@@ -203,27 +199,23 @@ def _distill_params(cfg: dict) -> DistillParams:
     )
 
 
-def _write_report(report: dict, path: Path) -> None:
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+def _pass_summary(partition, dataset: Dataset) -> dict:
+    """A pass's report entry: its partition's ``sizes``, and its
+    ``selection`` metrics, null where ``dataset`` lacks true labels."""
+    sizes = {"n": partition.n_total, "s_p": partition.positive_ids.size,
+             "s_n": partition.negative_ids.size, "s_u": partition.uncertain_ids.size,
+             "c": partition.clean_ids.size, "u": partition.noisy_ids.size,
+             "dropped": partition.dropped_ids.size}
+    selection = (selection_metrics(partition.clean_ids, dataset.clean_mask).to_dict()
+                 if dataset.has_true_labels else None)
+    return {"sizes": sizes, "selection": selection}
 
 
-def _partition_sizes(partition) -> dict:
-    return {
-        "n": partition.n_total,
-        "s_p": int(partition.positive_ids.size),
-        "s_n": int(partition.negative_ids.size),
-        "s_u": int(partition.uncertain_ids.size),
-        "c": int(partition.clean_ids.size),
-        "u": int(partition.noisy_ids.size),
-        "dropped": int(partition.dropped_ids.size),
-    }
-
-
-def _selection_or_none(partition, dataset: Dataset):
-    if not dataset.has_true_labels:
-        return None
-    return selection_metrics(partition.clean_ids, dataset.clean_mask).to_dict()
+def _write_report(outdir: Path, cfg: dict, args: argparse.Namespace, **report) -> None:
+    """``outdir/report.json``: ``report`` plus the ``config`` echo, with the input path."""
+    report["config"] = {**cfg, "input": str(args.input)}
+    (outdir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
+                                        encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_sample_table(dataset, out)
-    flipped = float((dataset.noisy_labels != dataset.true_labels).mean()) if dataset.n else 0.0
+    flipped = float((dataset.noisy_labels != dataset.true_labels).mean())
     print(f"wrote {out}: n={dataset.n} k={dataset.num_classes} d={dataset.feature_dim} "
           f"flipped={flipped:.4f}")
     return 0
@@ -255,16 +247,10 @@ def cmd_distill(args: argparse.Namespace) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     write_partition_file(result.partition, outdir / "partition.csv")
-    report = {
-        "config": {**cfg, "input": str(args.input)},
-        "sizes": _partition_sizes(result.partition),
-        "selection": _selection_or_none(result.partition, dataset),
-        "per_round": [],
-        "accuracy": None,
-        "fallbacks": result.fallbacks,
-    }
-    _write_report(report, outdir / "report.json")
-    sizes = report["sizes"]
+    summary = _pass_summary(result.partition, dataset)
+    _write_report(outdir, cfg, args, **summary, per_round=[], accuracy=None,
+                  fallbacks=result.fallbacks)
+    sizes = summary["sizes"]
     print(f"wrote {outdir / 'partition.csv'} and {outdir / 'report.json'}: "
           f"|S_p|={sizes['s_p']} |S_n|={sizes['s_n']} |S_u|={sizes['s_u']} "
           f"|C|={sizes['c']} |U|={sizes['u']}")
@@ -281,46 +267,34 @@ def cmd_train(args: argparse.Namespace) -> int:
     if train_set.n == 0:
         raise FieldError(split_dataset, "test_fraction", f"leaves no training samples out of "
                          f"{test_set.n}, got {cfg['test_fraction']}")
-    can_score = test_set.n > 0 and test_set.has_true_labels
+    can_score = test_set.has_true_labels
 
     ensemble = make_ensemble(train_set.feature_dim, train_set.num_classes, train_cfg)
     ensemble = warmup(ensemble, train_set, train_cfg)
     warmup_acc = ensemble_accuracy(ensemble, test_set) if can_score else None
 
+    # the top level repeats the last round's entry, or the warm-up's accuracy
+    last = {"sizes": None, "selection": None, "accuracy": warmup_acc}
     per_round = []
     fallbacks: list[str] = []
-    # each round's pass starts from the previous round's; the meta net of
-    # round 0 and of a round after a starved one starts from the seeded draw
+    # each round's pass starts from the previous round's
     distilled = None
     for r in range(train_cfg.rounds):
-        start = "seeded" if getattr(distilled, "meta_net", None) is None else "previous_round"
         ensemble, distilled = distill_round(ensemble, train_set, train_cfg, params,
                                             round_index=r, previous=distilled)
         fallbacks.extend(f"round={r}:{note}" for note in distilled.fallbacks)
-        per_round.append({
-            "round": r,
-            "meta_init": start,
-            "sizes": _partition_sizes(distilled.partition),
-            "selection": _selection_or_none(distilled.partition, train_set),
-            "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None,
-        })
+        last = {**_pass_summary(distilled.partition, train_set),
+                "accuracy": ensemble_accuracy(ensemble, test_set) if can_score else None}
+        per_round.append({"round": r, "meta_init": distilled.meta_start, **last})
 
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     for m in range(train_cfg.ensemble_size):
         save_classifier_checkpoint(ensemble.member(m), outdir / f"member_{m}.txt")
-    report = {
-        "config": {**cfg, "input": str(args.input)},
-        "sizes": _partition_sizes(distilled.partition) if distilled is not None else None,
-        "selection": per_round[-1]["selection"] if per_round else None,
-        "per_round": per_round,
-        "accuracy": per_round[-1]["accuracy"] if per_round else warmup_acc,
-        "warmup_accuracy": warmup_acc,
-        "fallbacks": fallbacks,
-    }
-    _write_report(report, outdir / "report.json")
+    _write_report(outdir, cfg, args, **last, per_round=per_round, warmup_accuracy=warmup_acc,
+                  fallbacks=fallbacks)
     print(f"wrote {outdir / 'report.json'}: warmup_accuracy={warmup_acc} "
-          f"final_accuracy={report['accuracy']}")
+          f"final_accuracy={last['accuracy']}")
     return 0
 
 
@@ -399,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except FieldError as exc:
         print(f"error: {_field_error_text(exc, args)}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size past memory, e.g. generate --d 3000000000

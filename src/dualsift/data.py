@@ -89,8 +89,10 @@ class Dataset:
         for name, arr in (("features", features), ("logits", logits)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
+        # read-only views: the caller's arrays keep their flags, nothing is copied
         for name, arr in (("features", features), ("logits", logits),
                           ("noisy_labels", noisy), ("true_labels", true)):
+            arr = arr.view()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -59,6 +59,8 @@ class DistillResult:
     meta_net: ToyClassifier | None
     # the accepted fits of unscaled scores, by (class_id, space)
     mixtures: dict
+    # where the meta net started: "seeded" or "previous_round"
+    meta_start: str
 
 
 def run_distillation(dataset: Dataset, params: DistillParams,
@@ -69,12 +71,12 @@ def run_distillation(dataset: Dataset, params: DistillParams,
     net trains from its ``meta_net`` and each cluster's fit in a space
     starts from its ``mixtures``, as ``compute_posteriors`` describes.
     Where it holds no net the net trains from the seeded ``meta-init`` draw,
-    and where no fit the fit starts from the percentiles. When the certain
-    set lacks positives or negatives the meta classifier cannot be trained
-    (``meta_starved``), and when no epoch improves on the seeded draw it is
-    left untrained (``meta_untrained``); either way fusion falls back to the
-    equal-weight average, the report notes it, and the result carries no
-    meta net.
+    and where no fit the fit starts from the percentiles; ``meta_start``
+    records which start the net had. When the certain set lacks positives
+    or negatives the meta classifier cannot be trained (``meta_starved``),
+    and when no epoch improves on the seeded draw it is left untrained
+    (``meta_untrained``); either way fusion falls back to the equal-weight
+    average, the report notes it, and the result carries no meta net.
     """
     meta_init = getattr(previous, "meta_net", None)
     seeded = meta_init is None
@@ -110,4 +112,5 @@ def run_distillation(dataset: Dataset, params: DistillParams,
 
     cut = resolve_threshold(params.fuse_strategy, table.fused[partition.uncertain_ids])
     partition = purify(table, partition, cut, cut)
-    return DistillResult(partition, table, fallbacks, meta_net, mixtures)
+    return DistillResult(partition, table, fallbacks, meta_net, mixtures,
+                         "seeded" if seeded else "previous_round")

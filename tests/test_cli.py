@@ -379,7 +379,7 @@ def test_train_rounds_zero_warmup_only(tmp_path):
     assert report["per_round"] == []
     assert report["warmup_accuracy"] is not None
     assert report["accuracy"] == report["warmup_accuracy"]
-    assert report["sizes"] is None
+    assert report["sizes"] is None and report["selection"] is None
 
 
 def test_train_per_round_series_shape(tmp_path):
@@ -394,6 +394,21 @@ def test_train_per_round_series_shape(tmp_path):
         assert entry["selection"] is not None and "f1" in entry["selection"]
         assert entry["accuracy"] is not None
     assert (outdir / "member_0.txt").exists() and (outdir / "member_1.txt").exists()
+
+
+def test_train_top_level_repeats_the_last_round_and_distill_has_its_keys(tmp_path):
+    data = small_benchmark(tmp_path, n=600)
+    assert run(["train", data, "-o", tmp_path / "train", "--rounds", 2,
+                "--warmup-epochs", 2, "--seed", 5]) == 0
+    assert run(["distill", data, "-o", tmp_path / "distill"]) == 0
+    train, distill = (json.loads((tmp_path / name / "report.json").read_text())
+                      for name in ("train", "distill"))
+    last = train["per_round"][-1]
+    assert {key: train[key] for key in ("sizes", "selection", "accuracy")} == \
+        {key: last[key] for key in ("sizes", "selection", "accuracy")}
+    assert set(distill) == set(train) - {"warmup_accuracy"}
+    assert set(distill["sizes"]) == set(last["sizes"])
+    assert set(distill["selection"]) == set(last["selection"])
 
 
 def test_train_benchmark_improves_over_warmup(train_run):

@@ -836,6 +836,19 @@ def test_dataset_takes_integral_float_labels():
     assert ds.noisy_labels.tolist() == [0, 1] and ds.true_labels.tolist() == [1, -1]
 
 
+def test_dataset_shares_the_callers_arrays_without_freezing_them():
+    x = np.zeros((3, 2))
+    labels = np.array([0, 1, 0])
+    ds = Dataset(x, x, labels, labels)
+    assert x.flags.writeable and labels.flags.writeable
+    for column, given in ((ds.features, x), (ds.logits, x),
+                          (ds.noisy_labels, labels), (ds.true_labels, labels)):
+        assert not column.flags.writeable
+        assert np.shares_memory(column, given)
+    x[0, 0] = 1.0
+    assert ds.features[0, 0] == 1.0
+
+
 # ------------------------------------------------------------------ synthetic
 
 def test_generate_deterministic():

@@ -10,6 +10,7 @@ import reference
 
 from dualsift import (
     Dataset,
+    MetaStarved,
     NoiseKind,
     NoiseSpec,
     Partition,
@@ -34,7 +35,7 @@ from dualsift import (
     weighted_average_baseline,
     write_partition_file,
 )
-from dualsift import cli, division
+from dualsift import cli, division, pipeline
 from dualsift.data import ROW_BLOCK
 from dualsift.division import MIN_COMPONENT_WEIGHT, PARTITION_TAGS, Tag
 from dualsift.gmm import GmmConfig, Orientation, fit_gmm1d
@@ -302,6 +303,26 @@ def test_distillation_without_meta_init_starts_from_the_seeded_draw():
             assert not np.array_equal(moved.table.fused, default.table.fused,
                                       equal_nan=True)
     assert seen == {False, True}
+
+
+def test_distillation_records_where_its_meta_net_started(monkeypatch):
+    # a pass after a trained one starts from its net; a pass after a starved
+    # one, which hands no net on, starts from the seeded draw again
+    dataset = inject_noise(generate_synthetic(SyntheticSpec(k=4, d=8, n=400, seed=3)),
+                           NoiseSpec(NoiseKind.SYMMETRIC, 0.3, seed=4))
+    params = DistillParams(meta=MetaTrainConfig(epochs=3))
+    first = run_distillation(dataset, params)
+    assert first.meta_start == "seeded" and first.meta_net is not None
+    second = run_distillation(dataset, params, previous=first)
+    assert second.meta_start == "previous_round"
+
+    def starve(partition, table):
+        raise MetaStarved("forced")
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "build_meta_dataset", starve)
+        starved = run_distillation(dataset, params, previous=second)
+    assert starved.meta_start == "previous_round" and starved.meta_net is None
+    assert run_distillation(dataset, params, previous=starved).meta_start == "seeded"
 
 
 UNTRAINED = ("meta_untrained:weighted_average:lambda=0.5:"

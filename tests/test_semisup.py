@@ -185,6 +185,8 @@ def test_classifier_checkpoint_roundtrip(tmp_path):
         np.testing.assert_array_equal(getattr(clf, name), getattr(back, name))
     with pytest.raises(ValueError):
         save_classifier_checkpoint(ToyClassifier.stack([clf, clf]), path)
+    with pytest.raises(ValueError):
+        save_flat_params(path, ToyClassifier.stack([clf, clf]))
     # headers with a dimension below 1, or not three of them, are rejected
     # at the header line
     for header in ("toyclassifier 0 0 0", "toyclassifier -1 -1 1", "toyclassifier 4 0 3",
@@ -249,9 +251,9 @@ def test_checkpoint_writes_each_value_as_its_repr(tmp_path):
     # orjson writes null for non-finite values; they take the repr path
     flat = np.array([0.1, -0.0, 1e16, np.nan, 5e-324, -np.inf, 1e-4])
     path = tmp_path / "p.txt"
-    save_flat_params(path, "tag", (2, 3), flat)
+    save_flat_params(path, ToyClassifier(flat, (1, 2, 1)))
     values = [repr(float(v)) for v in flat]
-    assert path.read_text() == "\n".join(["tag 2 3", *values]) + "\n"
+    assert path.read_text() == "\n".join(["toyclassifier 1 2 1", *values]) + "\n"
 
 
 # ---------------------------------------------------------------- flat layout
