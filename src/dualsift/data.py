@@ -4,14 +4,14 @@ The on-disk sample-table format is UTF-8 CSV with header
 ``id,noisy_label,true_label,feat_0..feat_{D-1},logit_0..logit_{K-1}``.
 Floats are serialized with full round-trip precision and a true label of
 -1 marks an absent ground truth. Beside each table it writes, the writer
-leaves a sidecar ``<table>.npz`` holding the table's arrays and the table's
-block digest, which lets a later load skip the parse. The block digest is
-the sha256 of the concatenated sha256 digests of the table's 4 MiB blocks;
-the blocks of a larger table are hashed on a thread pool while the calling
-thread reads or writes the arrays, and a writer installs the sidecar only
-if the table's stat is as it left it. A sidecar that holds the whole-file
-``csv_sha256`` of earlier versions is ignored, so its table is parsed
-(about 1 s at 100k rows) until it is written again.
+leaves a sidecar ``<table>.sidecar`` of five ``.npy`` records, the table's
+arrays and then its block digest, which lets a later load skip the parse.
+The block digest is the sha256 of the concatenated sha256 digests of the
+table's 4 MiB blocks; the blocks of a larger table are hashed on a thread
+pool while the calling thread reads or writes the arrays, and a writer
+installs the sidecar only if the table's stat is as it left it. A record's
+data is read only once its header fits the table and the file, and the
+``<table>.npz`` of earlier versions is neither read nor removed.
 
 Both text formats, tables and partition files, are read by one vouched
 ``np.loadtxt`` pass (:func:`loadtxt_rows`) and one id check (:func:`id_order`);
@@ -29,7 +29,6 @@ import os
 import stat
 import tempfile
 import warnings
-import zipfile
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -87,7 +86,8 @@ class Dataset:
         if n and (true.min() < -1 or true.max() >= k):
             raise ValueError("true label out of range")
         for name, arr in (("features", features), ("logits", logits)):
-            if not np.isfinite(arr).all():
+            # ROW_BLOCK rows at a time, so no (N, D) mask is held
+            if not all(np.isfinite(arr[s:s + ROW_BLOCK]).all() for s in range(0, n, ROW_BLOCK)):
                 raise ValueError(f"{name} must be finite")
         # read-only views: the caller's arrays keep their flags, nothing is copied
         for name, arr in (("features", features), ("logits", logits),
@@ -338,15 +338,12 @@ def load_sample_table(path: str | Path) -> Dataset:
     return _load_sample_table_lines(path) if dataset is None else dataset
 
 
-_SIDECAR_ARRAYS = {"features": np.float64, "logits": np.float64,
-                   "noisy_labels": np.int64, "true_labels": np.int64}
-_SIDECAR_DIGEST = "csv_block_sha256"
 # Bytes per block of the table digest; the blocks are hashed in parallel.
 _DIGEST_BLOCK = 4 << 20
 
 
 def _sidecar_path(path: str | Path) -> str:
-    return os.fspath(path) + ".npz"
+    return os.fspath(path) + ".sidecar"
 
 
 def _usable_cpus() -> int:
@@ -405,12 +402,28 @@ def _table_digest(path: str | Path):
         yield lambda: hashlib.sha256(b"".join(digests)).hexdigest()
 
 
+def _read_record(fh, end: int, dtype, shape: tuple) -> np.ndarray:
+    """The array of the ``.npy`` record at ``fh``'s position, its data read
+    only once its header shows version 1.0, C order, ``dtype``, ``shape`` (a
+    None dimension takes any size) and a size that fits before byte ``end``;
+    otherwise, or if the file was cut short since, ValueError."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 record")
+    got, fortran_order, got_dtype = np.lib.format.read_array_header_1_0(fh)
+    count = math.prod(got)
+    if fortran_order or got_dtype != dtype or len(got) != len(shape) \
+            or any(want not in (None, size) for want, size in zip(shape, got)) \
+            or not 0 <= count * got_dtype.itemsize <= end - fh.tell():
+        raise ValueError("record does not fit the table")
+    return np.fromfile(fh, got_dtype, count).reshape(got)
+
+
 def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
     """The arrays of the table's sidecar; None unless it is a regular file
-    owned by the table's owner, holds exactly the four arrays with the dtypes
-    and the shapes the table's header gives, and names the block digest of
-    the table's current bytes. The table is hashed while the arrays are read
-    and checked."""
+    owned by the table's owner, holds exactly the five records with the
+    dtypes and the shapes the table's header gives, and names the block
+    digest of the table's current bytes. The table is hashed while the
+    records are read and checked."""
     sidecar = _sidecar_path(path)
     try:
         info = os.stat(sidecar)
@@ -418,25 +431,19 @@ def _load_sample_table_sidecar(path: str | Path) -> Dataset | None:
             return None
         with open(path, encoding="ascii") as fh:
             d, k = _parse_header(fh.readline())
-        # np.load leaves a file it opened itself open when the zip is bad
         with _table_digest(path) as table_digest, open(sidecar, "rb") as fh:
-            saved = np.load(fh, allow_pickle=False)
-            if not isinstance(saved, np.lib.npyio.NpzFile) \
-                    or sorted(saved.files) != sorted([*_SIDECAR_ARRAYS, _SIDECAR_DIGEST]):
-                return None
-            digest = saved[_SIDECAR_DIGEST]
-            arrays = {name: saved[name] for name in _SIDECAR_ARRAYS}
+            features = _read_record(fh, info.st_size, np.float64, (None, d))
+            n = features.shape[0]
+            logits = _read_record(fh, info.st_size, np.float64, (n, k))
+            noisy = _read_record(fh, info.st_size, np.int64, (n,))
+            true = _read_record(fh, info.st_size, np.int64, (n,))
+            digest = _read_record(fh, info.st_size, np.dtype("U64"), ())
             # a header-only table must still fail as having no samples
-            n = arrays["noisy_labels"].size
-            shapes = {"features": (n, d), "logits": (n, k), "noisy_labels": (n,),
-                      "true_labels": (n,)}
-            if n == 0 or digest.shape != () or digest.dtype.kind != "U" \
-                    or any(arr.dtype != _SIDECAR_ARRAYS[name] or arr.shape != shapes[name]
-                           for name, arr in arrays.items()):
+            if n == 0 or fh.tell() != info.st_size:
                 return None
-            dataset = Dataset(**arrays)
+            dataset = Dataset(features, logits, noisy, true)
             return dataset if digest.item() == table_digest() else None
-    except (OSError, ValueError, EOFError, NotImplementedError, zipfile.BadZipFile, ParseError):
+    except (OSError, ValueError, ParseError):
         return None
 
 
@@ -539,7 +546,7 @@ def write_sample_table(dataset: Dataset, path: str | Path) -> None:
     through :func:`repr_rows`; rows go out in blocks of ``ROW_BLOCK`` to
     keep memory flat.
 
-    When the output is a regular file, the sidecar ``<path>.npz`` is then
+    When the output is a regular file, the sidecar ``<path>.sidecar`` is then
     written beside it (see :func:`_write_sidecar`).
     """
     with open(path, "wb") as fh:
@@ -583,36 +590,27 @@ def repr_rows(block: np.ndarray) -> list[bytes]:
 
 def _write_sidecar(dataset: Dataset, path: str | Path, written: os.stat_result) -> None:
     """Save the dataset's arrays and the block digest of the closed table at
-    ``path`` (see :func:`_table_digest`), with the table's permission bits, to
-    a temp file beside the table, then move it to ``<path>.npz``. The table is
-    hashed while the arrays are written, and the digest goes in last. The
-    sidecar only spares a later load its parse, so one that cannot be written
-    is left out.
+    ``path`` (see :func:`_table_digest`) as five ``np.save`` records, with the
+    table's permission bits, to a temp file beside the table, then move it to
+    ``<path>.sidecar``. The table is hashed while the arrays are written, and
+    the digest goes in last. ``np.save`` writes an array to a real file from
+    its buffer, so a sidecar costs no memory per row. The sidecar only spares
+    a later load its parse, so one that cannot be written is left out.
 
     The digest is of the bytes on disk, which another writer may have
     replaced, so the sidecar is left out unless the table's device, inode,
     size and mtime after hashing are those of ``written``, its ``fstat``
-    after the last write; a same-size rewrite in one timestamp tick passes.
-
-    Each member holds the bytes ``np.savez`` writes for it: a stored, zip64
-    ``<name>.npy`` with the version 1.0 header, then the array's buffer,
-    written from a flat ``uint8`` view instead of ``savez``'s ``tobytes``
-    copies, so a sidecar costs no memory per row."""
+    after the last write; a same-size rewrite in one timestamp tick passes."""
     tmp = None
     try:
         with _table_digest(path) as table_digest:
             fd, tmp = tempfile.mkstemp(prefix=f".{Path(path).name}.", suffix=".tmp",
                                        dir=Path(path).parent)
-            with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w") as archive:
-                for name in [*_SIDECAR_ARRAYS, _SIDECAR_DIGEST]:
-                    arr = np.array(table_digest()) if name == _SIDECAR_DIGEST \
-                        else getattr(dataset, name)
-                    with archive.open(f"{name}.npy", "w", force_zip64=True) as member:
-                        np.lib.format.write_array_header_1_0(
-                            member, np.lib.format.header_data_from_array_1_0(arr))
-                        # reshape(-1) views a C-contiguous array, the 0-d digest
-                        # and 0-row tables included
-                        member.write(arr.reshape(-1).view(np.uint8))
+            with os.fdopen(fd, "wb") as fh:
+                for arr in (dataset.features, dataset.logits, dataset.noisy_labels,
+                            dataset.true_labels):
+                    np.save(fh, arr, allow_pickle=False)
+                np.save(fh, np.array(table_digest()), allow_pickle=False)
         info = os.stat(path)
         if any(getattr(info, key) != getattr(written, key)
                for key in ("st_dev", "st_ino", "st_size", "st_mtime_ns")):

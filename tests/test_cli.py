@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import subprocess
@@ -154,7 +155,7 @@ def test_generate_starts_no_child_process(tmp_path, monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", refuse)
     monkeypatch.setattr(os, "fork", refuse)
     assert run(["generate", "--n", 50_000, "--seed", 1, "-o", tmp_path / "g.csv"]) == 0
-    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["g.csv", "g.csv.sidecar"]
 
 
 def test_generate_byte_identical(tmp_path):
@@ -210,6 +211,21 @@ def test_distill_untrained_meta_net_is_a_reported_fallback(tmp_path):
     report = json.loads((outdir / "report.json").read_text())
     assert report["fallbacks"] == ["meta_untrained:weighted_average:lambda=0.5:"
                                    "no epoch lowered the training BCE of the seeded start"]
+
+
+def test_distill_with_a_sidecar_claiming_2_40_rows_partitions_as_with_none(tmp_path):
+    table, bare = tmp_path / "t.csv", tmp_path / "bare.csv"
+    assert run(["generate", "--k", 3, "--d", 4, "--n", 50, "--noise", "sym:0.5",
+                "--seed", 5, "-o", table]) == 0
+    bare.write_bytes(table.read_bytes())
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False, "shape": (2 ** 40, 4)})
+    (tmp_path / "t.csv.sidecar").write_bytes(header.getvalue())
+    assert run(["distill", table, "-o", tmp_path / "out"]) == 0
+    assert run(["distill", bare, "-o", tmp_path / "bare"]) == 0
+    assert ((tmp_path / "out" / "partition.csv").read_bytes()
+            == (tmp_path / "bare" / "partition.csv").read_bytes())
 
 
 def test_distill_logits_past_the_float64_range_select_as_in_range_ones(tmp_path):

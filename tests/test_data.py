@@ -1,12 +1,12 @@
 import errno
 import hashlib
+import io
 import os
 import re
 import stat
 import sys
 import threading
 import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -323,8 +323,14 @@ def test_writer_matches_oracle_on_block_edges(tmp_path):
 
 # ------------------------------------------------------------------- sidecar
 
+COLUMNS = ("features", "logits", "noisy_labels", "true_labels")
+# the sidecar's records, in file order
+SIDECAR_ENTRIES = {"features": np.float64, "logits": np.float64, "noisy_labels": np.int64,
+                   "true_labels": np.int64, "csv_block_sha256": np.dtype("<U64")}
+
+
 def sidecar_of(path):
-    return Path(f"{path}.npz")
+    return Path(f"{path}.sidecar")
 
 
 def block_digest(payload):
@@ -335,9 +341,14 @@ def block_digest(payload):
         for start in range(0, max(len(payload), 1), block))).hexdigest()
 
 
+def read_sidecar(path):
+    """The sidecar's records by name, read one after another."""
+    with open(sidecar_of(path), "rb") as fh:
+        return {name: np.load(fh) for name in SIDECAR_ENTRIES}
+
+
 def stored_digest(path):
-    with np.load(sidecar_of(path)) as saved:
-        return saved["csv_block_sha256"].item()
+    return read_sidecar(path)["csv_block_sha256"].item()
 
 
 def written_table(tmp_path):
@@ -357,7 +368,7 @@ def refuse(path):
 def test_sidecar_load_equals_parse(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("sidecar") / "t.csv"
     write_sample_table(ds, path)
-    assert sorted(os.listdir(path.parent)) == ["t.csv", "t.csv.npz"]
+    assert sorted(os.listdir(path.parent)) == ["t.csv", "t.csv.sidecar"]
     assert (stat.S_IMODE(sidecar_of(path).stat().st_mode)
             == stat.S_IMODE(path.stat().st_mode))
     want = _load_sample_table_lines(path)
@@ -396,9 +407,22 @@ def test_table_broken_after_writing_raises_the_parse_error(tmp_path, cell):
     assert str(with_sidecar.value) == str(without_sidecar.value)
 
 
-def save_sidecar(path, **arrays):
+def save_sidecar(path, **records):
+    """Write ``records`` in order: an array as its ``np.save`` record, bytes as given."""
     with open(sidecar_of(path), "wb") as fh:
-        np.savez(fh, **arrays)
+        for record in records.values():
+            if isinstance(record, bytes):
+                fh.write(record)
+            else:
+                np.save(fh, record)
+
+
+def claimed_record(arr, **header):
+    """The ``np.save`` record of ``arr`` with ``header``'s entries in its header."""
+    record = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        record, {**np.lib.format.header_data_from_array_1_0(arr), **header})
+    return record.getvalue() + arr.tobytes()
 
 
 def wrong_digest(path, saved):
@@ -406,16 +430,18 @@ def wrong_digest(path, saved):
 
 
 def whole_file_digest(path, saved):
-    # the member of sidecars written before the block digest
+    # the digest of sidecars written before the block digest
     del saved["csv_block_sha256"]
     save_sidecar(path, **saved, csv_sha256=np.array(hashlib.sha256(path.read_bytes()).hexdigest()))
 
 
 def missing_key(path, saved):
+    # the digest's record comes where true_labels' should
     save_sidecar(path, **{k: v for k, v in saved.items() if k != "true_labels"})
 
 
 def extra_key(path, saved):
+    # a trailing record
     save_sidecar(path, **saved, ids=np.arange(saved["noisy_labels"].size))
 
 
@@ -441,13 +467,33 @@ def directory(path, saved):
     sidecar_of(path).mkdir()
 
 
+def zip_archive(path, saved):
+    # the container of earlier versions, under the sidecar's name
+    with open(sidecar_of(path), "wb") as fh:
+        np.savez(fh, **saved)
+
+
+def oversized_header(path, saved):
+    # read as claimed, the features would take 2**40 * D * 8 bytes
+    features = saved["features"]
+    save_sidecar(path, **{**saved, "features": claimed_record(
+        features, shape=(2 ** 40, features.shape[1]))})
+
+
+def huge_digest(path, saved):
+    # a digest of 2**40 characters
+    digest = saved["csv_block_sha256"]
+    save_sidecar(path, **{**saved, "csv_block_sha256": claimed_record(
+        digest, descr=f"<U{2 ** 40}")})
+
+
 def foreign_owner(path, saved, monkeypatch):
     save_sidecar(path, **saved)
     real_stat = os.stat
 
     def owned_by_another(p, *args, **kwargs):
         info = real_stat(p, *args, **kwargs)
-        if os.fspath(p).endswith(".npz"):
+        if os.fspath(p).endswith(".sidecar"):
             return os.stat_result((*info[:4], info.st_uid + 1, *info[5:10]))
         return info
 
@@ -456,11 +502,10 @@ def foreign_owner(path, saved, monkeypatch):
 
 @pytest.mark.parametrize("spoil", [wrong_digest, whole_file_digest, missing_key, extra_key,
                                    int32_labels, wrong_d, object_array, truncated, directory,
-                                   foreign_owner])
+                                   foreign_owner, zip_archive, oversized_header, huge_digest])
 def test_rejected_sidecar_falls_back_to_the_parse(tmp_path, monkeypatch, spoil):
     ds, path = written_table(tmp_path)
-    with np.load(sidecar_of(path)) as npz:
-        saved = dict(npz)
+    saved = read_sidecar(path)
     # shifted features would show if the spoiled sidecar were used
     saved["features"] = saved["features"] + 1.0
     sidecar_of(path).unlink()
@@ -495,7 +540,7 @@ def test_sidecar_that_cannot_be_written_is_left_out(tmp_path):
     sidecar_of(path).unlink()
     sidecar_of(path).mkdir()
     write_sample_table(ds, path)
-    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.sidecar"]
     assert sidecar_of(path).is_dir()
     assert_bits_equal(load_sample_table(path), ds)
 
@@ -520,43 +565,55 @@ def test_non_regular_output_gets_no_sidecar(tmp_path):
     writer.join(timeout=60)
     assert not writer.is_alive()
     assert streamed == path.read_bytes()
-    assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "t.csv", "t.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["fifo.csv", "t.csv", "t.csv.sidecar"]
 
 
-SIDECAR_ENTRIES = {"features": np.float64, "logits": np.float64, "noisy_labels": np.int64,
-                   "true_labels": np.int64, "csv_block_sha256": np.dtype("<U64")}
-
-
-def test_sidecar_written_by_savez_still_loads(tmp_path, monkeypatch):
+def test_npz_sidecar_written_by_savez_is_ignored(tmp_path, monkeypatch):
+    # the sidecar of earlier versions, naming the digest of the table's bytes
     ds, path = written_table(tmp_path)
     sidecar_of(path).unlink()
-    save_sidecar(path, **{name: getattr(ds, name) for name in data._SIDECAR_ARRAYS},
+    npz = Path(f"{path}.npz")
+    with open(npz, "wb") as fh:
+        np.savez(fh, **{name: getattr(ds, name) for name in COLUMNS},
                  csv_block_sha256=np.array(block_digest(path.read_bytes())))
-    monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
-    monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
-    assert_bits_equal(load_sample_table(path), ds)
+    parses = record_parses(monkeypatch)
+    assert_bits_equal(load_sample_table(path), _load_sample_table_lines(path))
+    assert parses == [path]
+    # a write leaves it in place
+    write_sample_table(ds, path)
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.npz", "t.csv.sidecar"]
 
 
 @pytest.mark.parametrize("n", [0, 40])
-def test_sidecar_members_are_the_bytes_savez_writes(tmp_path, n):
+def test_sidecar_is_five_np_save_records(tmp_path, n):
     ds, path = written_table(tmp_path)
     ds = ds.subset(np.arange(n))
     write_sample_table(ds, path)
-    with np.load(sidecar_of(path), allow_pickle=False) as saved:
-        assert sorted(saved.files) == sorted(SIDECAR_ENTRIES)
-        for name, dtype in SIDECAR_ENTRIES.items():
-            want = np.array(block_digest(path.read_bytes())) if name == "csv_block_sha256" \
-                else getattr(ds, name)
-            assert (saved[name].dtype, saved[name].shape) == (dtype, want.shape)
-            assert saved[name].tobytes() == want.tobytes()
-        arrays = dict(saved)
-    save_sidecar(tmp_path / "savez", **arrays)
-    with zipfile.ZipFile(sidecar_of(path)) as ours, \
-            zipfile.ZipFile(sidecar_of(tmp_path / "savez")) as theirs:
-        assert ours.namelist() == theirs.namelist()
-        for name in ours.namelist():
-            assert ours.getinfo(name).compress_type == zipfile.ZIP_STORED
-            assert ours.read(name) == theirs.read(name)
+    saved = read_sidecar(path)
+    records = io.BytesIO()
+    for name, dtype in SIDECAR_ENTRIES.items():
+        want = np.array(block_digest(path.read_bytes())) if name == "csv_block_sha256" \
+            else getattr(ds, name)
+        assert (saved[name].dtype, saved[name].shape) == (dtype, want.shape)
+        assert saved[name].tobytes() == want.tobytes()
+        np.save(records, want, allow_pickle=False)
+    assert sidecar_of(path).read_bytes() == records.getvalue()
+
+
+def test_sidecar_load_copies_nothing(tmp_path, monkeypatch, traced_extra, growth_per_row):
+    k, d = 10, 16
+    monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
+    # the table is hashed in the calling thread once the arrays are read, so
+    # the peak holds one hashing buffer however many blocks and CPUs there are
+    monkeypatch.setattr(data, "_usable_cpus", lambda: 1)
+
+    def extra(n):
+        write_sample_table(generate_synthetic(SyntheticSpec(k=k, d=d, n=n, seed=1)),
+                           tmp_path / "t.csv")
+        return traced_extra(load_sample_table, tmp_path / "t.csv")[1]
+    # the dataset's own arrays and no more; Dataset's whole-array finiteness
+    # mask held D = 16 bytes a row more
+    assert growth_per_row(extra) < 8 * (d + k) + 16 + 1
 
 
 # -------------------------------------------------------------- table digest
@@ -758,7 +815,7 @@ def test_one_block_table_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_usable_cpus", lambda: 8)
     ds, path = written_table(tmp_path)
     assert path.stat().st_size <= data._DIGEST_BLOCK
-    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.npz"]
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t.csv.sidecar"]
     monkeypatch.setattr(data, "_load_sample_table_numpy", refuse)
     monkeypatch.setattr(data, "_load_sample_table_lines", refuse)
     assert_bits_equal(load_sample_table(path), ds)
@@ -771,9 +828,7 @@ def test_hashing_threads_are_joined_on_every_path(tmp_path, monkeypatch, small_b
         assert_bits_equal(load_sample_table(path), ds)
     assert threading.active_count() == before
     # a sidecar refused after the hashing started
-    with np.load(sidecar_of(path)) as npz:
-        saved = dict(npz)
-    extra_key(path, saved)
+    extra_key(path, read_sidecar(path))
     parses = record_parses(monkeypatch)
     assert_bits_equal(load_sample_table(path), ds)
     assert parses == [path]
@@ -892,9 +947,10 @@ def test_generate_matches_whole_array_oracle(k, d, n):
 def test_generate_extra_memory_per_row_is_bounded(traced_extra, growth_per_row):
     def extra(n):
         ds, peak = traced_extra(generate_synthetic, SyntheticSpec(k=10, d=16, n=n, seed=1))
-        return peak - sum(getattr(ds, name).nbytes for name in data._SIDECAR_ARRAYS)
-    # room for int64 labels (8 bytes a row) and Dataset's finiteness mask
-    # (D = 16 bytes a row); the whole-array expressions held 72 bytes a row
+        return peak - sum(getattr(ds, name).nbytes for name in COLUMNS)
+    # room for int64 labels (8 bytes a row) and a whole finiteness mask (D =
+    # 16 bytes a row), though Dataset checks a block at a time; the
+    # whole-array expressions held 72 bytes a row
     assert growth_per_row(extra) <= 32
 
 
